@@ -82,6 +82,7 @@ from .simulation import (
     aggregate_series,
     ar1_path,
     simulate,
+    simulate_batch,
 )
 
 __version__ = "0.1.0"

@@ -202,10 +202,17 @@ def linear_frequency(j: JacobianSummary) -> float:
     return math.atan2(math.sqrt(j.m), j.trace / 2.0)
 
 
+def _map_step(x, y, ybar, a0, a1, a2, delta, q: QuarticCoefficients):
+    """The map formula, elementwise on floats or arrays: (x[t+1], y[t+1]).
+
+    Every iteration of the map goes through here, so all of them share one
+    floating-point evaluation order.
+    """
+    return (1.0 - delta) * x + y, a0 + a1 * x + a2 * y + eval_f(q, ybar)
+
+
 def single_agent_step(x, y, ybar, params: AgentParams,
                       q: QuarticCoefficients = DEFAULT_QUARTIC):
     """One step of the map for one agent given its interaction term ``ybar``."""
-    x_next = (1.0 - params.delta) * x + y
-    y_next = (params.alpha0 + params.alpha1 * x + params.alpha2 * y
-              + eval_f(q, ybar))
-    return x_next, y_next
+    return _map_step(x, y, ybar, params.alpha0, params.alpha1, params.alpha2,
+                     params.delta, q)

@@ -30,7 +30,7 @@ from .errors import (
     SeriesTooShort,
 )
 from .networks import FINAL_DEMAND, InteractionNetwork
-from .simulation import ShockConfig, SimulationConfig, aggregate_series, simulate
+from .simulation import ShockConfig, SimulationConfig, aggregate_series, simulate_batch
 
 __all__ = [
     "PanelRecord",
@@ -363,17 +363,8 @@ class ScenarioRow:
     n_seeds: int
 
 
-def _scenario_cell(net, q, spec, dynamics, shock_type, sigma_u, seed):
-    """Grouped correlation means for one (scenario, seed) cell."""
-    a1, a2, de = DYNAMICS_PRESETS[dynamics]
-    params = AgentParams.with_steady_state(a1, a2, de, q)
-    preset = SHOCK_PRESETS[shock_type]
-    shocks = ShockConfig(rho_u=spec.rho_u, sigma_u=sigma_u,
-                         rho_v=spec.rho_v, sigma_v=preset["sigma_v"],
-                         rho_z=spec.rho_z, sigma_z=preset["sigma_z"])
-    cfg = SimulationConfig(steps=spec.steps, retain=spec.retain,
-                           aggregate_stride=spec.stride, seed=seed)
-    traj = simulate(net, params, q, shocks, cfg)
+def _grouped_means(traj, spec):
+    """Grouped correlation means of one simulated seed."""
     annual = aggregate_series(traj.y, spec.stride)
 
     pairs = list(zip(traj.sectors, traj.countries))
@@ -397,8 +388,23 @@ def _scenario_cell(net, q, spec, dynamics, shock_type, sigma_u, seed):
     }
 
 
-def _scenario_task(args):
-    return args[3:], _scenario_cell(*args)
+def _scenario_cell(args):
+    """Per-seed grouped correlation means of one (dynamics, shock, sigma_u) cell.
+
+    All seeds of the cell run as one batch.
+    """
+    net, q, spec, dynamics, shock_type, sigma_u = args
+    a1, a2, de = DYNAMICS_PRESETS[dynamics]
+    params = AgentParams.with_steady_state(a1, a2, de, q)
+    preset = SHOCK_PRESETS[shock_type]
+    shocks = ShockConfig(rho_u=spec.rho_u, sigma_u=sigma_u,
+                         rho_v=spec.rho_v, sigma_v=preset["sigma_v"],
+                         rho_z=spec.rho_z, sigma_z=preset["sigma_z"])
+    cfg = SimulationConfig(steps=spec.steps, retain=spec.retain,
+                           aggregate_stride=spec.stride)
+    trajs = simulate_batch(net, [params] * spec.n_seeds, q, shocks, cfg,
+                           seeds=range(spec.n_seeds))
+    return [_grouped_means(traj, spec) for traj in trajs]
 
 
 def scenario_run(net: InteractionNetwork, spec: ScenarioSpec,
@@ -407,36 +413,29 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec,
 
     Returns :class:`ScenarioRow` records, one per (dynamics, shock type,
     sigma_u, grouping), with the mean and standard deviation over seeds.
-    Cells are independent; with ``jobs > 1`` they run in worker processes
-    and merge by key, producing the same result set as a serial run.
+    Cells are independent; with ``jobs > 1`` they run in worker processes,
+    producing the same result set as a serial run.
     """
-    tasks = [(net, q, spec, dyn, shock, float(su), seed)
-             for dyn in spec.dynamics
-             for shock in spec.shock_types
-             for su in spec.sigma_u_grid
-             for seed in range(spec.n_seeds)]
-    cells = {}
+    keys = [(dyn, shock, float(su))
+            for dyn in spec.dynamics
+            for shock in spec.shock_types
+            for su in spec.sigma_u_grid]
+    tasks = [(net, q, spec) + key for key in keys]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, value in pool.map(_scenario_task, tasks, chunksize=4):
-                cells[key] = value
+            results = list(pool.map(_scenario_cell, tasks))
     else:
-        for args in tasks:
-            key, value = _scenario_task(args)
-            cells[key] = value
+        results = [_scenario_cell(args) for args in tasks]
 
     rows = []
-    for dyn in spec.dynamics:
-        for shock in spec.shock_types:
-            for su in spec.sigma_u_grid:
-                for group in ("within_country_sectors", "across_country_aggregates"):
-                    vals = np.array([cells[(dyn, shock, float(su), seed)][group]
-                                     for seed in range(spec.n_seeds)])
-                    rows.append(ScenarioRow(
-                        dynamics=dyn, shock_type=shock, sigma_u=float(su),
-                        group=group, mean_corr=float(vals.mean()),
-                        sd_corr=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-                        n_seeds=spec.n_seeds))
+    for (dyn, shock, su), per_seed in zip(keys, results):
+        for group in ("within_country_sectors", "across_country_aggregates"):
+            vals = np.array([cell[group] for cell in per_seed])
+            rows.append(ScenarioRow(
+                dynamics=dyn, shock_type=shock, sigma_u=su,
+                group=group, mean_corr=float(vals.mean()),
+                sd_corr=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
+                n_seeds=spec.n_seeds))
     return rows
 
 

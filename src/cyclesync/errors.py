@@ -52,15 +52,19 @@ class Reducible(NumericalError):
 # --- simulation -------------------------------------------------------------
 
 class NumericalBlowup(NumericalError):
-    """A decision variable exceeded the configured bound."""
+    """A decision variable exceeded the configured bound.
 
-    def __init__(self, step, value, bound):
+    ``run`` is the index, within a batch of runs, of the first run that
+    failed (None when not known).
+    """
+
+    def __init__(self, step, value, bound, run=None):
         self.step = step
         self.value = value
         self.bound = bound
-        super().__init__(
-            f"|y| = {value:.3g} exceeded bound {bound:.3g} at step {step}"
-        )
+        self.run = run
+        where = f"at step {step}" if run is None else f"in run {run} at step {step}"
+        super().__init__(f"|y| = {value:.3g} exceeded bound {bound:.3g} {where}")
 
 
 # --- phase analysis ---------------------------------------------------------

@@ -32,7 +32,7 @@ from .dynamics import (
     DEFAULT_QUARTIC,
     AgentParams,
     QuarticCoefficients,
-    eval_f,
+    _map_step,
     eval_f_prime,
 )
 from .errors import (
@@ -44,6 +44,7 @@ from .errors import (
 )
 from .networks import InteractionNetwork, SpectralDecomposition, generalized_laplacian
 from .phase import detect_peaks
+from .simulation import _iterate
 
 __all__ = [
     "SynchronizedOrbit",
@@ -150,12 +151,13 @@ def synchronized_orbit(params: AgentParams, q: QuarticCoefficients = DEFAULT_QUA
     """
     x, y = 1.0 / params.delta, 1.05
     a0, a1, a2, de = params.alpha0, params.alpha1, params.alpha2, params.delta
+    # Python floats: at N = 1 a numpy step costs far more than the arithmetic
     for _ in range(burn_in):
-        x, y = (1 - de) * x + y, a0 + a1 * x + a2 * y + eval_f(q, y)
+        x, y = _map_step(x, y, y, a0, a1, a2, de, q)
     xs = np.empty(steps)
     ys = np.empty(steps)
     for t in range(steps):
-        x, y = (1 - de) * x + y, a0 + a1 * x + a2 * y + eval_f(q, y)
+        x, y = _map_step(x, y, y, a0, a1, a2, de, q)
         xs[t] = x
         ys[t] = y
     if ys.max() - ys.min() < _MIN_AMPLITUDE:
@@ -350,16 +352,12 @@ def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
 
 
 def _nonlinear_paths(net, params, q, x0, y0, steps):
-    a0, a1, a2, de = params.alpha0, params.alpha1, params.alpha2, params.delta
-    w = net.weights
-    x = x0.copy()
-    y = y0.copy()
-    ys = np.empty((steps, net.n))
-    for t in range(steps):
-        ybar = w @ y
-        x, y = (1 - de) * x + y, a0 + a1 * x + a2 * y + eval_f(q, ybar)
-        ys[t] = y
-    return ys
+    """y paths of the coupled map from (x0, y0), homogeneous agents, no shocks."""
+    coeffs = [np.full((1, net.n), c) for c in
+              (params.alpha0, params.alpha1, params.alpha2, params.delta)]
+    _, ys = _iterate(net.weights, *coeffs, x0[None], y0[None], q, steps, steps,
+                     np.inf)
+    return ys[0]
 
 
 def _cross_correlation_lag(perturbed, reference, t0, t1, max_lag):

@@ -26,7 +26,7 @@ from .errors import (
     TooFewPeaks,
 )
 from .networks import Adjacency, InteractionNetwork, uniform_coupling
-from .simulation import ShockConfig, SimulationConfig, simulate
+from .simulation import ShockConfig, SimulationConfig, simulate_batch
 
 __all__ = [
     "PhaseSeries",
@@ -42,6 +42,11 @@ __all__ = [
     "epsilon_sweep",
     "sync_centrality",
 ]
+
+
+#: draws simulated together by :func:`sync_centrality`; bounds the retained
+#: paths held at once while keeping the per-step overhead amortized
+_DRAWS_PER_BATCH = 100
 
 
 @dataclass
@@ -246,9 +251,9 @@ def epsilon_sweep(adj: Adjacency, alpha1_values, eps_grid, *,
     coherence = np.empty(eps_grid.size)
     mean_corr = np.empty(eps_grid.size)
     spread = np.empty(eps_grid.size)
-    for k, eps in enumerate(eps_grid):
-        net = uniform_coupling(adj, float(eps))
-        traj = simulate(net, params, q, shocks, cfg)
+    nets = [uniform_coupling(adj, float(eps)) for eps in eps_grid]
+    trajs = simulate_batch(nets, [params] * eps_grid.size, q, shocks, cfg)
+    for k, traj in enumerate(trajs):
         omegas[k] = [measured_frequency(traj.y[:, i], **peak_kwargs)
                      for i in range(adj.n)]
         coherence[k] = phase_coherence(_phase_matrix(traj.y, peak_kwargs))
@@ -261,13 +266,13 @@ def epsilon_sweep(adj: Adjacency, alpha1_values, eps_grid, *,
                              entrain_tol=entrain_tol)
 
 
-def _common_frequency(ys, entrain_tol, peak_kwargs):
+def _common_frequency(ys, entrain_tol, peak_kwargs, where):
     omegas = np.array([measured_frequency(ys[:, i], **peak_kwargs)
                        for i in range(ys.shape[1])])
     spread = _relative_spread(omegas)
     if spread >= entrain_tol:
         raise EntrainmentFailure(
-            f"frequency spread {spread:.4f} exceeds tolerance {entrain_tol}"
+            f"{where}: frequency spread {spread:.4f} exceeds tolerance {entrain_tol}"
         )
     return float(omegas.mean())
 
@@ -301,33 +306,39 @@ def sync_centrality(net: InteractionNetwork, alpha1_grid=None, n_draws: int = 10
     focus_value = alpha1_grid[-1] if mode == "L" else alpha1_grid[0]
     rest = np.delete(alpha1_grid, -1 if mode == "L" else 0)
 
-    def mean_frequency(weights, focus, key):
-        sims = np.empty(n_draws)
+    cfg = SimulationConfig(steps=steps, burn_in=burn_in, seed=seed)
+
+    def mean_frequency(weights, focus, key, name):
         target = InteractionNetwork(weights=weights, labels=list(net.labels),
                                     sectors=list(net.sectors),
                                     countries=list(net.countries),
                                     outputs=net.outputs.copy())
+        others = [i for i in range(n) if i != focus]
+        draws = []
         for d in range(n_draws):
             rng = np.random.default_rng((seed, key, d))
             assignment = np.empty(n)
             assignment[focus] = focus_value
-            others = [i for i in range(n) if i != focus]
             assignment[others] = rng.permutation(rest)
-            params = [AgentParams.with_steady_state(a1, alpha2, delta, q)
-                      for a1 in assignment]
-            cfg = SimulationConfig(steps=steps, burn_in=burn_in, seed=seed)
-            traj = simulate(target, params, q, None, cfg)
-            sims[d] = _common_frequency(traj.y, entrain_tol, peak_kwargs)
+            draws.append([AgentParams.with_steady_state(a1, alpha2, delta, q)
+                          for a1 in assignment])
+        sims = np.empty(n_draws)
+        for lo in range(0, n_draws, _DRAWS_PER_BATCH):
+            trajs = simulate_batch(target, draws[lo:lo + _DRAWS_PER_BATCH], q, None, cfg)
+            for d, traj in enumerate(trajs, start=lo):
+                sims[d] = _common_frequency(traj.y, entrain_tol, peak_kwargs,
+                                            f"{name}, draw {d}")
         se = float(sims.std(ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0
         return float(sims.mean()), se
 
     means = np.empty(n)
     stderr = np.empty(n)
     for focus in range(n):
-        means[focus], stderr[focus] = mean_frequency(net.weights, focus, focus)
+        means[focus], stderr[focus] = mean_frequency(
+            net.weights, focus, focus, f"focus node {net.labels[focus]}")
 
     uniform = np.full((n, n), 1.0 / n)
-    benchmark, _ = mean_frequency(uniform, 0, n)
+    benchmark, _ = mean_frequency(uniform, 0, n, "uniform benchmark")
 
     raw = benchmark - means if mode == "L" else means - benchmark
     shifted = raw + abs(raw.min())

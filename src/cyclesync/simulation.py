@@ -15,13 +15,14 @@ another layer's draws and runs are reproducible from the seed alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
 
 from ._format import fmt
-from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients, eval_f
+from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients, _map_step
 from .errors import ConfigError, NumericalBlowup
 from .networks import InteractionNetwork
 
@@ -31,6 +32,7 @@ __all__ = [
     "TrajectorySet",
     "ar1_path",
     "simulate",
+    "simulate_batch",
     "aggregate_series",
     "write_metadata",
 ]
@@ -194,6 +196,155 @@ def _per_node_params(params, n: int):
     return a0, a1, a2, de
 
 
+def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, cfg: SimulationConfig,
+                 seed: int) -> list:
+    """Per-node (steps, N) paths of the u, v and z layers; None for a silent one.
+
+    Entity j of a layer is its j-th distinct group in sorted order (node
+    index, sector or country); every node of the group receives its path.
+    """
+    n, steps = net.n, cfg.steps
+    paths = []
+    for layer, rho, sigma, groups in (
+            (_LAYER_IDIO, shocks.rho_u, shocks.sigma_u, range(n)),
+            (_LAYER_SECTOR, shocks.rho_v, shocks.sigma_v, net.sectors),
+            (_LAYER_COUNTRY, shocks.rho_z, shocks.sigma_z, net.countries)):
+        if sigma == 0:
+            paths.append(None)
+            continue
+        members = {}
+        for i, group in enumerate(groups):
+            if group is not None:
+                members.setdefault(group, []).append(i)
+        path = np.zeros((steps, n))
+        for j, group in enumerate(sorted(members)):
+            path[:, members[group]] = ar1_path(rho, sigma, steps,
+                                               _stream(seed, layer, j))[:, None]
+        if not cfg.shocks_during_burn_in:
+            path[:cfg.burn_in] = 0.0
+        paths.append(path)
+    return paths
+
+
+def _initial_state(de: np.ndarray, cfg: SimulationConfig, seed: int):
+    """Start at the unit fixed point, optionally perturbed from the seed."""
+    n = de.size
+    x = np.full(n, 1.0) / de
+    y = np.ones(n)
+    if cfg.initial_mode == "perturbed":
+        rng = _stream(seed, _LAYER_INIT, 0)
+        x = x * (1.0 + rng.uniform(-cfg.initial_spread, cfg.initial_spread, n))
+        y = y * (1.0 + rng.uniform(-cfg.initial_spread, cfg.initial_spread, n))
+    return x, y
+
+
+def _iterate(w, a0, a1, a2, de, x, y, q: QuarticCoefficients, steps: int,
+             retain: int, bound: float, shock_sum=None):
+    """Iterate B independent copies of the coupled map from states (x, y).
+
+    ``w`` is shared (N, N) or per run (B, N, N); ``a0``, ``a1``, ``a2``,
+    ``de``, ``x`` and ``y`` are (B, N); ``shock_sum`` is (B, steps, N) or
+    None.  Returns the last ``retain`` states as (B, retain, N) arrays
+    ``(xs, ys)``.  Every run's coupling term is its own matrix-vector
+    product, so a batch reproduces separate runs bit for bit.  Raises
+    :class:`NumericalBlowup` naming the first run whose |y| is not finite or
+    exceeds ``bound``.
+    """
+    keep_from = steps - retain
+    xs = np.empty((y.shape[0], retain, y.shape[1]))
+    ys = np.empty_like(xs)
+    for t in range(steps):
+        ybar = np.matmul(w, y[:, :, None])[:, :, 0]
+        x, y = _map_step(x, y, ybar, a0, a1, a2, de, q)
+        if shock_sum is not None:
+            y += shock_sum[:, t]
+        peak = float(np.abs(y).max())
+        if not math.isfinite(peak) or peak > bound:
+            bad = ~(np.isfinite(y) & (np.abs(y) <= bound)).all(axis=1)
+            run = int(np.argmax(bad))
+            raise NumericalBlowup(step=t, value=float(np.max(np.abs(y[run]))),
+                                  bound=bound, run=run)
+        if t >= keep_from:
+            xs[:, t - keep_from] = x
+            ys[:, t - keep_from] = y
+    return xs, ys
+
+
+def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTIC,
+                   shocks: ShockConfig = None, cfg: SimulationConfig = None,
+                   seeds=None) -> list:
+    """Iterate B independent runs of the coupled system in one step loop.
+
+    ``nets`` is one :class:`InteractionNetwork` shared by every run or a
+    sequence of B networks over the same number of nodes.
+    ``params_per_run`` holds, per run, what :func:`simulate` accepts as
+    ``params``.  ``seeds`` gives each run's seed (default: ``cfg.seed`` for
+    all); each run draws its own (seed, layer, entity) shock and initial
+    streams, so run b equals ``simulate`` with ``cfg.seed = seeds[b]``.
+    Returns one :class:`TrajectorySet` per run.  Raises
+    :class:`NumericalBlowup` with the index of the first run that blew up.
+    """
+    if cfg is None:
+        cfg = SimulationConfig(steps=600)
+    if shocks is None:
+        shocks = ShockConfig()
+    params_per_run = list(params_per_run)
+    b = len(params_per_run)
+    if b < 1:
+        raise ConfigError("need at least one run")
+    seeds = [cfg.seed] * b if seeds is None else [int(s) for s in seeds]
+    if isinstance(nets, InteractionNetwork):
+        w = nets.weights
+        nets = [nets] * b
+    else:
+        nets = list(nets)
+        if len({net.n for net in nets}) != 1:
+            raise ConfigError("all networks of a batch need the same number of nodes")
+        w = np.stack([net.weights for net in nets])
+    if len(nets) != b or len(seeds) != b:
+        raise ConfigError(f"need one network and seed per run: {b} parameter sets, "
+                          f"{len(nets)} networks, {len(seeds)} seeds")
+    n = nets[0].n
+    a0, a1, a2, de = (np.stack(cols) for cols in
+                      zip(*(_per_node_params(p, n) for p in params_per_run)))
+    x0, y0 = (np.stack(cols) for cols in
+              zip(*(_initial_state(de[r], cfg, seeds[r]) for r in range(b))))
+    layers = [_shock_paths(nets[r], shocks, cfg, seeds[r]) for r in range(b)]
+    shock_sum = None
+    if not shocks.silent:
+        shock_sum = np.empty((b, cfg.steps, n))
+        for r, paths in enumerate(layers):
+            active = [path for path in paths if path is not None]
+            shock_sum[r] = active[0]
+            for path in active[1:]:
+                shock_sum[r] += path
+    xs, ys = _iterate(w, a0, a1, a2, de, x0, y0, q, cfg.steps, cfg.retain,
+                      cfg.blowup_bound, shock_sum)
+
+    keep_from = cfg.steps - cfg.retain
+    # every silent layer of every run shares one read-only block of zeros
+    zeros = np.zeros((cfg.retain, n))
+    zeros.flags.writeable = False
+    shock_echo = {
+        "rho_u": shocks.rho_u, "sigma_u": shocks.sigma_u,
+        "rho_v": shocks.rho_v, "sigma_v": shocks.sigma_v,
+        "rho_z": shocks.rho_z, "sigma_z": shocks.sigma_z,
+    }
+    out = []
+    for r, (net, paths) in enumerate(zip(nets, layers)):
+        u, v, z = (zeros if path is None else path[keep_from:] for path in paths)
+        config = cfg.echo()
+        config["seed"] = seeds[r]
+        config["shocks"] = dict(shock_echo)
+        out.append(TrajectorySet(
+            x=xs[r], y=ys[r], u=u, v=v, z=z,
+            labels=list(net.labels), sectors=list(net.sectors),
+            countries=list(net.countries), outputs=net.outputs.copy(),
+            config=config,
+        ))
+    return out
+
+
 def simulate(net: InteractionNetwork, params, q: QuarticCoefficients = DEFAULT_QUARTIC,
              shocks: ShockConfig = None, cfg: SimulationConfig = None) -> TrajectorySet:
     """Iterate the coupled system and return the retained window.
@@ -202,80 +353,7 @@ def simulate(net: InteractionNetwork, params, q: QuarticCoefficients = DEFAULT_Q
     node.  Deterministic given (config, seed).  Raises
     :class:`NumericalBlowup` if any |y| exceeds the configured bound.
     """
-    if cfg is None:
-        cfg = SimulationConfig(steps=600)
-    if shocks is None:
-        shocks = ShockConfig()
-    n = net.n
-    a0, a1, a2, de = _per_node_params(params, n)
-    w = net.weights
-    steps = cfg.steps
-
-    u = np.zeros((steps, n))
-    v = np.zeros((steps, n))
-    z = np.zeros((steps, n))
-    if shocks.sigma_u > 0:
-        for i in range(n):
-            u[:, i] = ar1_path(shocks.rho_u, shocks.sigma_u, steps,
-                               _stream(cfg.seed, _LAYER_IDIO, i))
-    if shocks.sigma_v > 0:
-        sector_ids = sorted({s for s in net.sectors if s is not None})
-        for j, s in enumerate(sector_ids):
-            path = ar1_path(shocks.rho_v, shocks.sigma_v, steps,
-                            _stream(cfg.seed, _LAYER_SECTOR, j))
-            for i in range(n):
-                if net.sectors[i] == s:
-                    v[:, i] = path
-    if shocks.sigma_z > 0:
-        country_ids = sorted({c for c in net.countries if c is not None})
-        for j, c in enumerate(country_ids):
-            path = ar1_path(shocks.rho_z, shocks.sigma_z, steps,
-                            _stream(cfg.seed, _LAYER_COUNTRY, j))
-            for i in range(n):
-                if net.countries[i] == c:
-                    z[:, i] = path
-    if not cfg.shocks_during_burn_in:
-        u[:cfg.burn_in] = 0.0
-        v[:cfg.burn_in] = 0.0
-        z[:cfg.burn_in] = 0.0
-    shock_sum = u + v + z
-
-    x = np.full(n, 1.0) / de
-    y = np.ones(n)
-    if cfg.initial_mode == "perturbed":
-        rng = _stream(cfg.seed, _LAYER_INIT, 0)
-        x = x * (1.0 + rng.uniform(-cfg.initial_spread, cfg.initial_spread, n))
-        y = y * (1.0 + rng.uniform(-cfg.initial_spread, cfg.initial_spread, n))
-
-    keep_from = cfg.steps - cfg.retain
-    xs = np.empty((cfg.retain, n))
-    ys = np.empty((cfg.retain, n))
-    one_minus_de = 1.0 - de
-    bound = cfg.blowup_bound
-    for t in range(steps):
-        ybar = w @ y
-        x, y = (one_minus_de * x + y,
-                a0 + a1 * x + a2 * y + eval_f(q, ybar) + shock_sum[t])
-        peak = np.max(np.abs(y))
-        if not np.isfinite(peak) or peak > bound:
-            raise NumericalBlowup(step=t, value=float(peak), bound=bound)
-        if t >= keep_from:
-            xs[t - keep_from] = x
-            ys[t - keep_from] = y
-
-    config = cfg.echo()
-    config["shocks"] = {
-        "rho_u": shocks.rho_u, "sigma_u": shocks.sigma_u,
-        "rho_v": shocks.rho_v, "sigma_v": shocks.sigma_v,
-        "rho_z": shocks.rho_z, "sigma_z": shocks.sigma_z,
-    }
-    return TrajectorySet(
-        x=xs, y=ys,
-        u=u[keep_from:], v=v[keep_from:], z=z[keep_from:],
-        labels=list(net.labels), sectors=list(net.sectors),
-        countries=list(net.countries), outputs=net.outputs.copy(),
-        config=config,
-    )
+    return simulate_batch(net, [params], q, shocks, cfg)[0]
 
 
 def aggregate_series(values, stride: int, weights=None) -> np.ndarray:

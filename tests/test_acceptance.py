@@ -38,6 +38,7 @@ from cyclesync.simulation import (
     SimulationConfig,
     ar1_path,
     simulate,
+    simulate_batch,
 )
 
 Q = DEFAULT_QUARTIC
@@ -171,10 +172,10 @@ def test_criterion_08_linearization_quality_ordering(pair_net):
 
 
 def _mean_coherence(net, params, shocks, n_seeds, steps=2500, burn_in=500):
+    cfg = SimulationConfig(steps=steps, burn_in=burn_in)
     values = []
-    for seed in range(n_seeds):
-        cfg = SimulationConfig(steps=steps, burn_in=burn_in, seed=seed)
-        traj = simulate(net, params, Q, shocks, cfg)
+    for traj in simulate_batch(net, [params] * n_seeds, Q, shocks, cfg,
+                               seeds=range(n_seeds)):
         phis = np.column_stack([phase_series(traj.y[:, i], **NOISY_PEAKS).phi
                                 for i in range(net.n)])
         values.append(phase_coherence(phis))

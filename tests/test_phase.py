@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from cyclesync import phase
 from cyclesync.errors import (
     ConfigError,
     DegenerateSeries,
+    EntrainmentFailure,
     PhaseUndefined,
     TooFewPeaks,
 )
@@ -216,6 +218,29 @@ class TestSyncCentrality:
         net = InteractionNetwork(weights=np.full((3, 3), 1.0 / 3))
         with pytest.raises(ConfigError):
             sync_centrality(net, mode="X")
+
+    def test_entrainment_failure_names_focus_node_and_draw(self):
+        from cyclesync.networks import uniform_coupling
+        net = uniform_coupling(build_topology("star", 4), 0.05, labels="abcd")
+        with pytest.raises(EntrainmentFailure,
+                           match=r"focus node a, draw 0: frequency spread \d"):
+            sync_centrality(net, n_draws=2, seed=1, steps=1500, burn_in=400)
+
+    def test_entrainment_failure_names_uniform_benchmark(self, monkeypatch):
+        from cyclesync.networks import uniform_coupling
+        net = uniform_coupling(build_topology("star", 4), 0.5)
+        real = phase.simulate_batch
+
+        def detune_uniform_draw_one(target, draws, *args, **kwargs):
+            trajs = real(target, draws, *args, **kwargs)
+            if np.all(target.weights == 0.25):
+                trajs[1].y[:, 0] = sinusoid(7, trajs[1].steps)
+            return trajs
+
+        monkeypatch.setattr(phase, "simulate_batch", detune_uniform_draw_one)
+        with pytest.raises(EntrainmentFailure,
+                           match=r"uniform benchmark, draw 1: frequency spread \d"):
+            sync_centrality(net, n_draws=2, seed=1, steps=1500, burn_in=400)
 
     def test_csv_export(self, tmp_path):
         n = 4

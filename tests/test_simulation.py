@@ -1,17 +1,21 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams
+from cyclesync import empirics, phase
+from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f
 from cyclesync.errors import ConfigError, NumericalBlowup
 from cyclesync.networks import InteractionNetwork, build_topology, uniform_coupling
 from cyclesync.simulation import (
     ShockConfig,
     SimulationConfig,
+    TrajectorySet,
     aggregate_series,
     ar1_path,
     simulate,
+    simulate_batch,
     write_metadata,
 )
 
@@ -231,3 +235,196 @@ class TestExport:
         loaded = json.loads(meta_path.read_text())
         assert loaded["seed"] == 0
         assert "normal_method" in loaded
+
+
+# --- batched kernel against the per-run loop it replaced ---------------------
+
+def oracle_simulate(net, params, q=Q, shocks=None, cfg=None):
+    """The per-run step loop that preceded the batched kernel, kept as reference."""
+    if cfg is None:
+        cfg = SimulationConfig(steps=600)
+    if shocks is None:
+        shocks = ShockConfig()
+    n = net.n
+    if isinstance(params, AgentParams):
+        params = [params] * n
+    a0 = np.array([p.alpha0 for p in params])
+    a1 = np.array([p.alpha1 for p in params])
+    a2 = np.array([p.alpha2 for p in params])
+    de = np.array([p.delta for p in params])
+    w = net.weights
+    steps = cfg.steps
+
+    def stream(layer, index):
+        return np.random.default_rng((cfg.seed, layer, index))
+
+    u = np.zeros((steps, n))
+    v = np.zeros((steps, n))
+    z = np.zeros((steps, n))
+    if shocks.sigma_u > 0:
+        for i in range(n):
+            u[:, i] = ar1_path(shocks.rho_u, shocks.sigma_u, steps, stream(0, i))
+    if shocks.sigma_v > 0:
+        sector_ids = sorted({s for s in net.sectors if s is not None})
+        for j, sector in enumerate(sector_ids):
+            path = ar1_path(shocks.rho_v, shocks.sigma_v, steps, stream(1, j))
+            for i in range(n):
+                if net.sectors[i] == sector:
+                    v[:, i] = path
+    if shocks.sigma_z > 0:
+        country_ids = sorted({c for c in net.countries if c is not None})
+        for j, country in enumerate(country_ids):
+            path = ar1_path(shocks.rho_z, shocks.sigma_z, steps, stream(2, j))
+            for i in range(n):
+                if net.countries[i] == country:
+                    z[:, i] = path
+    if not cfg.shocks_during_burn_in:
+        u[:cfg.burn_in] = 0.0
+        v[:cfg.burn_in] = 0.0
+        z[:cfg.burn_in] = 0.0
+    shock_sum = u + v + z
+
+    x = np.full(n, 1.0) / de
+    y = np.ones(n)
+    if cfg.initial_mode == "perturbed":
+        rng = stream(3, 0)
+        x = x * (1.0 + rng.uniform(-cfg.initial_spread, cfg.initial_spread, n))
+        y = y * (1.0 + rng.uniform(-cfg.initial_spread, cfg.initial_spread, n))
+
+    keep_from = cfg.steps - cfg.retain
+    xs = np.empty((cfg.retain, n))
+    ys = np.empty((cfg.retain, n))
+    one_minus_de = 1.0 - de
+    bound = cfg.blowup_bound
+    for t in range(steps):
+        ybar = w @ y
+        x, y = (one_minus_de * x + y,
+                a0 + a1 * x + a2 * y + eval_f(q, ybar) + shock_sum[t])
+        peak = np.max(np.abs(y))
+        if not np.isfinite(peak) or peak > bound:
+            raise NumericalBlowup(step=t, value=float(peak), bound=bound)
+        if t >= keep_from:
+            xs[t - keep_from] = x
+            ys[t - keep_from] = y
+    return TrajectorySet(
+        x=xs, y=ys, u=u[keep_from:], v=v[keep_from:], z=z[keep_from:],
+        labels=list(net.labels), sectors=list(net.sectors),
+        countries=list(net.countries), outputs=net.outputs.copy())
+
+
+def oracle_batch(nets, params_per_run, q=Q, shocks=None, cfg=None, seeds=None):
+    """Serial loop of the oracle with the signature of ``simulate_batch``."""
+    params_per_run = list(params_per_run)
+    if isinstance(nets, InteractionNetwork):
+        nets = [nets] * len(params_per_run)
+    if seeds is None:
+        seeds = [cfg.seed] * len(params_per_run)
+    return [oracle_simulate(net, p, q, shocks, dataclasses.replace(cfg, seed=seed))
+            for net, p, seed in zip(nets, params_per_run, seeds)]
+
+
+TOL = 1e-12
+
+ROUTED = InteractionNetwork(
+    weights=uniform_coupling(build_topology("complete", 5), 0.3).weights,
+    sectors=["S1", "S1", "S2", "S2", None],
+    countries=["X", "Y", "X", "Y", "X"],
+)
+ALL_LAYERS = ShockConfig(rho_u=0.3, sigma_u=0.03, rho_v=0.5, sigma_v=0.02,
+                         rho_z=0.4, sigma_z=0.02)
+SECTOR_ONLY = ShockConfig(rho_v=0.5, sigma_v=0.03)
+
+
+def hetero_params(n, shift=0.0):
+    return [cycle_params(a1 + shift) for a1 in np.linspace(-0.1, -0.02, n)]
+
+
+class TestBatchParity:
+    @pytest.mark.parametrize("per_run_weights", [False, True])
+    @pytest.mark.parametrize("initial_mode", ["perturbed", "fixed_point"])
+    @pytest.mark.parametrize("burn_in_shocks", [True, False])
+    @pytest.mark.parametrize("shocks", [ALL_LAYERS, SECTOR_ONLY])
+    def test_batch_matches_serial_oracle(self, per_run_weights, initial_mode,
+                                         burn_in_shocks, shocks):
+        cfg = SimulationConfig(steps=400, burn_in=150, seed=0,
+                               initial_mode=initial_mode,
+                               shocks_during_burn_in=burn_in_shocks)
+        runs = [hetero_params(5), cycle_params(), hetero_params(5, shift=0.005)]
+        seeds = [3, 4, 5]
+        if per_run_weights:
+            nets = [dataclasses.replace(ROUTED, weights=uniform_coupling(
+                        build_topology("complete", 5), eps).weights)
+                    for eps in (0.0, 0.2, 0.4)]
+        else:
+            nets = ROUTED
+        batch = simulate_batch(nets, runs, Q, shocks, cfg, seeds=seeds)
+        serial = oracle_batch(nets, runs, Q, shocks, cfg, seeds=seeds)
+        assert len(batch) == 3
+        for got, want, seed in zip(batch, serial, seeds):
+            for name in ("x", "y", "u", "v", "z"):
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                           rtol=0, atol=TOL, err_msg=name)
+            assert got.config["seed"] == seed
+
+    def test_single_run_simulate_is_exact(self):
+        cfg = SimulationConfig(steps=500, retain=200, seed=21)
+        got = simulate(ROUTED, hetero_params(5), Q, ALL_LAYERS, cfg)
+        want = oracle_simulate(ROUTED, hetero_params(5), Q, ALL_LAYERS, cfg)
+        for name in ("x", "y", "u", "v", "z"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_blowup_names_first_failing_run(self):
+        bad = AgentParams(alpha0=5000.0, alpha1=-0.04, alpha2=0.4, delta=0.1)
+        cfg = SimulationConfig(steps=100, seed=0)
+        runs = [cycle_params(), cycle_params(), bad, bad]
+        with pytest.raises(NumericalBlowup, match="in run 2 at step 0") as err:
+            simulate_batch(single_net(), runs, Q, None, cfg)
+        assert err.value.run == 2
+        assert err.value.step == 0
+
+    def test_rejects_mismatched_batch(self):
+        cfg = SimulationConfig(steps=10)
+        with pytest.raises(ConfigError):
+            simulate_batch([single_net()] * 2, [cycle_params()] * 3, Q, None, cfg)
+        with pytest.raises(ConfigError):
+            simulate_batch(single_net(), [cycle_params()] * 2, Q, None, cfg,
+                           seeds=[1])
+
+
+class TestBatchedCallersParity:
+    """Each batched caller against a serial loop of the oracle."""
+
+    def test_sync_centrality(self, monkeypatch):
+        net = uniform_coupling(build_topology("star", 4), 0.5)
+        kwargs = dict(n_draws=3, mode="L", seed=1, steps=1500, burn_in=400)
+        batched = phase.sync_centrality(net, **kwargs)
+        monkeypatch.setattr(phase, "simulate_batch", oracle_batch)
+        serial = phase.sync_centrality(net, **kwargs)
+        for name in ("scores", "raw_differences", "stderr", "mean_frequencies"):
+            np.testing.assert_allclose(getattr(batched, name), getattr(serial, name),
+                                       rtol=0, atol=TOL, err_msg=name)
+        assert batched.benchmark_frequency == pytest.approx(
+            serial.benchmark_frequency, rel=0, abs=TOL)
+
+    def test_epsilon_sweep(self, monkeypatch):
+        adj = build_topology("complete", 4)
+        kwargs = dict(eps_grid=[0.0, 0.2, 0.4], steps=1500, burn_in=300, seed=2,
+                      shocks=ShockConfig(rho_u=0.2, sigma_u=0.01))
+        batched = phase.epsilon_sweep(adj, np.linspace(-0.1, -0.02, 4), **kwargs)
+        monkeypatch.setattr(phase, "simulate_batch", oracle_batch)
+        serial = phase.epsilon_sweep(adj, np.linspace(-0.1, -0.02, 4), **kwargs)
+        for name in ("omegas", "coherence", "mean_correlation", "spread"):
+            np.testing.assert_allclose(getattr(batched, name), getattr(serial, name),
+                                       rtol=0, atol=TOL, err_msg=name)
+
+    def test_scenario_run(self, monkeypatch, demo_io_network):
+        spec = empirics.ScenarioSpec(dynamics=("cycle",),
+                                     shock_types=("idiosyncratic", "country", "sector"),
+                                     sigma_u_grid=(0.1,), n_seeds=3)
+        batched = empirics.scenario_run(demo_io_network, spec)
+        monkeypatch.setattr(empirics, "simulate_batch", oracle_batch)
+        serial = empirics.scenario_run(demo_io_network, spec)
+        assert [r.group for r in batched] == [r.group for r in serial]
+        for got, want in zip(batched, serial):
+            assert got.mean_corr == pytest.approx(want.mean_corr, rel=0, abs=TOL)
+            assert got.sd_corr == pytest.approx(want.sd_corr, rel=0, abs=TOL)
