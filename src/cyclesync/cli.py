@@ -3,9 +3,9 @@
 Every experiment reads a flat sectioned key-value config (INI syntax),
 optionally starting from a shipped preset, writes its module CSV outputs
 plus a plot-ready ``figure-<experiment>.csv`` (x, y, series columns) into
-the output directory, and echoes the fully resolved configuration next to
-them.  Exit codes: 0 success, 2 configuration error, 3 numerical error,
-4 data or IO error.
+the output directory, and echoes every config key it read, defaults filled
+in, next to them.  ``_SCHEMA`` is the one list of config keys.  Exit codes:
+0 success, 2 configuration error, 3 numerical error, 4 data or IO error.
 """
 
 from __future__ import annotations
@@ -22,175 +22,181 @@ import numpy as np
 
 from . import empirics, fixtures, master_stability, phase
 from ._format import fmt
-from .dynamics import AgentParams, QuarticCoefficients
+from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients
 from .errors import ConfigError, CycleSyncError, DataError, NumericalError
-from .networks import FlowTable, build_io_network, build_topology, uniform_coupling
+from .networks import (FlowTable, InteractionNetwork, build_io_network, build_topology,
+                       uniform_coupling)
 from .simulation import ShockConfig, SimulationConfig, simulate, write_metadata
 
 __all__ = ["main"]
 
 ENV_OUTDIR = "CYCLESYNC_OUTDIR"
 
-_KNOWN_KEYS = {
-    "network": {"kind", "n", "eps", "sizes", "bridge", "flows"},
-    "dynamics": {"alpha1", "alpha2", "delta", "betas"},
-    "shocks": {"rho_u", "sigma_u", "rho_v", "sigma_v", "rho_z", "sigma_z"},
-    "run": {"steps", "burn_in", "retain", "stride", "seed", "initial_mode"},
-    "measure": {"min_separation", "min_prominence", "smooth_window"},
-    "sweep": {"eps_grid", "entrain_tol"},
-    "centrality": {"n_draws", "mode", "entrain_tol"},
-    "msf": {"k_grid", "window", "burn_in"},
-    "shock_response": {"shock", "tau", "window_periods", "horizon_periods"},
-    "scenarios": {"dynamics", "shock_types", "sigma_u_grid", "n_seeds",
-                  "steps", "retain", "stride", "detrend", "exclusions"},
-}
 
-
-def _load_config(preset: str = None, path: str = None, overrides=()) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
-    if preset:
-        ref = resources.files("cyclesync").joinpath(f"presets/{preset}.cfg")
-        if not ref.is_file():
-            available = sorted(p.name[:-4] for p in
-                               resources.files("cyclesync").joinpath("presets").iterdir()
-                               if p.name.endswith(".cfg"))
-            raise ConfigError(f"unknown preset {preset!r}; available: {available}")
-        cfg.read_string(ref.read_text(encoding="utf-8"))
-    if path:
-        if not Path(path).is_file():
-            raise ConfigError(f"config file not found: {path}")
-        cfg.read(path)
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override must look like section.key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        section, option = key.split(".", 1)
-        if not cfg.has_section(section):
-            cfg.add_section(section)
-        cfg.set(section.strip(), option.strip(), value.strip())
-    for section in cfg.sections():
-        known = _KNOWN_KEYS.get(section)
-        if known is None:
-            raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(cfg.options(section)) - known
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    return cfg
-
-
-def _floats(text: str) -> np.ndarray:
-    text = text.strip()
+def _floats(text: str) -> tuple:
     if text.startswith("linspace:"):
         lo, hi, num = text[len("linspace:"):].split(",")
-        return np.linspace(float(lo), float(hi), int(num))
-    return np.array([float(v) for v in text.split(",") if v.strip()])
-
-
-def _get(cfg, section, key, default=None, convert=str):
-    if cfg.has_option(section, key):
-        return convert(cfg.get(section, key))
-    return default
-
-
-def _quartic(cfg) -> QuarticCoefficients:
-    betas = _get(cfg, "dynamics", "betas")
-    if betas is None:
-        from .dynamics import DEFAULT_QUARTIC
-        return DEFAULT_QUARTIC
-    values = _floats(betas)
-    if values.size != 5:
-        raise ConfigError(f"betas needs 5 coefficients, got {values.size}")
-    return QuarticCoefficients(*values)
-
-
-def _network(cfg):
-    kind = _get(cfg, "network", "kind", "complete")
-    if kind == "single":
-        from .networks import InteractionNetwork
-        return InteractionNetwork(weights=np.eye(1)), None
-    if kind == "io":
-        flows_path = _get(cfg, "network", "flows")
-        if not flows_path:
-            raise ConfigError("network.kind = io requires network.flows")
-        return build_io_network(FlowTable.from_csv(flows_path)), None
-    if kind == "demo_io":
-        return build_io_network(fixtures.demo_flow_table()), None
-    n = _get(cfg, "network", "n", 10, int)
-    eps = _get(cfg, "network", "eps", 0.2, float)
-    kwargs = {}
-    if kind == "two_clique":
-        sizes = _get(cfg, "network", "sizes")
-        bridge = _get(cfg, "network", "bridge")
-        if sizes:
-            kwargs["sizes"] = tuple(int(v) for v in sizes.split(","))
-        if bridge:
-            kwargs["bridge"] = tuple(int(v) for v in bridge.split(","))
-        adj = build_topology(kind, **kwargs)
+        values = tuple(np.linspace(float(lo), float(hi), int(num)))
     else:
-        adj = build_topology(kind, n)
-    return uniform_coupling(adj, eps), adj
-
-
-def _alpha1_values(cfg, n: int) -> np.ndarray:
-    text = _get(cfg, "dynamics", "alpha1", "-0.04")
-    values = _floats(text)
-    if values.size == 1:
-        values = np.full(n, values[0])
-    if values.size != n:
-        raise ConfigError(f"alpha1 must give 1 or {n} values, got {values.size}")
+        values = tuple(float(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise ValueError("no values")
     return values
 
 
-def _agent_params(cfg, n: int, q) -> list:
-    alpha2 = _get(cfg, "dynamics", "alpha2", 0.4, float)
-    delta = _get(cfg, "dynamics", "delta", 0.1, float)
-    return [AgentParams.with_steady_state(a1, alpha2, delta, q)
-            for a1 in _alpha1_values(cfg, n)]
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+#: Config value types: name -> parser of the config text.  A trailing "?"
+#: in a schema type lets the value be empty, meaning None.
+_TYPES = {
+    "str": str, "int": int, "float": float,
+    "floats": _floats,
+    "ints": lambda text: tuple(int(v) for v in text.split(",")),
+    "names": lambda text: tuple(v.strip() for v in text.split(",") if v.strip()),
+    "presets": lambda text: tuple(v.strip() for v in text.split(",")),  # ScenarioSpec checks
+    "bool": lambda text: _FLAGS[text.lower()],
+    "5 floats": lambda text: QuarticCoefficients(*map(float, _floats(text))),
+}
+
+#: Every config key: (section, key, type, default, help).  A default is
+#: config text, parsed like user input, so the echoed config is exact.  A
+#: dict default differs by experiment; "*" covers the others.
+_SCHEMA = (
+    ("network", "kind", "str", "complete", "single|complete|star|chain|two_clique|io|demo_io"),
+    ("network", "n", "int", "10", "node count of complete, star and chain"),
+    ("network", "eps", "float", "0.2", "uniform coupling strength in [0, 1]"),
+    ("network", "sizes", "ints?", "", "two_clique clique sizes (empty: 3,3)"),
+    ("network", "bridge", "ints?", "", "two_clique bridge node pair (empty: the clique ends)"),
+    ("network", "flows", "str", "", "flow-table CSV read by kind = io"),
+    ("dynamics", "alpha1", "floats", "-0.04", "accumulation dislike: one value or one per node"),
+    ("dynamics", "alpha2", "float", "0.4", "adjustment sluggishness in (0, 1)"),
+    ("dynamics", "delta", "float", "0.1", "stock depreciation rate in (0, 1]"),
+    ("dynamics", "betas", "5 floats", ",".join(map(fmt, DEFAULT_QUARTIC.as_tuple())), "F: b0..b4"),
+    ("shocks", "rho_u", "float", "0.0", "idiosyncratic shock persistence in [0, 1)"),
+    ("shocks", "sigma_u", "float", "0.0", "idiosyncratic shock s.d."),
+    ("shocks", "rho_v", "float", "0.0", "sector shock persistence in [0, 1)"),
+    ("shocks", "sigma_v", "float", "0.0", "sector shock s.d."),
+    ("shocks", "rho_z", "float", "0.0", "country shock persistence in [0, 1)"),
+    ("shocks", "sigma_z", "float", "0.0", "country shock s.d."),
+    ("run", "steps", "int", {"*": "2500", "sync-centrality": "2000"}, "simulated steps"),
+    ("run", "burn_in", "int?", "", "discarded prefix (empty: steps - retain)"),
+    ("run", "retain", "int?", "", "analysis window (empty: steps - burn_in)"),
+    ("run", "stride", "int", "1", "aggregation stride; must divide retain"),
+    ("run", "seed", "int", "0", "random seed (--seed sets it too)"),
+    ("run", "initial_mode", "str", "perturbed", "perturbed or fixed_point"),
+    ("measure", "min_separation", "int", "5", "minimum steps between peaks"),
+    ("measure", "min_prominence", "float?", "", "minimum peak prominence (empty: IQR / 10)"),
+    ("measure", "smooth_window", "int", "1", "moving-average window before peak detection"),
+    ("sweep", "eps_grid", "floats", "linspace:0,0.5,11", "coupling strengths swept"),
+    ("sweep", "entrain_tol", "float", "0.01", "relative frequency spread counted as entrained"),
+    ("centrality", "n_draws", "int", "100", "Monte Carlo draws per focus node"),
+    ("centrality", "mode", "str", "L", "L or H (focus node at the lowest or highest frequency)"),
+    ("centrality", "entrain_tol", "float", "0.05", "relative frequency spread allowed per draw"),
+    ("msf", "k_grid", "floats", "linspace:0,2,21", "effective couplings K"),
+    ("msf", "window", "int", "100000", "orbit steps averaged"),
+    ("msf", "burn_in", "int", "1000", "orbit steps discarded first"),
+    ("shock_response", "shock", "floats", "0.1", "deviation of y: node 0 only, or one per node"),
+    ("shock_response", "tau", "int?", "", "orbit index of the shock (empty: growth phase)"),
+    ("shock_response", "window_periods", "int", "3", "periods in the RMSE / phase-shift window"),
+    ("shock_response", "horizon_periods", "int", "10", "periods simulated after the shock"),
+    ("scenarios", "dynamics", "presets", "cycle,node,focus", "dynamics presets"),
+    ("scenarios", "shock_types", "presets", "idiosyncratic,country,sector", "shock presets"),
+    ("scenarios", "sigma_u_grid", "floats", "0.1,0.2,0.3", "idiosyncratic shock s.d. values"),
+    ("scenarios", "n_seeds", "int", "20", "seeds per cell"),
+    ("scenarios", "steps", "int", "600", "simulated steps per seed"),
+    ("scenarios", "retain", "int", "228", "steps kept for the correlations"),
+    ("scenarios", "stride", "int", "4", "steps per aggregated period"),
+    ("scenarios", "detrend", "bool", "false", "detrend series before correlating"),
+    ("scenarios", "exclusions", "names", "", "sectors left out of the within-country groups"),
+)
+
+_SECTION_KEYS = {section: [k for s, k, *_ in _SCHEMA if s == section] for section, *_ in _SCHEMA}
 
 
-def _shock_config(cfg) -> ShockConfig:
-    return ShockConfig(
-        rho_u=_get(cfg, "shocks", "rho_u", 0.0, float),
-        sigma_u=_get(cfg, "shocks", "sigma_u", 0.0, float),
-        rho_v=_get(cfg, "shocks", "rho_v", 0.0, float),
-        sigma_v=_get(cfg, "shocks", "sigma_v", 0.0, float),
-        rho_z=_get(cfg, "shocks", "rho_z", 0.0, float),
-        sigma_z=_get(cfg, "shocks", "sigma_z", 0.0, float),
-    )
+def _read_config(preset: str = None, path: str = None, overrides=()) -> configparser.ConfigParser:
+    # default_section "" is no valid header: no [DEFAULT] keys leak into every section
+    cfg = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        if preset:
+            presets = resources.files("cyclesync") / "presets"
+            if not (presets / f"{preset}.cfg").is_file():
+                available = sorted(p.name[:-4] for p in presets.iterdir()
+                                   if p.name.endswith(".cfg"))
+                raise ConfigError(f"unknown preset {preset!r}; available: {available}")
+            cfg.read_string((presets / f"{preset}.cfg").read_text(encoding="utf-8"))
+        if path:
+            if not Path(path).is_file():
+                raise ConfigError(f"config file not found: {path}")
+            cfg.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config: {exc}") from None
+    for item in overrides:
+        key, eq, value = item.partition("=")
+        section, _, option = key.strip().partition(".")
+        if not (eq and section and option):
+            raise ConfigError(f"override must look like section.key=value, got {item!r}")
+        cfg.read_dict({section: {option.strip(): value.strip()}})
+    for section in cfg.sections():
+        known = _SECTION_KEYS.get(section, ())
+        unknown = [f"{section}.{key}" for key in cfg[section] if key not in known]
+        if not known:
+            raise ConfigError(f"unknown config section [{section}], setting {unknown}")
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; [{section}] takes {known}")
+    return cfg
 
 
-def _sim_config(cfg, default_steps=2500) -> SimulationConfig:
-    return SimulationConfig(
-        steps=_get(cfg, "run", "steps", default_steps, int),
-        burn_in=_get(cfg, "run", "burn_in", None,
-                     lambda v: None if v == "" else int(v)),
-        retain=_get(cfg, "run", "retain", None,
-                    lambda v: None if v == "" else int(v)),
-        aggregate_stride=_get(cfg, "run", "stride", 1, int),
-        seed=_get(cfg, "run", "seed", 0, int),
-        initial_mode=_get(cfg, "run", "initial_mode", "perturbed"),
-    )
+def _resolve(cfg: configparser.ConfigParser, experiment: str):
+    """Parse the keys an experiment reads, defaults filled in.
+
+    Returns ``{section: {key: value}}`` for those keys, and the config to
+    echo, ``{section: {key: text}}``: those keys plus every key the user set.
+    """
+    reads = _COMMANDS[experiment][1]
+    values, echo = {}, {}
+    for section, key, kind, default, _ in _SCHEMA:
+        read = section in reads or f"{section}.{key}" in reads
+        if not (read or cfg.has_option(section, key)):
+            continue
+        if isinstance(default, dict):
+            default = default.get(experiment, default["*"])
+        text = cfg.get(section, key, fallback=default)
+        try:
+            value = None if kind.endswith("?") and not text else _TYPES[kind.rstrip("?")](text)
+        except (ValueError, TypeError, KeyError):
+            raise ConfigError(f"{section}.{key} = {text!r}: expected {kind}") from None
+        if read:
+            values.setdefault(section, {})[key] = value
+        echo.setdefault(section, {})[key] = text
+    return values, echo
 
 
-def _peak_kwargs(cfg) -> dict:
-    return {
-        "min_separation": _get(cfg, "measure", "min_separation", 5, int),
-        "min_prominence": _get(cfg, "measure", "min_prominence", None,
-                               lambda v: None if v == "" else float(v)),
-        "smooth_window": _get(cfg, "measure", "smooth_window", 1, int),
-    }
+def _network(network: dict):
+    kind = network["kind"]
+    if kind == "single":
+        return InteractionNetwork(weights=np.eye(1)), None
+    if kind == "io":
+        if not network["flows"]:
+            raise ConfigError("network.kind = io requires network.flows")
+        return build_io_network(FlowTable.from_csv(network["flows"])), None
+    if kind == "demo_io":
+        return build_io_network(fixtures.demo_flow_table()), None
+    adj = build_topology(kind, network["n"], sizes=network["sizes"], bridge=network["bridge"])
+    return uniform_coupling(adj, network["eps"]), adj
 
 
-def _echo_config(cfg, outdir: Path, experiment: str, extra: dict):
-    resolved = outdir / "resolved-config.cfg"
-    with open(resolved, "w", encoding="utf-8") as fh:
-        cfg.write(fh)
-    meta = {
-        "experiment": experiment,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    meta.update(extra)
-    write_metadata(outdir / "metadata.json", meta)
+def _agent_params(dynamics: dict, n: int) -> list:
+    alpha1 = dynamics["alpha1"] * n if len(dynamics["alpha1"]) == 1 else dynamics["alpha1"]
+    if len(alpha1) != n:
+        raise ConfigError(f"dynamics.alpha1 must give 1 or {n} values, got {len(alpha1)}")
+    return [AgentParams.with_steady_state(a1, dynamics["alpha2"], dynamics["delta"],
+                                          dynamics["betas"]) for a1 in alpha1]
+
+
+def _simulation_config(run: dict) -> SimulationConfig:
+    """[run] holds the SimulationConfig fields; only ``stride`` is renamed."""
+    return SimulationConfig(aggregate_stride=run["stride"],
+                            **{k: v for k, v in run.items() if k != "stride"})
 
 
 def _write_figure(path, rows):
@@ -201,144 +207,132 @@ def _write_figure(path, rows):
             fh.write(f"{fmt(x)},{fmt(y)},{series}\n")
 
 
-def cmd_simulate(cfg, outdir: Path) -> dict:
-    net, _ = _network(cfg)
-    q = _quartic(cfg)
-    params = _agent_params(cfg, net.n, q)
-    traj = simulate(net, params, q, _shock_config(cfg), _sim_config(cfg))
-    traj.to_csv(outdir / "trajectory.csv")
-    peak_kwargs = _peak_kwargs(cfg)
+def cmd_simulate(cfg: dict, args) -> dict:
+    """Simulate the coupled map and measure each node's cycle period."""
+    net, _ = _network(cfg["network"])
+    dynamics = cfg["dynamics"]
+    traj = simulate(net, _agent_params(dynamics, net.n), dynamics["betas"],
+                    ShockConfig(**cfg["shocks"]), _simulation_config(cfg["run"]))
+    traj.to_csv(args.outdir / "trajectory.csv")
     periods = {}
     for i, label in enumerate(traj.labels):
         try:
-            omega = phase.measured_frequency(traj.y[:, i], **peak_kwargs)
+            omega = phase.measured_frequency(traj.y[:, i], **cfg["measure"])
             periods[label] = 2.0 * np.pi / omega
         except CycleSyncError:
             periods[label] = None
-    _write_figure(outdir / "figure-simulate.csv",
+    _write_figure(args.outdir / "figure-simulate.csv",
                   [(t, traj.y[t, i], traj.labels[i])
                    for i in range(traj.n) for t in range(traj.steps)])
     return {"measured_periods": periods, "config_echo": traj.config}
 
 
-def cmd_sweep_epsilon(cfg, outdir: Path) -> dict:
-    _, adj = _network(cfg)
+def cmd_sweep_epsilon(cfg: dict, args) -> dict:
+    """Sweep the coupling strength and flag where node frequencies entrain."""
+    _, adj = _network(cfg["network"])
     if adj is None:
         raise ConfigError("sweep-epsilon needs an abstract topology")
-    q = _quartic(cfg)
-    sim_cfg = _sim_config(cfg)
+    dynamics, sim_cfg = cfg["dynamics"], _simulation_config(cfg["run"])
     result = phase.epsilon_sweep(
-        adj, _alpha1_values(cfg, adj.n),
-        _floats(_get(cfg, "sweep", "eps_grid", "linspace:0,0.5,11")),
-        alpha2=_get(cfg, "dynamics", "alpha2", 0.4, float),
-        delta=_get(cfg, "dynamics", "delta", 0.1, float),
-        q=q, shocks=_shock_config(cfg) if cfg.has_section("shocks") else None,
+        adj, [p.alpha1 for p in _agent_params(dynamics, adj.n)], **cfg["sweep"],
+        alpha2=dynamics["alpha2"], delta=dynamics["delta"], q=dynamics["betas"],
+        shocks=ShockConfig(**cfg["shocks"]),
         steps=sim_cfg.steps, burn_in=sim_cfg.burn_in, seed=sim_cfg.seed,
-        entrain_tol=_get(cfg, "sweep", "entrain_tol", 0.01, float),
-        peak_kwargs=_peak_kwargs(cfg))
-    result.to_csv(outdir / "entrainment.csv")
+        peak_kwargs=cfg["measure"])
+    result.to_csv(args.outdir / "entrainment.csv")
     rows = []
     for k, eps in enumerate(result.eps_grid):
         rows.extend((eps, result.omegas[k, i], f"omega_node_{i}")
                     for i in range(result.omegas.shape[1]))
         rows.append((eps, result.coherence[k], "coherence"))
         rows.append((eps, result.mean_correlation[k], "mean_correlation"))
-    _write_figure(outdir / "figure-sweep-epsilon.csv", rows)
+    _write_figure(args.outdir / "figure-sweep-epsilon.csv", rows)
     return {"transition_epsilon": result.transition_epsilon()}
 
 
-def cmd_sync_centrality(cfg, outdir: Path) -> dict:
-    net, _ = _network(cfg)
-    sim_cfg = _sim_config(cfg, default_steps=2000)
+def cmd_sync_centrality(cfg: dict, args) -> dict:
+    """Score each node's pull on the common frequency by Monte Carlo."""
+    net, _ = _network(cfg["network"])
+    dynamics, sim_cfg = cfg["dynamics"], _simulation_config(cfg["run"])
     result = phase.sync_centrality(
-        net,
-        n_draws=_get(cfg, "centrality", "n_draws", 100, int),
-        mode=_get(cfg, "centrality", "mode", "L"),
-        seed=sim_cfg.seed, q=_quartic(cfg),
-        alpha2=_get(cfg, "dynamics", "alpha2", 0.4, float),
-        delta=_get(cfg, "dynamics", "delta", 0.1, float),
-        steps=sim_cfg.steps, burn_in=sim_cfg.burn_in,
-        entrain_tol=_get(cfg, "centrality", "entrain_tol", 0.05, float),
-        peak_kwargs=_peak_kwargs(cfg))
-    result.to_csv(outdir / "sync-centrality.csv")
-    _write_figure(outdir / "figure-sync-centrality.csv",
+        net, **cfg["centrality"], seed=sim_cfg.seed, q=dynamics["betas"],
+        alpha2=dynamics["alpha2"], delta=dynamics["delta"],
+        steps=sim_cfg.steps, burn_in=sim_cfg.burn_in, peak_kwargs=cfg["measure"])
+    result.to_csv(args.outdir / "sync-centrality.csv")
+    _write_figure(args.outdir / "figure-sync-centrality.csv",
                   [(i, result.scores[i], result.labels[i])
                    for i in range(result.scores.size)])
     return {"benchmark_frequency": result.benchmark_frequency,
             "mode": result.mode, "n_draws": result.n_draws}
 
 
-def cmd_msf(cfg, outdir: Path) -> dict:
-    q = _quartic(cfg)
-    params = _agent_params(cfg, 1, q)[0]
-    window = _get(cfg, "msf", "window", 100000, int)
-    burn = _get(cfg, "msf", "burn_in", 1000, int)
-    orbit = master_stability.synchronized_orbit(params, q, steps=window + burn)
-    curve = master_stability.master_stability_function(
-        orbit, _floats(_get(cfg, "msf", "k_grid", "linspace:0,2,21")),
-        burn_in=burn, window=window)
-    curve.to_csv(outdir / "msf.csv")
+def cmd_msf(cfg: dict, args) -> dict:
+    """Compute the master stability function over effective couplings K."""
+    dynamics, msf = cfg["dynamics"], cfg["msf"]
+    orbit = master_stability.synchronized_orbit(
+        _agent_params(dynamics, 1)[0], dynamics["betas"], steps=msf["window"] + msf["burn_in"])
+    curve = master_stability.master_stability_function(orbit, **msf)
+    curve.to_csv(args.outdir / "msf.csv")
     rows = [(k, m, "mu1") for k, m in zip(curve.k_grid, curve.mu1)]
     rows += [(k, m, "mu2") for k, m in zip(curve.k_grid, curve.mu2)]
-    _write_figure(outdir / "figure-msf.csv", rows)
+    _write_figure(args.outdir / "figure-msf.csv", rows)
     return {"orbit_period": orbit.period, "mu1_at_zero": float(curve.mu1[0])}
 
 
-def cmd_shock_response(cfg, outdir: Path) -> dict:
-    net, _ = _network(cfg)
-    q = _quartic(cfg)
-    params = _agent_params(cfg, net.n, q)[0]
-    shock_text = _get(cfg, "shock_response", "shock", "0.1")
-    shock = _floats(shock_text)
-    if shock.size == 1 and net.n > 1:
-        shock = np.concatenate([shock, np.zeros(net.n - 1)])
-    response = master_stability.shock_response_compare(
-        net, params, q, shock=shock,
-        tau=_get(cfg, "shock_response", "tau", None,
-                 lambda v: None if v == "" else int(v)),
-        window_periods=_get(cfg, "shock_response", "window_periods", 3, int),
-        horizon_periods=_get(cfg, "shock_response", "horizon_periods", 10, int))
-    response.to_csv(outdir / "shock-response.csv")
+def cmd_shock_response(cfg: dict, args) -> dict:
+    """Compare linearized and nonlinear propagation of a one-off shock."""
+    net, _ = _network(cfg["network"])
+    dynamics, options = cfg["dynamics"], cfg["shock_response"]
+    params = _agent_params(dynamics, net.n)
+    if len(set(params)) > 1:
+        raise ConfigError("dynamics.alpha1 must be the same for every node: shock-response "
+                          "starts all nodes on one synchronized orbit")
+    if len(options["shock"]) == 1 and net.n > 1:
+        options["shock"] = np.concatenate([options["shock"], np.zeros(net.n - 1)])
+    response = master_stability.shock_response_compare(net, params[0], dynamics["betas"],
+                                                       **options)
+    response.to_csv(args.outdir / "shock-response.csv")
     rows = [(t, response.nonlinear_y[t, i], f"nonlinear_node_{i}")
             for i in range(net.n) for t in range(response.nonlinear_y.shape[0])]
     rows += [(t, response.linear_y[t, i], f"linear_node_{i}")
              for i in range(net.n) for t in range(response.linear_y.shape[0])]
-    _write_figure(outdir / "figure-shock-response.csv", rows)
+    _write_figure(args.outdir / "figure-shock-response.csv", rows)
     return {"rmse": response.rmse, "phase_shift": response.phase_shift}
 
 
-def cmd_scenarios(cfg, outdir: Path, jobs: int = 1) -> dict:
-    net, _ = _network(cfg)
-    spec = empirics.ScenarioSpec(
-        dynamics=tuple((_get(cfg, "scenarios", "dynamics", "cycle,node,focus")).split(",")),
-        shock_types=tuple((_get(cfg, "scenarios", "shock_types",
-                                "idiosyncratic,country,sector")).split(",")),
-        sigma_u_grid=tuple(_floats(_get(cfg, "scenarios", "sigma_u_grid", "0.1,0.2,0.3"))),
-        n_seeds=_get(cfg, "scenarios", "n_seeds", 20, int),
-        steps=_get(cfg, "scenarios", "steps", 600, int),
-        retain=_get(cfg, "scenarios", "retain", 228, int),
-        stride=_get(cfg, "scenarios", "stride", 4, int),
-        detrend=_get(cfg, "scenarios", "detrend", False,
-                     lambda v: v.lower() in ("1", "true", "yes")),
-        exclusions=tuple(e for e in
-                         _get(cfg, "scenarios", "exclusions", "").split(",") if e),
-    )
-    rows = empirics.scenario_run(net, spec, q=_quartic(cfg), jobs=jobs)
-    empirics.write_scenario_csv(rows, outdir / "scenario-results.csv")
-    _write_figure(outdir / "figure-scenarios.csv",
+def cmd_scenarios(cfg: dict, args) -> dict:
+    """Compare grouped comovement across dynamics and shock scenarios."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    net, _ = _network(cfg["network"])
+    spec = empirics.ScenarioSpec(**cfg["scenarios"])
+    rows = empirics.scenario_run(net, spec, q=cfg["dynamics"]["betas"], jobs=args.jobs)
+    empirics.write_scenario_csv(rows, args.outdir / "scenario-results.csv")
+    _write_figure(args.outdir / "figure-scenarios.csv",
                   [(r.sigma_u, r.mean_corr, f"{r.dynamics}/{r.shock_type}/{r.group}")
                    for r in rows])
     return {"cells": len(rows), "n_seeds": spec.n_seeds}
 
 
+#: Experiment name: (function, config read as whole sections or section.key).
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "sweep-epsilon": cmd_sweep_epsilon,
-    "sync-centrality": cmd_sync_centrality,
-    "msf": cmd_msf,
-    "shock-response": cmd_shock_response,
-    "scenarios": cmd_scenarios,
+    "simulate": (cmd_simulate, ("network", "dynamics", "shocks", "run", "measure")),
+    "sweep-epsilon": (cmd_sweep_epsilon,
+                      ("network", "dynamics", "shocks", "run", "measure", "sweep")),
+    "sync-centrality": (cmd_sync_centrality,
+                        ("network", "dynamics.alpha2", "dynamics.delta", "dynamics.betas",
+                         "run", "measure", "centrality")),
+    "msf": (cmd_msf, ("dynamics", "msf")),
+    "shock-response": (cmd_shock_response, ("network", "dynamics", "shock_response")),
+    "scenarios": (cmd_scenarios, ("network", "dynamics.betas", "scenarios")),
 }
+
+
+def _key_listing(experiment: str) -> str:
+    _, echo = _resolve(configparser.ConfigParser(), experiment)
+    return "config keys read (section.key = default):\n" + "\n".join(
+        f"  {section}.{key} = {echo[section][key]}\n      {kind}: {text}"
+        for section, key, kind, _, text in _SCHEMA if key in echo.get(section, ()))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -348,18 +342,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "oscillators: simulation, entrainment sweeps, centrality, "
                     "master stability, shock responses and scenario comparisons.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, func in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=func.__doc__)
+    for name, (func, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=func.__doc__, description=func.__doc__,
+                             epilog=_key_listing(name),
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
         cmd.add_argument("--config", help="flat sectioned key-value config file")
         cmd.add_argument("--preset", help="name of a shipped preset config")
-        cmd.add_argument("--outdir", default=None,
-                         help=f"output directory (default ${ENV_OUTDIR} or cwd)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override run.seed")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for parallel sweeps")
+        cmd.add_argument("--outdir", help=f"output directory (default ${ENV_OUTDIR} or cwd)")
+        cmd.add_argument("--seed", type=int, help="override run.seed")
         cmd.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                          help="override a single config value")
+    sub.choices["scenarios"].add_argument(
+        "--jobs", type=int, default=1, help="worker processes, one scenario cell each")
     return parser
 
 
@@ -369,15 +363,19 @@ def main(argv=None) -> int:
         overrides = list(args.set)
         if args.seed is not None:
             overrides.append(f"run.seed={args.seed}")
-        cfg = _load_config(args.preset, args.config, overrides)
-        outdir = Path(args.outdir or os.environ.get(ENV_OUTDIR, "."))
-        outdir.mkdir(parents=True, exist_ok=True)
-        command = _COMMANDS[args.experiment]
-        if args.experiment == "scenarios":
-            summary = command(cfg, outdir, jobs=args.jobs)
-        else:
-            summary = command(cfg, outdir)
-        _echo_config(cfg, outdir, args.experiment, summary)
+        cfg, resolved = _resolve(_read_config(args.preset, args.config, overrides),
+                                 args.experiment)
+        args.outdir = Path(args.outdir or os.environ.get(ENV_OUTDIR, "."))
+        args.outdir.mkdir(parents=True, exist_ok=True)
+        summary = _COMMANDS[args.experiment][0](cfg, args)
+        echo = configparser.ConfigParser(interpolation=None)
+        echo.read_dict(resolved)
+        with open(args.outdir / "resolved-config.cfg", "w", encoding="utf-8") as fh:
+            fh.write(f"# cyclesync {args.experiment}: every key read, defaults filled in\n")
+            echo.write(fh)
+        write_metadata(args.outdir / "metadata.json", {
+            "experiment": args.experiment,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(), **summary})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import configparser
 import json
 
 import pytest
@@ -27,6 +28,29 @@ class TestConfigHandling:
     def test_unknown_preset_listed(self, tmp_path, capsys):
         assert run(["simulate", "--preset", "not-a-preset"], tmp_path) == 2
         assert "available" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate", "--set", "run.steps=abc"], "run.steps"),
+        (["msf", "--set", "msf.k_grid=linspace:0,1"], "msf.k_grid"),
+        (["msf", "--set", "msf.k_grid="], "msf.k_grid"),
+        (["simulate", "--set", "network.kind=two_clique", "--set", "network.sizes=3,x"],
+         "network.sizes"),
+        (["simulate", "--set", "DEFAULT.x=1"], "DEFAULT.x"),
+        (["scenarios", "--set", "scenarios.detrend=ture"], "scenarios.detrend"),
+    ])
+    def test_malformed_value_names_key(self, argv, key, tmp_path, capsys):
+        assert run(argv, tmp_path) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "resolved-config.cfg").exists()
+
+    @pytest.mark.parametrize("text", ["kind = single\n",
+                                      "[network]\nkind = single\nkind = star\n",
+                                      "[DEFAULT]\nkind = single\n"],
+                             ids=["no-header", "duplicate-key", "default-section"])
+    def test_malformed_config_file(self, text, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run(["simulate", "--config", str(cfg)], tmp_path) == 2
 
     def test_numerical_error_exit_code(self, tmp_path):
         # an interaction response with huge slope blows the run up
@@ -114,6 +138,13 @@ class TestOtherCommands:
         header = (tmp_path / "shock-response.csv").read_text().splitlines()[0]
         assert header == "basis,node_or_mode,step,value"
 
+    def test_shock_response_rejects_nonuniform_alpha1(self, tmp_path, capsys):
+        code = run(["shock-response", "--preset", "shock-two-agent",
+                    "--set", "dynamics.alpha1=-0.04,-0.09"], tmp_path)
+        assert code == 2
+        assert "dynamics.alpha1" in capsys.readouterr().err
+        assert not (tmp_path / "shock-response.csv").exists()
+
     def test_sync_centrality_tiny(self, tmp_path):
         code = run(["sync-centrality",
                     "--set", "network.kind=star",
@@ -137,6 +168,15 @@ class TestOtherCommands:
         assert len(lines) == 1 + 2 * 1 * 2 * 2
         assert (tmp_path / "figure-scenarios.csv").exists()
 
+    def test_jobs_only_on_scenarios(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--preset", "cycle-single", "--jobs", "2"], tmp_path)
+        assert exc.value.code == 2
+        for jobs in ("0", "-3"):
+            assert run(["scenarios", "--preset", "scenarios-smoke", "--jobs", jobs],
+                       tmp_path) == 2
+        assert not (tmp_path / "scenario-results.csv").exists()
+
     def test_help_lists_experiments(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -145,6 +185,56 @@ class TestOtherCommands:
         for name in ("simulate", "sweep-epsilon", "sync-centrality", "msf",
                      "shock-response", "scenarios"):
             assert name in out
+        assert "master stability function" in out     # the msf description
+        for name, steps in (("simulate", 2500), ("sync-centrality", 2000)):
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            out = capsys.readouterr().out
+            assert f"run.steps = {steps}" in out
+            assert "measure.min_separation = 5" in out
+
+
+RERUN_CASES = {
+    "simulate": ["--preset", "cycle-single", "--set", "run.steps=600",
+                 "--set", "run.burn_in=100"],
+    "sweep-epsilon": ["--preset", "entrainment-complete", "--set", "sweep.eps_grid=0.1,0.25",
+                      "--set", "run.steps=1800"],
+    "sync-centrality": ["--set", "network.kind=star", "--set", "network.n=4",
+                        "--set", "network.eps=0.5", "--set", "centrality.n_draws=4",
+                        "--set", "run.steps=1200"],
+    "msf": ["--preset", "msf-default", "--set", "msf.k_grid=0,0.6",
+            "--set", "msf.window=8000"],
+    "shock-response": ["--preset", "shock-two-agent"],
+    "scenarios": ["--preset", "scenarios-smoke", "--set", "scenarios.sigma_u_grid=0.1",
+                  "--set", "scenarios.dynamics=cycle", "--seed", "3"],
+}
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize("experiment", sorted(RERUN_CASES))
+    def test_rerun_from_resolved_config_alone(self, experiment, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([experiment, *RERUN_CASES[experiment], "--outdir", str(first)]) == 0
+        resolved = first / "resolved-config.cfg"
+        assert main([experiment, "--config", str(resolved), "--outdir", str(second)]) == 0
+        csvs = sorted(p.name for p in first.glob("*.csv"))
+        assert len(csvs) >= 2
+        for name in csvs:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+        assert (second / "resolved-config.cfg").read_text() == resolved.read_text()
+
+    def test_resolved_config_fills_in_defaults(self, tmp_path):
+        assert run(["simulate", "--preset", "cycle-single", "--set", "run.steps=600",
+                    "--set", "run.burn_in=100", "--set", "sweep.entrain_tol=0.02"],
+                   tmp_path) == 0
+        cfg = configparser.ConfigParser()
+        cfg.read(tmp_path / "resolved-config.cfg")
+        assert cfg.sections() == ["network", "dynamics", "shocks", "run", "measure",
+                                  "sweep"]
+        assert cfg["run"]["initial_mode"] == "perturbed"
+        assert cfg["dynamics"]["betas"] == "-0.5,0.1,0.2,0.5,-0.3"
+        assert len(cfg["shocks"]) == 6
+        assert dict(cfg["sweep"]) == {"entrain_tol": "0.02"}    # set, though unread
 
 
 class TestEnvOutdir:
