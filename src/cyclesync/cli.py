@@ -342,14 +342,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "oscillators: simulation, entrainment sweeps, centrality, "
                     "master stability, shock responses and scenario comparisons.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (func, _) in _COMMANDS.items():
+    for name, (func, reads) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=func.__doc__, description=func.__doc__,
                              epilog=_key_listing(name),
                              formatter_class=argparse.RawDescriptionHelpFormatter)
         cmd.add_argument("--config", help="flat sectioned key-value config file")
         cmd.add_argument("--preset", help="name of a shipped preset config")
         cmd.add_argument("--outdir", help=f"output directory (default ${ENV_OUTDIR} or cwd)")
-        cmd.add_argument("--seed", type=int, help="override run.seed")
+        if "run" in reads:
+            cmd.add_argument("--seed", type=int, help="override run.seed")
         cmd.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                          help="override a single config value")
     sub.choices["scenarios"].add_argument(
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         overrides = list(args.set)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             overrides.append(f"run.seed={args.seed}")
         cfg, resolved = _resolve(_read_config(args.preset, args.config, overrides),
                                  args.experiment)

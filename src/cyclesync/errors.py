@@ -92,7 +92,7 @@ class NotOscillating(NumericalError):
 
 
 class DegenerateTangent(NumericalError):
-    """A tangent vector norm underflowed during Lyapunov propagation."""
+    """A tangent vector vanished, overflowed or turned NaN in Lyapunov propagation."""
 
 
 class IllConditioned(NumericalError):

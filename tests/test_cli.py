@@ -177,6 +177,30 @@ class TestOtherCommands:
                        tmp_path) == 2
         assert not (tmp_path / "scenario-results.csv").exists()
 
+    @pytest.mark.parametrize("setting, key", [
+        ("msf.window=0", "window"), ("msf.window=-3", "window"), ("msf.burn_in=-5", "burn_in"),
+    ])
+    def test_msf_rejects_bad_window(self, setting, key, tmp_path, capsys):
+        code = run(["msf", "--preset", "msf-default", "--set", "msf.k_grid=0,0.6",
+                    "--set", "msf.window=2000", "--set", setting], tmp_path)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "msf.csv").exists()
+
+    @pytest.mark.parametrize("experiment, reads_run", [
+        ("simulate", True), ("sweep-epsilon", True), ("sync-centrality", True),
+        ("msf", False), ("shock-response", False), ("scenarios", False),
+    ])
+    def test_seed_only_where_run_is_read(self, experiment, reads_run, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main([experiment, "--help"])
+        assert ("--seed" in capsys.readouterr().out) == reads_run
+        if not reads_run:
+            with pytest.raises(SystemExit) as exc:
+                run([experiment, "--seed", "3"], tmp_path)
+            assert exc.value.code == 2
+            assert not list(tmp_path.iterdir())
+
     def test_help_lists_experiments(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -206,7 +230,7 @@ RERUN_CASES = {
             "--set", "msf.window=8000"],
     "shock-response": ["--preset", "shock-two-agent"],
     "scenarios": ["--preset", "scenarios-smoke", "--set", "scenarios.sigma_u_grid=0.1",
-                  "--set", "scenarios.dynamics=cycle", "--seed", "3"],
+                  "--set", "scenarios.dynamics=cycle"],
 }
 
 

@@ -1,9 +1,17 @@
+import dataclasses
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f_prime
-from cyclesync.errors import ConfigError, NotOscillating
+from cyclesync.errors import ConfigError, DegenerateTangent, NotOscillating
 from cyclesync.master_stability import (
+    _BLOCK,
+    _CHUNK,
+    LyapunovEstimate,
+    SynchronizedOrbit,
     from_eigenbasis,
     master_stability_function,
     mode_lyapunov,
@@ -49,6 +57,139 @@ class TestSynchronizedOrbit:
     def test_fprime_cache_consistent(self, cycle_orbit):
         np.testing.assert_allclose(cycle_orbit.fprime,
                                    eval_f_prime(Q, cycle_orbit.y), atol=1e-14)
+
+
+def oracle_mode_lyapunov(orbit, coupling, burn_in=1000, window=None):
+    """Per-step Gram-Schmidt QR propagation of a 2-frame (Benettin et al.).
+
+    The scalar reference the blocked tangent pass replaced.
+    """
+    if coupling < 0:
+        raise ConfigError(f"effective coupling must be non-negative, got {coupling}")
+    p = orbit.params
+    total = orbit.steps
+    if window is None:
+        window = total - burn_in
+    if burn_in + window > total:
+        raise ConfigError(
+            f"orbit too short: {total} < burn_in {burn_in} + window {window}"
+        )
+    one_minus_de = 1.0 - p.delta
+    a1, a2 = p.alpha1, p.alpha2
+    fp = orbit.fprime
+    k = coupling
+
+    # tangent frame columns (v1, v2); scalar math keeps the loop light
+    v1x, v1y = 1.0, 0.0
+    v2x, v2y = 0.0, 1.0
+    s1 = 0.0
+    s2 = 0.0
+    det = (1 - p.delta) * (p.alpha2 + (1 - k) * orbit.fprime) - p.alpha1
+    vol = np.log(np.abs(det))[burn_in:burn_in + window]
+    for t in range(burn_in + window):
+        jyy = a2 + (1.0 - k) * fp[t]
+        w1x = one_minus_de * v1x + v1y
+        w1y = a1 * v1x + jyy * v1y
+        w2x = one_minus_de * v2x + v2y
+        w2y = a1 * v2x + jyy * v2y
+        r11 = math.hypot(w1x, w1y)
+        if r11 < 1e-300:
+            raise DegenerateTangent(f"tangent norm underflowed at step {t}")
+        q1x, q1y = w1x / r11, w1y / r11
+        r12 = q1x * w2x + q1y * w2y
+        u2x, u2y = w2x - r12 * q1x, w2y - r12 * q1y
+        r22 = math.hypot(u2x, u2y)
+        if r22 < 1e-300:
+            raise DegenerateTangent(f"tangent frame collapsed at step {t}")
+        v1x, v1y = q1x, q1y
+        v2x, v2y = u2x / r22, u2y / r22
+        if t >= burn_in:
+            s1 += math.log(r11)
+            s2 += math.log(r22)
+    return LyapunovEstimate(mu1=s1 / window, mu2=s2 / window,
+                            volume_rate=vol, coupling=coupling)
+
+
+PARITY_GRID = (0.0, 0.35, 1.0, 1.7, 2.0)
+
+
+class TestBlockedParity:
+    """The blocked pass against the per-step QR oracle."""
+
+    @pytest.mark.parametrize("burn_in", [0, 1000, 1001])
+    @pytest.mark.parametrize("window", [_BLOCK - 12, 1007, 2 * _CHUNK + 500],
+                             ids=["sub-block", "ragged", "multi-chunk"])
+    def test_matches_oracle(self, cycle_orbit, burn_in, window):
+        ref = [oracle_mode_lyapunov(cycle_orbit, k, burn_in, window) for k in PARITY_GRID]
+        curve = master_stability_function(cycle_orbit, PARITY_GRID,
+                                          burn_in=burn_in, window=window)
+        np.testing.assert_allclose(curve.mu1, [r.mu1 for r in ref], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(curve.mu2, [r.mu2 for r in ref], rtol=0, atol=1e-10)
+        est = mode_lyapunov(cycle_orbit, PARITY_GRID[1], burn_in=burn_in, window=window)
+        assert est.mu1 == pytest.approx(ref[1].mu1, rel=0, abs=1e-10)
+        assert est.mu2 == pytest.approx(ref[1].mu2, rel=0, abs=1e-10)
+        np.testing.assert_array_equal(est.volume_rate, ref[1].volume_rate)
+
+    def test_default_window_is_rest_of_orbit(self, cycle_orbit):
+        est = mode_lyapunov(cycle_orbit, 0.6, burn_in=25000)
+        ref = oracle_mode_lyapunov(cycle_orbit, 0.6, burn_in=25000)
+        assert est.volume_rate.size == cycle_orbit.steps - 25000
+        assert est.mu1 == pytest.approx(ref.mu1, rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("k", PARITY_GRID)
+    def test_exponents_sum_to_volume_rate(self, cycle_orbit, k):
+        est = mode_lyapunov(cycle_orbit, k, burn_in=1001, window=9000)
+        assert est.mu1 + est.mu2 == pytest.approx(est.volume_rate.mean(), rel=0, abs=1e-12)
+
+
+def _nilpotent_orbit(k, steps=2000):
+    # delta = 1, alpha1 = 0 and F' = -alpha2 / (1 - K) make M_t = [[0, 1], [0, 0]]
+    params = SimpleNamespace(alpha0=0.0, alpha1=0.0, alpha2=0.4, delta=1.0)
+    y = np.ones(steps)
+    return SynchronizedOrbit(x=y, y=y, fprime=np.full(steps, -0.4 / (1 - k)),
+                             params=params, q=Q, period=36.0)
+
+
+class TestDegenerateTangent:
+    def test_nilpotent_jacobian(self):
+        orbit = _nilpotent_orbit(0.5)
+        with pytest.raises(DegenerateTangent, match=r"K = 0\.5 in steps 0\.\.31"):
+            mode_lyapunov(orbit, 0.5)
+        with pytest.raises(DegenerateTangent, match=r"K = 0\.5 in steps 0\.\.31"):
+            master_stability_function(orbit, [0.5])
+        with pytest.raises(DegenerateTangent), np.errstate(divide="ignore"):
+            oracle_mode_lyapunov(orbit, 0.5)
+
+    def test_nan_slope_raises(self, cycle_orbit):
+        fprime = cycle_orbit.fprime.copy()
+        fprime[1500] = np.nan
+        orbit = dataclasses.replace(cycle_orbit, fprime=fprime)
+        # the window starts at step 1000: step 1500 lies in its block 15
+        with pytest.raises(DegenerateTangent, match=r"K = 0\.3 in steps 1480\.\.1511"):
+            mode_lyapunov(orbit, 0.3, burn_in=1000, window=2000)
+        with pytest.raises(DegenerateTangent, match=r"steps 1480\.\.1511"):
+            master_stability_function(orbit, [0.0, 0.3], burn_in=1000, window=2000)
+
+
+class TestAveragingWindow:
+    @pytest.mark.parametrize("burn_in, window, key", [
+        (1000, 0, "window"), (1000, -3, "window"), (-5, 2000, "burn_in"),
+        (25000, 6000, "orbit too short"),
+    ])
+    def test_rejected(self, cycle_orbit, burn_in, window, key):
+        with pytest.raises(ConfigError, match=key):
+            mode_lyapunov(cycle_orbit, 0.3, burn_in=burn_in, window=window)
+        with pytest.raises(ConfigError, match=key):
+            master_stability_function(cycle_orbit, [0.0, 0.3], burn_in=burn_in,
+                                      window=window)
+
+    def test_rest_of_orbit_empty(self, cycle_orbit):
+        with pytest.raises(ConfigError, match="window"):
+            mode_lyapunov(cycle_orbit, 0.3, burn_in=cycle_orbit.steps)
+
+    def test_negative_coupling_in_grid(self, cycle_orbit):
+        with pytest.raises(ConfigError, match="non-negative"):
+            master_stability_function(cycle_orbit, [0.0, -0.2], window=2000)
 
 
 class TestModeLyapunov:
