@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import empirics, fixtures, master_stability, phase
-from ._format import fmt
+from ._format import fmt, write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients
 from .errors import ConfigError, CycleSyncError, DataError, NumericalError
 from .networks import (FlowTable, InteractionNetwork, build_io_network, build_topology,
@@ -199,12 +199,8 @@ def _simulation_config(run: dict) -> SimulationConfig:
                             **{k: v for k, v in run.items() if k != "stride"})
 
 
-def _write_figure(path, rows):
-    """Plot-ready long format: x, y, series label."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,series\n")
-        for x, y, series in rows:
-            fh.write(f"{fmt(x)},{fmt(y)},{series}\n")
+#: header of the plot-ready long-format figure-<experiment>.csv tables
+_FIGURE = ("x", "y", "series")
 
 
 def cmd_simulate(cfg: dict, args) -> dict:
@@ -214,17 +210,17 @@ def cmd_simulate(cfg: dict, args) -> dict:
     traj = simulate(net, _agent_params(dynamics, net.n), dynamics["betas"],
                     ShockConfig(**cfg["shocks"]), _simulation_config(cfg["run"]))
     traj.to_csv(args.outdir / "trajectory.csv")
-    periods = {}
+    periods, failures = {}, {}
     for i, label in enumerate(traj.labels):
         try:
             omega = phase.measured_frequency(traj.y[:, i], **cfg["measure"])
             periods[label] = 2.0 * np.pi / omega
-        except CycleSyncError:
-            periods[label] = None
-    _write_figure(args.outdir / "figure-simulate.csv",
-                  [(t, traj.y[t, i], traj.labels[i])
-                   for i in range(traj.n) for t in range(traj.steps)])
-    return {"measured_periods": periods, "config_echo": traj.config}
+        except CycleSyncError as exc:
+            periods[label], failures[label] = None, str(exc)
+    write_table(args.outdir / "figure-simulate.csv", _FIGURE,
+                np.tile(np.arange(traj.steps, dtype=float), traj.n), traj.y.T.ravel(),
+                np.repeat(np.array(traj.labels, dtype=object), traj.steps))
+    return {"measured_periods": periods, "period_failures": failures, "config_echo": traj.config}
 
 
 def cmd_sweep_epsilon(cfg: dict, args) -> dict:
@@ -240,13 +236,11 @@ def cmd_sweep_epsilon(cfg: dict, args) -> dict:
         steps=sim_cfg.steps, burn_in=sim_cfg.burn_in, seed=sim_cfg.seed,
         peak_kwargs=cfg["measure"])
     result.to_csv(args.outdir / "entrainment.csv")
-    rows = []
-    for k, eps in enumerate(result.eps_grid):
-        rows.extend((eps, result.omegas[k, i], f"omega_node_{i}")
-                    for i in range(result.omegas.shape[1]))
-        rows.append((eps, result.coherence[k], "coherence"))
-        rows.append((eps, result.mean_correlation[k], "mean_correlation"))
-    _write_figure(args.outdir / "figure-sweep-epsilon.csv", rows)
+    series = [f"omega_node_{i}" for i in range(adj.n)] + ["coherence", "mean_correlation"]
+    write_table(args.outdir / "figure-sweep-epsilon.csv", _FIGURE,
+                np.repeat(result.eps_grid, len(series)),
+                np.column_stack([result.omegas, result.coherence, result.mean_correlation]).ravel(),
+                np.tile(series, result.eps_grid.size))
     return {"transition_epsilon": result.transition_epsilon()}
 
 
@@ -259,9 +253,8 @@ def cmd_sync_centrality(cfg: dict, args) -> dict:
         alpha2=dynamics["alpha2"], delta=dynamics["delta"],
         steps=sim_cfg.steps, burn_in=sim_cfg.burn_in, peak_kwargs=cfg["measure"])
     result.to_csv(args.outdir / "sync-centrality.csv")
-    _write_figure(args.outdir / "figure-sync-centrality.csv",
-                  [(i, result.scores[i], result.labels[i])
-                   for i in range(result.scores.size)])
+    write_table(args.outdir / "figure-sync-centrality.csv", _FIGURE,
+                np.arange(result.scores.size, dtype=float), result.scores, result.labels)
     return {"benchmark_frequency": result.benchmark_frequency,
             "mode": result.mode, "n_draws": result.n_draws}
 
@@ -273,9 +266,9 @@ def cmd_msf(cfg: dict, args) -> dict:
         _agent_params(dynamics, 1)[0], dynamics["betas"], steps=msf["window"] + msf["burn_in"])
     curve = master_stability.master_stability_function(orbit, **msf)
     curve.to_csv(args.outdir / "msf.csv")
-    rows = [(k, m, "mu1") for k, m in zip(curve.k_grid, curve.mu1)]
-    rows += [(k, m, "mu2") for k, m in zip(curve.k_grid, curve.mu2)]
-    _write_figure(args.outdir / "figure-msf.csv", rows)
+    write_table(args.outdir / "figure-msf.csv", _FIGURE, np.tile(curve.k_grid, 2),
+                np.concatenate([curve.mu1, curve.mu2]),
+                np.repeat(["mu1", "mu2"], curve.k_grid.size))
     return {"orbit_period": orbit.period, "mu1_at_zero": float(curve.mu1[0])}
 
 
@@ -292,11 +285,12 @@ def cmd_shock_response(cfg: dict, args) -> dict:
     response = master_stability.shock_response_compare(net, params[0], dynamics["betas"],
                                                        **options)
     response.to_csv(args.outdir / "shock-response.csv")
-    rows = [(t, response.nonlinear_y[t, i], f"nonlinear_node_{i}")
-            for i in range(net.n) for t in range(response.nonlinear_y.shape[0])]
-    rows += [(t, response.linear_y[t, i], f"linear_node_{i}")
-             for i in range(net.n) for t in range(response.linear_y.shape[0])]
-    _write_figure(args.outdir / "figure-shock-response.csv", rows)
+    steps = response.nonlinear_y.shape[0]
+    series = [f"{path}_node_{i}" for path in ("nonlinear", "linear") for i in range(net.n)]
+    write_table(args.outdir / "figure-shock-response.csv", _FIGURE,
+                np.tile(np.arange(steps, dtype=float), len(series)),
+                np.concatenate([response.nonlinear_y.T.ravel(), response.linear_y.T.ravel()]),
+                np.repeat(np.array(series, dtype=object), steps))
     return {"rmse": response.rmse, "phase_shift": response.phase_shift}
 
 
@@ -308,9 +302,9 @@ def cmd_scenarios(cfg: dict, args) -> dict:
     spec = empirics.ScenarioSpec(**cfg["scenarios"])
     rows = empirics.scenario_run(net, spec, q=cfg["dynamics"]["betas"], jobs=args.jobs)
     empirics.write_scenario_csv(rows, args.outdir / "scenario-results.csv")
-    _write_figure(args.outdir / "figure-scenarios.csv",
-                  [(r.sigma_u, r.mean_corr, f"{r.dynamics}/{r.shock_type}/{r.group}")
-                   for r in rows])
+    write_table(args.outdir / "figure-scenarios.csv", _FIGURE, [r.sigma_u for r in rows],
+                [r.mean_corr for r in rows],
+                [f"{r.dynamics}/{r.shock_type}/{r.group}" for r in rows])
     return {"cells": len(rows), "n_seeds": spec.n_seeds}
 
 

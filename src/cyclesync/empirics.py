@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
 
-from ._format import fmt
+from ._format import write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams
 from .errors import (
     ConfigError,
@@ -441,8 +441,5 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec,
 
 def write_scenario_csv(rows, path):
     """Results table: dynamics,shock_type,sigma_u,group,mean_corr,sd_corr,n_seeds."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dynamics,shock_type,sigma_u,group,mean_corr,sd_corr,n_seeds\n")
-        for r in rows:
-            fh.write(f"{r.dynamics},{r.shock_type},{fmt(r.sigma_u)},{r.group},"
-                     f"{fmt(r.mean_corr)},{fmt(r.sd_corr)},{r.n_seeds}\n")
+    names = [f.name for f in fields(ScenarioRow)]
+    write_table(path, names, *([getattr(r, name) for r in rows] for name in names))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import fmt
+from ._format import write_table
 from .dynamics import (
     DEFAULT_QUARTIC,
     AgentParams,
@@ -115,10 +115,7 @@ class MasterStabilityCurve:
         return float(np.interp(k, self.k_grid, self.mu1))
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("K,mu1,mu2\n")
-            for k, m1, m2 in zip(self.k_grid, self.mu1, self.mu2):
-                fh.write(f"{fmt(k)},{fmt(m1)},{fmt(m2)}\n")
+        write_table(path, ("K", "mu1", "mu2"), self.k_grid, self.mu1, self.mu2)
 
 
 @dataclass
@@ -136,15 +133,11 @@ class ShockResponse:
 
     def to_csv(self, path):
         """Long format: basis,node_or_mode,step,value (y components)."""
-        n = self.nonlinear_y.shape[1]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("basis,node_or_mode,step,value\n")
-            for i in range(n):
-                for t in range(self.xi.shape[0]):
-                    fh.write(f"node,{i},{t},{fmt(self.xi[t, 2 * i + 1])}\n")
-            for i in range(n):
-                for t in range(self.zeta.shape[0]):
-                    fh.write(f"mode,{i},{t},{fmt(self.zeta[t, 2 * i + 1])}\n")
+        steps, n = self.xi.shape[0], self.nonlinear_y.shape[1]
+        write_table(path, ("basis", "node_or_mode", "step", "value"),
+                    np.repeat(["node", "mode"], n * steps),
+                    np.tile(np.repeat(np.arange(n), steps), 2), np.tile(np.arange(steps), 2 * n),
+                    np.concatenate([self.xi[:, 1::2].T.ravel(), self.zeta[:, 1::2].T.ravel()]))
 
 
 def synchronized_orbit(params: AgentParams, q: QuarticCoefficients = DEFAULT_QUARTIC,

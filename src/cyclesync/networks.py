@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._format import fmt
+from ._format import write_table
 from .errors import (
     ConfigError,
     DataError,
@@ -168,12 +168,8 @@ class FlowTable:
         return cls(records)
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.HEADER)
-            for r in self.records:
-                writer.writerow([r.source_sector, r.source_country,
-                                 r.dest_sector, r.dest_country, fmt(r.value)])
+        write_table(path, self.HEADER,
+                    *([getattr(r, name) for r in self.records] for name in self.HEADER))
 
 
 @dataclass

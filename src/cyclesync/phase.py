@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from ._format import fmt
+from ._format import write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients
 from .errors import (
     ConfigError,
@@ -76,12 +76,9 @@ class EntrainmentResult:
         return float(self.eps_grid[hits[0]]) if hits.size else None
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("eps,coherence,mean_correlation,entrained,spread\n")
-            for i, eps in enumerate(self.eps_grid):
-                fh.write(f"{fmt(eps)},{fmt(self.coherence[i])},"
-                         f"{fmt(self.mean_correlation[i])},"
-                         f"{int(self.entrained[i])},{fmt(self.spread[i])}\n")
+        write_table(path, ("eps", "coherence", "mean_correlation", "entrained", "spread"),
+                    self.eps_grid, self.coherence, self.mean_correlation, self.entrained,
+                    self.spread)
 
 
 @dataclass
@@ -98,10 +95,7 @@ class SyncCentralityResult:
     labels: list = field(default_factory=list)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node,score,stderr\n")
-            for label, score, se in zip(self.labels, self.scores, self.stderr):
-                fh.write(f"{label},{fmt(score)},{fmt(se)}\n")
+        write_table(path, ("node", "score", "stderr"), self.labels, self.scores, self.stderr)
 
 
 def _smooth(series: np.ndarray, window: int) -> np.ndarray:

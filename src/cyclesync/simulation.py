@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
 
-from ._format import fmt
+from ._format import write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients, _map_step
 from .errors import ConfigError, NumericalBlowup
 from .networks import InteractionNetwork
@@ -101,12 +101,16 @@ class SimulationConfig:
             burn = self.steps - keep
         elif keep is None:
             keep = self.steps - burn
+        if burn < 0:
+            raise ConfigError(f"retain {keep} exceeds steps {self.steps}" if self.burn_in is None
+                              else f"burn_in must be non-negative, got {burn}")
+        if keep < 1:
+            raise ConfigError(f"burn_in {burn} leaves no retained steps out of {self.steps}"
+                              if self.retain is None else f"retain must be positive, got {keep}")
+        if burn + keep > self.steps:
+            raise ConfigError(f"burn_in {burn} + retain {keep} exceeds steps {self.steps}")
         object.__setattr__(self, "burn_in", burn)
         object.__setattr__(self, "retain", keep)
-        if burn < 0 or keep < 1 or burn + keep > self.steps:
-            raise ConfigError(
-                f"need burn_in + retain <= steps, got {burn} + {keep} > {self.steps}"
-            )
         if self.aggregate_stride < 1 or keep % self.aggregate_stride != 0:
             raise ConfigError(
                 f"aggregate_stride {self.aggregate_stride} must divide retain {keep}"
@@ -115,18 +119,7 @@ class SimulationConfig:
             raise ConfigError(f"unknown initial mode {self.initial_mode!r}")
 
     def echo(self) -> dict:
-        return {
-            "steps": self.steps,
-            "burn_in": self.burn_in,
-            "retain": self.retain,
-            "aggregate_stride": self.aggregate_stride,
-            "seed": self.seed,
-            "initial_mode": self.initial_mode,
-            "initial_spread": self.initial_spread,
-            "blowup_bound": self.blowup_bound,
-            "shocks_during_burn_in": self.shocks_during_burn_in,
-            "normal_method": _NORMAL_METHOD,
-        }
+        return {**asdict(self), "normal_method": _NORMAL_METHOD}
 
 
 @dataclass
@@ -158,11 +151,9 @@ class TrajectorySet:
 
     def to_csv(self, path):
         """Long-format export: node,step,x,y."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node,step,x,y\n")
-            for i, label in enumerate(self.labels):
-                for t in range(self.steps):
-                    fh.write(f"{label},{t},{fmt(self.x[t, i])},{fmt(self.y[t, i])}\n")
+        write_table(path, ("node", "step", "x", "y"),
+                    np.repeat(np.array(self.labels, dtype=object), self.steps),
+                    np.tile(np.arange(self.steps), self.n), self.x.T.ravel(), self.y.T.ravel())
 
 
 def _stream(seed, layer, index) -> np.random.Generator:
@@ -189,11 +180,8 @@ def _per_node_params(params, n: int):
     params = list(params)
     if len(params) != n:
         raise ConfigError(f"expected {n} parameter sets, got {len(params)}")
-    a0 = np.array([p.alpha0 for p in params])
-    a1 = np.array([p.alpha1 for p in params])
-    a2 = np.array([p.alpha2 for p in params])
-    de = np.array([p.delta for p in params])
-    return a0, a1, a2, de
+    return tuple(np.array([getattr(p, name) for p in params])
+                 for name in ("alpha0", "alpha1", "alpha2", "delta"))
 
 
 def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, cfg: SimulationConfig,
@@ -325,17 +313,12 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
     # every silent layer of every run shares one read-only block of zeros
     zeros = np.zeros((cfg.retain, n))
     zeros.flags.writeable = False
-    shock_echo = {
-        "rho_u": shocks.rho_u, "sigma_u": shocks.sigma_u,
-        "rho_v": shocks.rho_v, "sigma_v": shocks.sigma_v,
-        "rho_z": shocks.rho_z, "sigma_z": shocks.sigma_z,
-    }
     out = []
     for r, (net, paths) in enumerate(zip(nets, layers)):
         u, v, z = (zeros if path is None else path[keep_from:] for path in paths)
         config = cfg.echo()
         config["seed"] = seeds[r]
-        config["shocks"] = dict(shock_echo)
+        config["shocks"] = asdict(shocks)
         out.append(TrajectorySet(
             x=xs[r], y=ys[r], u=u, v=v, z=z,
             labels=list(net.labels), sectors=list(net.sectors),

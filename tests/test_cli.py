@@ -1,4 +1,5 @@
 import configparser
+import csv
 import json
 
 import pytest
@@ -98,6 +99,26 @@ class TestSimulateCommand:
         # slowly; the column stays constant to well below visible precision
         assert max(values) - min(values) < 1e-9
 
+    def test_null_period_gives_its_reason(self, tmp_path):
+        # a converging node: no cycle, so no peaks to measure a period from
+        assert run(["simulate", "--preset", "cycle-single", "--set", "dynamics.alpha1=-0.11",
+                    "--set", "dynamics.delta=0.5"], tmp_path) == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["measured_periods"] == {"0": None}
+        assert meta["period_failures"] == {"0": "found 0 peaks, need at least 3"}
+
+    def test_measured_periods_have_no_failures(self, tmp_path):
+        assert run(["simulate", "--preset", "cycle-single", "--set", "run.steps=1600"],
+                   tmp_path) == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["measured_periods"]["0"] == pytest.approx(36, abs=2)
+        assert meta["period_failures"] == {}
+
+    def test_burn_in_past_the_run_is_named(self, tmp_path, capsys):
+        assert run(["simulate", "--preset", "cycle-single", "--set", "run.steps=400"],
+                   tmp_path) == 2
+        assert "burn_in 1000 leaves no retained steps out of 400" in capsys.readouterr().err
+
     def test_idempotent_outputs(self, tmp_path):
         run(["simulate", "--preset", "cycle-single"], tmp_path)
         first = (tmp_path / "trajectory.csv").read_bytes()
@@ -105,6 +126,33 @@ class TestSimulateCommand:
         run(["simulate", "--preset", "cycle-single"], tmp_path)
         assert (tmp_path / "trajectory.csv").read_bytes() == first
         assert (tmp_path / "figure-simulate.csv").read_bytes() == fig_first
+
+
+QUOTED_FLOWS = (
+    "source_sector,source_country,dest_sector,dest_country,value\n"
+    '"Mining, quarrying",X,"Say ""B""",X,30\n'
+    '"Mining, quarrying",X,FinD,X,70\n'
+    '"Say ""B""",X,"Mining, quarrying",X,20\n'
+    '"Say ""B""",X,FinD,X,40\n'
+)
+
+
+class TestQuotedLabels:
+    """Sector names holding a comma or a quote stay one field in every table."""
+
+    def test_io_labels_round_trip(self, tmp_path):
+        flows = tmp_path / "flows.csv"
+        flows.write_text(QUOTED_FLOWS)
+        io_net = ["--set", "network.kind=io", "--set", f"network.flows={flows}"]
+        assert run(["simulate", *io_net, "--set", "run.steps=300"], tmp_path) == 0
+        assert run(["sync-centrality", *io_net, "--set", "centrality.n_draws=4"], tmp_path) == 0
+        labels = {"Mining, quarrying|X", 'Say "B"|X', "FinD|X"}
+        for name, width, column in [("trajectory.csv", 4, 0), ("figure-simulate.csv", 3, 2),
+                                    ("sync-centrality.csv", 3, 0)]:
+            with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(row) for row in rows} == {width}, name
+            assert {row[column] for row in rows[1:]} == labels, name
 
 
 class TestOtherCommands:

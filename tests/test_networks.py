@@ -130,6 +130,7 @@ class TestIoNetwork:
         table = single_country_table()
         path = tmp_path / "flows.csv"
         table.to_csv(path)
+        assert b"\r" not in path.read_bytes()         # LF line ends, like every table
         again = FlowTable.from_csv(path)
         net_a = build_io_network(table)
         net_b = build_io_network(again)

@@ -191,6 +191,18 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             SimulationConfig(steps=100, retain=30, aggregate_stride=4)
 
+    @pytest.mark.parametrize("window, message", [
+        (dict(burn_in=1000), "burn_in 1000 leaves no retained steps out of 400"),
+        (dict(retain=500), "retain 500 exceeds steps 400"),
+        (dict(burn_in=-1), "burn_in must be non-negative, got -1"),
+        (dict(retain=0), "retain must be positive, got 0"),
+        (dict(burn_in=300, retain=200), "burn_in 300 + retain 200 exceeds steps 400"),
+    ])
+    def test_window_error_names_the_failed_condition(self, window, message):
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig(steps=400, **window)
+        assert str(err.value) == message
+
 
 class TestAggregateSeries:
     def test_stride_one_identity(self):
