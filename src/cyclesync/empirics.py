@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -85,34 +86,41 @@ class PanelRecord:
 
 @dataclass
 class PanelSeries:
-    """Validated long-format panel with per-series gap flags."""
+    """Validated long-format panel with per-series gap flags.
+
+    Records are indexed by (country, sector, variable) in first-seen order
+    when the panel is built, so ``keys`` and ``series`` cost O(rows) for
+    the whole panel.
+    """
 
     records: list
     gaps: dict = field(default_factory=dict)   # (country, sector, variable) -> missing years
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {}
+        for r in self.records:
+            self._index.setdefault((r.country, r.sector, r.variable), []).append(r)
 
     def series(self, country, sector, variable):
         """Return (years, values) sorted by year for one series."""
-        pairs = sorted((r.year, r.value) for r in self.records
-                       if r.country == country and r.sector == sector
-                       and r.variable == variable)
+        pairs = sorted((r.year, r.value)
+                       for r in self._index.get((country, sector, variable), ()))
         years = np.array([p[0] for p in pairs], dtype=int)
         values = np.array([p[1] for p in pairs], dtype=float)
         return years, values
 
     def keys(self):
-        seen = []
-        for r in self.records:
-            key = (r.country, r.sector, r.variable)
-            if key not in seen:
-                seen.append(key)
-        return seen
+        return list(self._index)
 
 
 def load_panel_csv(path) -> PanelSeries:
     """Load ``country,sector,variable,year,value`` rows with validation.
 
-    Duplicated (country, sector, variable, year) keys and unparseable rows
-    raise with their line numbers; year gaps are recorded per series.
+    Duplicated (country, sector, variable, year) keys, unparseable or
+    non-finite values, rows with an all-empty series key and other
+    unparseable rows raise with their line numbers; year gaps are recorded
+    per series.
     """
     header = ("country", "sector", "variable", "year", "value")
     records = []
@@ -132,7 +140,11 @@ def load_panel_csv(path) -> PanelSeries:
                 value = float(row[4])
             except ValueError as exc:
                 raise MalformedRow(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(value):
+                raise MalformedRow(f"{path}:{lineno}: non-finite value {row[4]!r}")
             key = (row[0].strip(), row[1].strip(), row[2].strip(), year)
+            if not any(key[:3]):
+                raise MalformedRow(f"{path}:{lineno}: empty country, sector and variable")
             if key in seen:
                 raise DuplicateKey(
                     f"{path}:{lineno}: duplicate of line {seen[key]} for {key}"
@@ -141,10 +153,9 @@ def load_panel_csv(path) -> PanelSeries:
             records.append(PanelRecord(key[0], key[1], key[2], year, value))
 
     panel = PanelSeries(records=records)
-    for key in panel.keys():
-        years, _ = panel.series(*key)
-        expected = set(range(int(years.min()), int(years.max()) + 1))
-        missing = sorted(expected - set(years.tolist()))
+    for key, series in panel._index.items():
+        years = {r.year for r in series}
+        missing = sorted(set(range(min(years), max(years) + 1)) - years)
         if missing:
             panel.gaps[key] = missing
     return panel
@@ -237,22 +248,15 @@ def join_log(x: dict, y: dict, join_year) -> dict:
 
 
 def _detrend_column(col, p_low, p_high):
-    """CF-filter the longest contiguous observed run; NaN elsewhere."""
+    """CF-filter the first longest contiguous observed run; NaN elsewhere."""
     out = np.full(col.size, np.nan)
-    finite = np.isfinite(col)
-    if not finite.any():
+    # run starts and ends are the +1 and -1 steps of the zero-padded mask
+    edges = np.diff(np.concatenate(([0], np.isfinite(col).astype(np.int8), [0])))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if starts.size == 0:
         return out
-    # longest contiguous run of observed values
-    best = (0, 0)
-    start = None
-    for i, ok in enumerate(np.append(finite, False)):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            if i - start > best[1] - best[0]:
-                best = (start, i)
-            start = None
-    lo, hi = best
+    longest = np.argmax(ends - starts)          # the first run on ties
+    lo, hi = starts[longest], ends[longest]
     if hi - lo >= 8:
         out[lo:hi] = cf_bandpass(col[lo:hi], p_low, p_high).indicator
     return out
@@ -263,8 +267,13 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10,
     """Pairwise-complete Pearson correlations of (T, N) columns.
 
     Entries with fewer than ``min_overlap`` common observations, or with a
-    degenerate (zero-variance) overlap, are NaN.  With ``detrend`` the
-    band-pass indicator of each column is correlated instead.
+    degenerate overlap (either column exactly constant on it, or of zero
+    variance), are NaN.  With ``detrend`` the band-pass indicator of each
+    column is correlated instead.
+
+    Row i of the matrix is computed for all columns j > i at once on
+    (N - i - 1, T) arrays: overlap counts, pairwise-complete means, centered
+    cross and auto sums, clipped to [-1, 1] as ``np.corrcoef`` does.
     """
     arr = np.array(data, dtype=float)
     if arr.ndim != 2:
@@ -275,15 +284,24 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10,
     n = arr.shape[1]
     corr = np.full((n, n), np.nan)
     np.fill_diagonal(corr, 1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ok = np.isfinite(arr[:, i]) & np.isfinite(arr[:, j])
-            if ok.sum() < min_overlap:
-                continue
-            xi, xj = arr[ok, i], arr[ok, j]
-            if xi.std() == 0 or xj.std() == 0:
-                continue
-            corr[i, j] = corr[j, i] = float(np.corrcoef(xi, xj)[0, 1])
+    observed = np.isfinite(arr.T)               # (N, T), one row per column
+    values = np.where(observed, arr.T, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(n - 1):
+            both = observed[i] & observed[i + 1:]
+            count = both.sum(axis=1)
+            xi = np.where(both, values[i], 0.0)
+            xj = np.where(both, values[i + 1:], 0.0)
+            di = np.where(both, xi - (xi.sum(axis=1) / count)[:, None], 0.0)
+            dj = np.where(both, xj - (xj.sum(axis=1) / count)[:, None], 0.0)
+            var_i, var_j = (di * di).sum(axis=1), (dj * dj).sum(axis=1)
+            r = (di * dj).sum(axis=1) / np.sqrt(var_i) / np.sqrt(var_j)
+            varies = ((np.where(both, xi, -np.inf).max(axis=1)
+                       > np.where(both, xi, np.inf).min(axis=1))
+                      & (np.where(both, xj, -np.inf).max(axis=1)
+                         > np.where(both, xj, np.inf).min(axis=1)))
+            valid = (count >= min_overlap) & varies & (var_i > 0) & (var_j > 0)
+            corr[i, i + 1:] = corr[i + 1:, i] = np.where(valid, np.clip(r, -1, 1), np.nan)
     return corr
 
 

@@ -17,6 +17,7 @@ Laplacian (real, inside [0, 2]).
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -136,11 +137,23 @@ class FlowRecord:
 
 @dataclass
 class FlowTable:
-    """Value flows between sector-country pairs and final demand."""
+    """Value flows between sector-country pairs and final demand.
+
+    Names carry no leading or trailing whitespace, so ``from_csv``, which
+    strips every cell, reads back what ``to_csv`` wrote.
+    """
 
     records: list
 
     HEADER = ("source_sector", "source_country", "dest_sector", "dest_country", "value")
+
+    def __post_init__(self):
+        for k, r in enumerate(self.records):
+            for name in self.HEADER[:4]:
+                label = getattr(r, name)
+                if label != label.strip():
+                    raise DataError(f"flow record {k} {r}: {name} {label!r} has "
+                                    "leading or trailing whitespace")
 
     @classmethod
     def from_csv(cls, path) -> "FlowTable":
@@ -161,6 +174,8 @@ class FlowTable:
                     value = float(row[4])
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: bad value {row[4]!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{lineno}: non-finite flow {row[4]!r}")
                 if value < 0:
                     raise DataError(f"{path}:{lineno}: negative flow {value}")
                 records.append(FlowRecord(row[0].strip(), row[1].strip(),

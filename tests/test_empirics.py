@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from cyclesync.empirics import (
     DEFAULT_SECTOR_EXCLUSIONS,
+    _detrend_column,
     ScenarioSpec,
     cf_bandpass,
     cf_weight_matrix,
@@ -17,6 +21,7 @@ from cyclesync.empirics import (
     write_scenario_csv,
 )
 from cyclesync.errors import (
+    ConfigError,
     DuplicateKey,
     EmptyGroup,
     MalformedRow,
@@ -24,6 +29,124 @@ from cyclesync.errors import (
     NonPositiveValue,
     SeriesTooShort,
 )
+
+
+# --------------------------------------------------------------------------
+# oracles: the per-pair loop, the run finder and the linear panel scans that
+# the vectorized correlation matrix and the keyed panel index replaced,
+# copied verbatim (panel methods as functions of the record list)
+
+
+def oracle_detrend_column(col, p_low, p_high):
+    """CF-filter the longest contiguous observed run; NaN elsewhere."""
+    out = np.full(col.size, np.nan)
+    finite = np.isfinite(col)
+    if not finite.any():
+        return out
+    # longest contiguous run of observed values
+    best = (0, 0)
+    start = None
+    for i, ok in enumerate(np.append(finite, False)):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            if i - start > best[1] - best[0]:
+                best = (start, i)
+            start = None
+    lo, hi = best
+    if hi - lo >= 8:
+        out[lo:hi] = cf_bandpass(col[lo:hi], p_low, p_high).indicator
+    return out
+
+
+def oracle_correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10,
+                              p_low: float = 2.0, p_high: float = 25.0) -> np.ndarray:
+    arr = np.array(data, dtype=float)
+    if arr.ndim != 2:
+        raise ConfigError("expected a (T, N) array")
+    if detrend:
+        arr = np.column_stack([oracle_detrend_column(arr[:, i], p_low, p_high)
+                               for i in range(arr.shape[1])])
+    n = arr.shape[1]
+    corr = np.full((n, n), np.nan)
+    np.fill_diagonal(corr, 1.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ok = np.isfinite(arr[:, i]) & np.isfinite(arr[:, j])
+            if ok.sum() < min_overlap:
+                continue
+            xi, xj = arr[ok, i], arr[ok, j]
+            if xi.std() == 0 or xj.std() == 0:
+                continue
+            corr[i, j] = corr[j, i] = float(np.corrcoef(xi, xj)[0, 1])
+    return corr
+
+
+def oracle_series(records, country, sector, variable):
+    """Return (years, values) sorted by year for one series."""
+    pairs = sorted((r.year, r.value) for r in records
+                   if r.country == country and r.sector == sector
+                   and r.variable == variable)
+    years = np.array([p[0] for p in pairs], dtype=int)
+    values = np.array([p[1] for p in pairs], dtype=float)
+    return years, values
+
+
+def oracle_keys(records):
+    seen = []
+    for r in records:
+        key = (r.country, r.sector, r.variable)
+        if key not in seen:
+            seen.append(key)
+    return seen
+
+
+def oracle_gaps(records):
+    gaps = {}
+    for key in oracle_keys(records):
+        years, _ = oracle_series(records, *key)
+        expected = set(range(int(years.min()), int(years.max()) + 1))
+        missing = sorted(expected - set(years.tolist()))
+        if missing:
+            gaps[key] = missing
+    return gaps
+
+
+def oracle_cf_cycle(x, p_low, p_high, drift):
+    """Christiano-Fitzgerald asymmetric random-walk cycle, one weight at a time.
+
+    c_t = B0 x_t + sum_{j=1}^{n-2-t} B_j x_{t+j} + Bt_{n-1-t} x_{n-1}
+              + sum_{j=1}^{t-1} B_j x_{t-j} + Bt_t x_0,
+    B_j = (sin(j b) - sin(j a)) / (pi j), B0 = (b - a) / pi, and each
+    endpoint weight Bt_k = -B0/2 - sum_{j=1}^{k-1} B_j makes the weights of
+    one observation sum to zero.
+    """
+    n = len(x)
+    a, b = 2 * math.pi / p_high, 2 * math.pi / p_low
+    weights = [(b - a) / math.pi]
+    weights += [(math.sin(j * b) - math.sin(j * a)) / (math.pi * j) for j in range(1, n)]
+    if drift:
+        slope = (x[n - 1] - x[0]) / (n - 1)
+        x = [x[t] - slope * t for t in range(n)]
+    cycle = []
+    for t in range(n):
+        c = weights[0] * x[t]
+        lead_sum = 0.0
+        for j in range(1, n - 1 - t):
+            c += weights[j] * x[t + j]
+            lead_sum += weights[j]
+        c += (-0.5 * weights[0] - lead_sum) * x[n - 1]
+        lag_sum = 0.0
+        for j in range(1, t):
+            c += weights[j] * x[t - j]
+            lag_sum += weights[j]
+        c += (-0.5 * weights[0] - lag_sum) * x[0]
+        cycle.append(c)
+    return np.array(cycle)
+
+
+def exactly_constant(values):
+    return values.size > 0 and values.max() == values.min()
 
 
 def write_panel(tmp_path, rows, name="panel.csv"):
@@ -70,6 +193,56 @@ class TestLoadPanel:
         ])
         panel = load_panel_csv(path)
         assert panel.gaps == {("US", "D", "emp"): [1981]}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = write_panel(tmp_path, [
+            ("US", "D", "emp", 1990, 100.0),
+            ("US", "D", "emp", 1991, value),
+        ])
+        with pytest.raises(MalformedRow, match=r"panel\.csv:3: non-finite value"):
+            load_panel_csv(path)
+
+    def test_empty_series_key_reports_line(self, tmp_path):
+        path = write_panel(tmp_path, [
+            ("US", "D", "emp", 1990, 100.0),
+            (" ", "", "", 1990, 100.0),
+        ])
+        with pytest.raises(MalformedRow, match=r"panel\.csv:3: empty country"):
+            load_panel_csv(path)
+
+    def test_unknown_series_is_empty(self, tmp_path):
+        path = write_panel(tmp_path, [("US", "D", "emp", 1990, 100.0)])
+        years, values = load_panel_csv(path).series("US", "D", "va")
+        assert years.dtype == int and years.size == 0
+        assert values.dtype == float and values.size == 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_index_matches_linear_scans(self, tmp_path, seed):
+        """Shuffled, ragged panel: keys, series and gaps as the old scans give."""
+        rng = random.Random(seed)
+        rows = []
+        for country in ("US", "DE", "JP")[:rng.randint(1, 3)]:
+            for sector in ("D", "F", "AtB", "")[:rng.randint(1, 4)]:
+                for variable in ("emp", "va"):
+                    if rng.random() < 0.3:
+                        continue
+                    start = rng.randint(1960, 1990)
+                    years = range(start, start + rng.randint(1, 30))
+                    rows += [(country, sector, variable, year, rng.uniform(-5, 5))
+                             for year in years if rng.random() > 0.15]
+        rows.append(("ZZ", "D", "emp", 2001, 1.0))
+        rng.shuffle(rows)
+        panel = load_panel_csv(write_panel(tmp_path, rows))
+        keys = oracle_keys(panel.records)
+        assert panel.keys() == keys
+        assert panel.gaps == oracle_gaps(panel.records)
+        for key in keys:
+            years, values = panel.series(*key)
+            old_years, old_values = oracle_series(panel.records, *key)
+            np.testing.assert_array_equal(years, old_years)
+            np.testing.assert_array_equal(values, old_values)
+            assert years.dtype == old_years.dtype and values.dtype == old_values.dtype
 
 
 class TestCfBandpass:
@@ -130,6 +303,15 @@ class TestCfBandpass:
     def test_too_short_rejected(self):
         with pytest.raises(SeriesTooShort):
             cf_bandpass(np.arange(5.0))
+
+    @pytest.mark.parametrize("n", [8, 9, 57, 160])
+    @pytest.mark.parametrize("drift", [True, False])
+    @pytest.mark.parametrize("band", [(2.0, 25.0), (6.0, 32.0)])
+    def test_matches_explicit_cf_weights(self, rng, n, drift, band):
+        x = np.cumsum(rng.normal(0, 1, n)) + rng.normal() * np.arange(n)
+        ours = cf_bandpass(x, *band, drift=drift).cycle
+        np.testing.assert_allclose(ours, oracle_cf_cycle(x.tolist(), *band, drift),
+                                   rtol=0, atol=1e-12)
 
 
 class TestJoins:
@@ -204,6 +386,100 @@ class TestCorrelationMatrix:
         b[:10] = np.nan
         m = correlation_matrix(np.column_stack([a, b]), min_overlap=10)
         assert m[0, 1] > 0.99
+
+    def test_constant_overlap_is_missing(self, rng):
+        # np.std of twelve 0.1s is 1.4e-17, not 0, so the per-pair loop
+        # gave the 0.1 column a correlation of about -1e-17
+        noise = rng.normal(0, 1, 12)
+        m = correlation_matrix(np.column_stack([np.full(12, 0.1), noise,
+                                                np.full(12, 0.5)]))
+        assert np.isnan(m[0, 1]) and np.isnan(m[1, 2]) and np.isnan(m[0, 2])
+        np.testing.assert_array_equal(np.diag(m), 1.0)
+
+    def test_constant_on_the_overlap_only(self, rng):
+        a = rng.normal(0, 1, 30)
+        b = rng.normal(0, 1, 30)
+        a[10:] = 0.1
+        b[:10] = np.nan
+        m = correlation_matrix(np.column_stack([a, b]), min_overlap=10)
+        assert np.isnan(m[0, 1])
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_not_two_dimensional_rejected(self, shape):
+        with pytest.raises(ConfigError):
+            correlation_matrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("finite, run", [
+        ([1] * 20, (0, 20)),
+        ([0] * 3 + [1] * 9 + [0] + [1] * 9, (3, 12)),       # a tie goes to the first run
+        ([1] * 8 + [0] + [1] * 9 + [0] * 2, (9, 18)),
+        ([1] * 9 + [0] * 2 + [1] * 12, (11, 23)),          # the run ending at the last row
+        ([0] * 10 + [1] * 7, None),                         # too short to filter
+        ([0] * 12, None),
+    ])
+    def test_detrend_filters_first_longest_run(self, rng, finite, run):
+        finite = np.array(finite, dtype=bool)
+        col = np.where(finite, 100.0 + np.cumsum(rng.normal(0.5, 1.0, finite.size)), np.nan)
+        got = _detrend_column(col, 2.0, 25.0)
+        np.testing.assert_array_equal(got, oracle_detrend_column(col, 2.0, 25.0))
+        if run is None:
+            assert np.isnan(got).all()
+        else:
+            lo, hi = run
+            assert np.flatnonzero(np.isfinite(got)).tolist() == list(range(lo, hi))
+            np.testing.assert_array_equal(got[lo:hi], cf_bandpass(col[lo:hi]).indicator)
+
+
+def ragged_columns(seed, t, n):
+    """(t, n) data: noise, trending, rescaled-copy and exactly constant
+    columns with ragged starts and ends, gaps, constant tails and all-NaN
+    columns."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(0, 1, t)
+    data = np.empty((t, n))
+    for j in range(n):
+        kind = rng.integers(5)
+        if kind == 0:
+            col = np.full(t, rng.choice([0.1, 0.5, -3.0]))
+        elif kind == 1:
+            col = rng.uniform(-2, 2) * base + rng.uniform(-1, 1)
+        elif kind == 2:
+            col = 100.0 + np.cumsum(rng.normal(0.5, 1.0, t))
+        else:
+            col = rng.normal(0, 1, t)
+        if rng.random() < 0.2:
+            col[rng.integers(t):] = 0.1
+        if rng.random() < 0.1:
+            col[:] = np.nan
+        else:
+            col[:rng.integers(0, t // 2 + 1)] = np.nan
+            col[t - rng.integers(0, t // 2 + 1):] = np.nan
+            col[rng.integers(0, t, rng.integers(0, 4))] = np.nan
+        data[:, j] = col
+    return data
+
+
+class TestCorrelationParity:
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(2, 60), n=st.integers(1, 12),
+           min_overlap=st.integers(2, 15), detrend=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_loop(self, seed, t, n, min_overlap, detrend):
+        data = ragged_columns(seed, t, n)
+        new = correlation_matrix(data, detrend=detrend, min_overlap=min_overlap)
+        old = oracle_correlation_matrix(data, detrend=detrend, min_overlap=min_overlap)
+        if detrend:
+            data = np.column_stack([oracle_detrend_column(data[:, i], 2.0, 25.0)
+                                    for i in range(n)])
+        np.testing.assert_array_equal(new, new.T)
+        np.testing.assert_array_equal(np.diag(new), 1.0)
+        # only a pair whose overlap is exactly constant may turn NaN
+        for i, j in zip(*np.nonzero(np.isnan(new) != np.isnan(old))):
+            assert np.isnan(new[i, j])
+            both = np.isfinite(data[:, i]) & np.isfinite(data[:, j])
+            assert exactly_constant(data[both, i]) or exactly_constant(data[both, j])
+        kept = ~np.isnan(new)
+        np.testing.assert_allclose(new[kept], old[kept], rtol=0, atol=1e-12)
+        assert np.all(np.abs(new[kept]) <= 1.0)
 
 
 class TestGroupedCorrelations:

@@ -227,7 +227,7 @@ class TestByteParity:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_flow_table_matches_old_writer_but_for_line_ends(self, case, tmp_path):
         rows, _ = CASES[case]
-        sectors = ["Mining, quarrying", 'Say "B"', "line\nbreak", "cr\rhere", " pad ", "A"]
+        sectors = ["Mining, quarrying", 'Say "B"', "line\nbreak", "cr\rhere", "in  side", "A"]
         table = FlowTable([FlowRecord(sectors[i % len(sectors)], "X", "FinD", "X|Y", v)
                            for i, v in enumerate(floats(rows).tolist())])
         table.to_csv(tmp_path / "new.csv")

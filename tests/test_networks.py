@@ -158,6 +158,25 @@ class TestIoNetwork:
         with pytest.raises(DataError):
             FlowTable.from_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flow_rejected(self, tmp_path, value):
+        # a NaN flow used to pass the negativity check and stall the
+        # centrality power iteration downstream
+        path = tmp_path / "flows.csv"
+        path.write_text(",".join(FlowTable.HEADER) + "\n"
+                        "A,X,FinD,X,1.0\n"
+                        f"B,X,FinD,X,{value}\n")
+        with pytest.raises(DataError, match=r"flows\.csv:3: non-finite flow"):
+            FlowTable.from_csv(path)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_padded_name_rejected(self, field):
+        names = ["A", "X", "FinD", "X"]
+        names[field] = " Mining "
+        with pytest.raises(DataError, match=f"{FlowTable.HEADER[field]} ' Mining '"):
+            FlowTable([FlowRecord("B", "X", "FinD", "X", 1.0),
+                       FlowRecord(*names, 5.0)])
+
 
 class TestAggregation:
     def test_identity_partition_is_noop(self, demo_io_network):
