@@ -195,8 +195,8 @@ def _agent_params(dynamics: dict, n: int) -> list:
 
 def _simulation_config(run: dict) -> SimulationConfig:
     """[run] holds the SimulationConfig fields; only ``stride`` is renamed."""
-    return SimulationConfig(aggregate_stride=run["stride"],
-                            **{k: v for k, v in run.items() if k != "stride"})
+    return SimulationConfig(**{"aggregate_stride" if k == "stride" else k: v
+                               for k, v in run.items()})
 
 
 #: header of the plot-ready long-format figure-<experiment>.csv tables
@@ -308,14 +308,17 @@ def cmd_scenarios(cfg: dict, args) -> dict:
     return {"cells": len(rows), "n_seeds": spec.n_seeds}
 
 
+#: the [run] keys of the experiments that pass only a run window and seed on
+_RUN_WINDOW = ("run.steps", "run.burn_in", "run.retain", "run.seed")
+
 #: Experiment name: (function, config read as whole sections or section.key).
 _COMMANDS = {
     "simulate": (cmd_simulate, ("network", "dynamics", "shocks", "run", "measure")),
     "sweep-epsilon": (cmd_sweep_epsilon,
-                      ("network", "dynamics", "shocks", "run", "measure", "sweep")),
+                      ("network", "dynamics", "shocks", *_RUN_WINDOW, "measure", "sweep")),
     "sync-centrality": (cmd_sync_centrality,
                         ("network", "dynamics.alpha2", "dynamics.delta", "dynamics.betas",
-                         "run", "measure", "centrality")),
+                         *_RUN_WINDOW, "measure", "centrality")),
     "msf": (cmd_msf, ("dynamics", "msf")),
     "shock-response": (cmd_shock_response, ("network", "dynamics", "shock_response")),
     "scenarios": (cmd_scenarios, ("network", "dynamics.betas", "scenarios")),
@@ -343,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="flat sectioned key-value config file")
         cmd.add_argument("--preset", help="name of a shipped preset config")
         cmd.add_argument("--outdir", help=f"output directory (default ${ENV_OUTDIR} or cwd)")
-        if "run" in reads:
+        if "run" in reads or "run.seed" in reads:
             cmd.add_argument("--seed", type=int, help="override run.seed")
         cmd.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                          help="override a single config value")

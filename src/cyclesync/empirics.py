@@ -30,7 +30,7 @@ from .errors import (
     NonPositiveValue,
     SeriesTooShort,
 )
-from .networks import FINAL_DEMAND, InteractionNetwork
+from .networks import FINAL_DEMAND, InteractionNetwork, _node_groups
 from .simulation import ShockConfig, SimulationConfig, aggregate_series, simulate_batch
 
 __all__ = [
@@ -307,7 +307,7 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10,
 
 def grouped_correlations(matrix, groups, grouping: str = "within_country_sectors",
                          exclusions=()) -> dict:
-    """Average correlations by country.
+    """Average correlations by country, keyed in first-seen column order.
 
     ``within_country_sectors``: ``groups`` gives (sector, country) per
     column; for each country, average over its sector pairs, skipping
@@ -316,16 +316,11 @@ def grouped_correlations(matrix, groups, grouping: str = "within_country_sectors
     each country, average its correlations with all other countries.
     """
     matrix = np.asarray(matrix, dtype=float)
-    exclusions = set(exclusions)
     result = {}
     if grouping == "within_country_sectors":
-        countries = []
-        for sector, country in groups:
-            if country not in countries:
-                countries.append(country)
-        for country in countries:
-            ids = [i for i, (s, c) in enumerate(groups)
-                   if c == country and s not in exclusions and s != FINAL_DEMAND]
+        skipped = {*exclusions, FINAL_DEMAND}
+        for country, members in _node_groups([c for _, c in groups]).items():
+            ids = [i for i in members if groups[i][0] not in skipped]
             vals = [matrix[a, b] for k, a in enumerate(ids) for b in ids[k + 1:]
                     if np.isfinite(matrix[a, b])]
             if not vals:
@@ -390,16 +385,12 @@ def _grouped_means(traj, spec):
     within = grouped_correlations(corr, pairs, "within_country_sectors",
                                   spec.exclusions)
 
-    countries = []
-    for c in traj.countries:
-        if c not in countries:
-            countries.append(c)
+    countries = _node_groups(traj.countries)
     agg = np.empty((annual.shape[0], len(countries)))
-    for j, country in enumerate(countries):
-        ids = [i for i, c in enumerate(traj.countries) if c == country]
+    for j, ids in enumerate(countries.values()):
         agg[:, j] = aggregate_series(annual[:, ids], 1, weights=traj.outputs[ids])
     corr_c = correlation_matrix(agg, detrend=spec.detrend, min_overlap=3)
-    across = grouped_correlations(corr_c, countries, "across_country_aggregates")
+    across = grouped_correlations(corr_c, list(countries), "across_country_aggregates")
     return {
         "within_country_sectors": float(np.mean(list(within.values()))),
         "across_country_aggregates": float(np.mean(list(across.values()))),

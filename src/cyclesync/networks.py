@@ -58,6 +58,17 @@ FINAL_DEMAND = "FinD"
 _ROW_SUM_TOL = 1e-10
 
 
+def _node_groups(keys) -> dict:
+    """Indices carrying each distinct key, keys in first-seen order.
+
+    The one grouping of nodes (or records) by sector, country or block key.
+    """
+    members = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    return members
+
+
 @dataclass(frozen=True)
 class Adjacency:
     """Undirected, unweighted graph as a dense 0/1 matrix."""
@@ -102,8 +113,9 @@ class InteractionNetwork:
         n = w.shape[0]
         if w.ndim != 2 or w.shape[1] != n:
             raise ConfigError("weight matrix must be square")
-        if np.any(w < -1e-15) or np.any(w > 1.0 + 1e-12):
-            raise ConfigError("interaction weights must lie in [0, 1]")
+        # comparisons are false for NaN, so each range check is stated positively
+        if not np.all((w >= -1e-15) & (w <= 1.0 + 1e-12)):
+            raise ConfigError("interaction weights must be finite and lie in [0, 1]")
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
             raise ConfigError("every row of the interaction matrix must sum to 1")
         if not self.labels:
@@ -118,7 +130,7 @@ class InteractionNetwork:
             self.outputs = np.asarray(self.outputs, dtype=float)
         if len(self.labels) != n or len(self.sectors) != n or len(self.countries) != n:
             raise ConfigError("metadata length must match the node count")
-        if self.outputs.shape != (n,) or np.any(self.outputs < 0):
+        if self.outputs.shape != (n,) or not np.all(self.outputs >= 0):
             raise ConfigError("outputs must be a non-negative length-N vector")
 
     @property
@@ -281,20 +293,14 @@ def build_io_network(flows: FlowTable) -> InteractionNetwork:
     Node order: per country in order of first appearance, that country's
     sectors (global first-appearance order) followed by its final-demand node.
     """
-    countries: list = []
-    sectors: list = []
-    for r in flows.records:
-        if r.source_country not in countries:
-            countries.append(r.source_country)
-        if r.source_sector == FINAL_DEMAND:
-            raise DataError("final demand cannot be a flow source")
-        if r.source_sector not in sectors:
-            sectors.append(r.source_sector)
-    for r in flows.records:
-        if r.dest_country not in countries:
-            countries.append(r.dest_country)
-        if r.dest_sector != FINAL_DEMAND and r.dest_sector not in sectors:
-            sectors.append(r.dest_sector)
+    records = flows.records
+    if any(r.source_sector == FINAL_DEMAND for r in records):
+        raise DataError("final demand cannot be a flow source")
+    countries = list(_node_groups([r.source_country for r in records]
+                                  + [r.dest_country for r in records]))
+    sectors = list(_node_groups([r.source_sector for r in records]
+                                + [r.dest_sector for r in records
+                                   if r.dest_sector != FINAL_DEMAND]))
 
     nodes = []
     for c in countries:
@@ -304,7 +310,7 @@ def build_io_network(flows: FlowTable) -> InteractionNetwork:
     n = len(nodes)
 
     ext = np.zeros((n, n))
-    for r in flows.records:
+    for r in records:
         ext[index[(r.source_sector, r.source_country)],
             index[(r.dest_sector, r.dest_country)]] += r.value
 
@@ -352,11 +358,7 @@ def aggregate_nodes(net: InteractionNetwork, partition) -> InteractionNetwork:
         keys = list(partition)
         if len(keys) != n:
             raise ConfigError("per-node partition must list one key per node")
-        order = []
-        for key in keys:
-            if key not in order:
-                order.append(key)
-        blocks = [(key, [i for i, k in enumerate(keys) if k == key]) for key in order]
+        blocks = list(_node_groups(keys).items())
 
     ext = net.outputs[:, None] * net.weights
     m = len(blocks)

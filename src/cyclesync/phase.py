@@ -210,13 +210,6 @@ def mean_pairwise_correlation(series) -> float:
     return float(corr[iu].mean())
 
 
-def _phase_matrix(ys, peak_kwargs):
-    cols = []
-    for i in range(ys.shape[1]):
-        cols.append(phase_series(ys[:, i], **peak_kwargs).phi)
-    return np.column_stack(cols)
-
-
 def _relative_spread(omegas) -> float:
     omegas = np.asarray(omegas, dtype=float)
     return float((omegas.max() - omegas.min()) / omegas.mean())
@@ -248,9 +241,9 @@ def epsilon_sweep(adj: Adjacency, alpha1_values, eps_grid, *,
     nets = [uniform_coupling(adj, float(eps)) for eps in eps_grid]
     trajs = simulate_batch(nets, [params] * eps_grid.size, q, shocks, cfg)
     for k, traj in enumerate(trajs):
-        omegas[k] = [measured_frequency(traj.y[:, i], **peak_kwargs)
-                     for i in range(adj.n)]
-        coherence[k] = phase_coherence(_phase_matrix(traj.y, peak_kwargs))
+        phases = [phase_series(traj.y[:, i], **peak_kwargs) for i in range(adj.n)]
+        omegas[k] = [p.omega for p in phases]
+        coherence[k] = phase_coherence(phases)
         mean_corr[k] = mean_pairwise_correlation(traj.y)
         spread[k] = _relative_spread(omegas[k])
     entrained = spread < entrain_tol

@@ -24,7 +24,7 @@ from scipy.signal import lfilter
 from ._format import write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients, _map_step
 from .errors import ConfigError, NumericalBlowup
-from .networks import InteractionNetwork
+from .networks import InteractionNetwork, _node_groups
 
 __all__ = [
     "ShockConfig",
@@ -200,10 +200,8 @@ def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, cfg: SimulationCo
         if sigma == 0:
             paths.append(None)
             continue
-        members = {}
-        for i, group in enumerate(groups):
-            if group is not None:
-                members.setdefault(group, []).append(i)
+        members = _node_groups(groups)
+        members.pop(None, None)
         path = np.zeros((steps, n))
         for j, group in enumerate(sorted(members)):
             path[:, members[group]] = ar1_path(rho, sigma, steps,

@@ -1,6 +1,7 @@
 import configparser
 import csv
 import json
+import re
 
 import pytest
 
@@ -242,12 +243,26 @@ class TestOtherCommands:
     def test_seed_only_where_run_is_read(self, experiment, reads_run, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main([experiment, "--help"])
-        assert ("--seed" in capsys.readouterr().out) == reads_run
+        # the option's usage form: the key listing mentions --seed as well
+        assert ("--seed SEED" in capsys.readouterr().out) == reads_run
         if not reads_run:
             with pytest.raises(SystemExit) as exc:
                 run([experiment, "--seed", "3"], tmp_path)
             assert exc.value.code == 2
             assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("experiment, run_keys", [
+        ("simulate", ["steps", "burn_in", "retain", "stride", "seed", "initial_mode"]),
+        ("sweep-epsilon", ["steps", "burn_in", "retain", "seed"]),
+        ("sync-centrality", ["steps", "burn_in", "retain", "seed"]),
+    ])
+    def test_help_lists_only_run_keys_read(self, experiment, run_keys, capsys):
+        # the Monte Carlo commands take a run window and a seed, no stride
+        # and no initial mode
+        with pytest.raises(SystemExit):
+            main([experiment, "--help"])
+        listed = re.findall(r"^  run\.(\w+) = ", capsys.readouterr().out, re.MULTILINE)
+        assert listed == run_keys
 
     def test_help_lists_experiments(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -294,6 +309,13 @@ class TestResolvedConfig:
         for name in csvs:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
         assert (second / "resolved-config.cfg").read_text() == resolved.read_text()
+
+    @pytest.mark.parametrize("experiment", ["sweep-epsilon", "sync-centrality"])
+    def test_monte_carlo_commands_echo_only_the_run_window(self, experiment, tmp_path):
+        assert run([experiment, *RERUN_CASES[experiment]], tmp_path) == 0
+        cfg = configparser.ConfigParser()
+        cfg.read(tmp_path / "resolved-config.cfg")
+        assert list(cfg["run"]) == ["steps", "burn_in", "retain", "seed"]
 
     def test_resolved_config_fills_in_defaults(self, tmp_path):
         assert run(["simulate", "--preset", "cycle-single", "--set", "run.steps=600",

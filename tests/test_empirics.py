@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from cyclesync.empirics import (
     DEFAULT_SECTOR_EXCLUSIONS,
     _detrend_column,
+    _grouped_means,
     ScenarioSpec,
     cf_bandpass,
     cf_weight_matrix,
@@ -29,6 +32,8 @@ from cyclesync.errors import (
     NonPositiveValue,
     SeriesTooShort,
 )
+from cyclesync.networks import FINAL_DEMAND
+from cyclesync.simulation import aggregate_series
 
 
 # --------------------------------------------------------------------------
@@ -143,6 +148,65 @@ def oracle_cf_cycle(x, p_low, p_high, drift):
         c += (-0.5 * weights[0] - lag_sum) * x[0]
         cycle.append(c)
     return np.array(cycle)
+
+
+# the first-seen country scans that the shared grouping helper replaced,
+# copied verbatim (each oracle calls the other where the old code did)
+
+
+def oracle_grouped_correlations(matrix, groups, grouping: str = "within_country_sectors",
+                                exclusions=()) -> dict:
+    matrix = np.asarray(matrix, dtype=float)
+    exclusions = set(exclusions)
+    result = {}
+    if grouping == "within_country_sectors":
+        countries = []
+        for sector, country in groups:
+            if country not in countries:
+                countries.append(country)
+        for country in countries:
+            ids = [i for i, (s, c) in enumerate(groups)
+                   if c == country and s not in exclusions and s != FINAL_DEMAND]
+            vals = [matrix[a, b] for k, a in enumerate(ids) for b in ids[k + 1:]
+                    if np.isfinite(matrix[a, b])]
+            if not vals:
+                raise EmptyGroup(f"no sector pairs for country {country!r}")
+            result[country] = float(np.mean(vals))
+    elif grouping == "across_country_aggregates":
+        countries = list(groups)
+        for i, country in enumerate(countries):
+            vals = [matrix[i, j] for j in range(len(countries))
+                    if j != i and np.isfinite(matrix[i, j])]
+            if not vals:
+                raise EmptyGroup(f"no cross-country entries for {country!r}")
+            result[country] = float(np.mean(vals))
+    else:
+        raise ConfigError(f"unknown grouping {grouping!r}")
+    return result
+
+
+def oracle_grouped_means(traj, spec):
+    annual = aggregate_series(traj.y, spec.stride)
+
+    pairs = list(zip(traj.sectors, traj.countries))
+    corr = correlation_matrix(annual, detrend=spec.detrend, min_overlap=3)
+    within = oracle_grouped_correlations(corr, pairs, "within_country_sectors",
+                                         spec.exclusions)
+
+    countries = []
+    for c in traj.countries:
+        if c not in countries:
+            countries.append(c)
+    agg = np.empty((annual.shape[0], len(countries)))
+    for j, country in enumerate(countries):
+        ids = [i for i, c in enumerate(traj.countries) if c == country]
+        agg[:, j] = aggregate_series(annual[:, ids], 1, weights=traj.outputs[ids])
+    corr_c = correlation_matrix(agg, detrend=spec.detrend, min_overlap=3)
+    across = oracle_grouped_correlations(corr_c, countries, "across_country_aggregates")
+    return {
+        "within_country_sectors": float(np.mean(list(within.values()))),
+        "across_country_aggregates": float(np.mean(list(across.values()))),
+    }
 
 
 def exactly_constant(values):
@@ -524,6 +588,44 @@ class TestGroupedCorrelations:
         out2 = grouped_correlations(m2, [["A", "B", "C", "D"][i] for i in perm],
                                     "across_country_aggregates")
         assert sorted(out.values()) == pytest.approx(sorted(out2.values()))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_within_matches_first_seen_scans(self, seed):
+        # interleaved countries, final-demand nodes, excluded sectors and
+        # missing correlations; an empty country must fail the same way
+        rng = random.Random(seed)
+        n = rng.randint(2, 20)
+        countries = rng.sample(["US", "DE", "JP", "FR", "IT"], rng.randint(1, 4))
+        sectors = ["D", "F", "J", "K", FINAL_DEMAND, *sorted(DEFAULT_SECTOR_EXCLUSIONS)]
+        groups = [(rng.choice(sectors), rng.choice(countries)) for _ in range(n)]
+        m = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
+        m = (m + m.T) / 2
+        iu = np.triu_indices(n, 1)
+        m[iu] = [np.nan if rng.random() < 0.2 else v for v in m[iu]]
+        exclusions = rng.choice([(), DEFAULT_SECTOR_EXCLUSIONS, ("D", "AtB")])
+        try:
+            expected = oracle_grouped_correlations(m, groups, "within_country_sectors",
+                                                   exclusions)
+        except EmptyGroup as exc:
+            with pytest.raises(EmptyGroup, match=re.escape(str(exc))):
+                grouped_correlations(m, groups, "within_country_sectors", exclusions)
+            return
+        out = grouped_correlations(m, groups, "within_country_sectors", exclusions)
+        assert list(out.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scenario_means_match_first_seen_scans(self, demo_io_network, seed):
+        # the demo network's nodes shuffled, so countries interleave
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(demo_io_network.n)
+        traj = SimpleNamespace(
+            y=1.0 + 0.1 * rng.standard_normal((48, demo_io_network.n)).cumsum(axis=0),
+            sectors=[demo_io_network.sectors[i] for i in perm],
+            countries=[demo_io_network.countries[i] for i in perm],
+            outputs=demo_io_network.outputs[perm])
+        spec = ScenarioSpec(stride=4, detrend=bool(seed % 2),
+                            exclusions=("MFG",) if seed % 3 == 0 else ())
+        assert _grouped_means(traj, spec) == oracle_grouped_means(traj, spec)
 
     def test_empty_group_rejected(self):
         m = np.eye(2)

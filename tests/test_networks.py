@@ -1,3 +1,6 @@
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,10 @@ from cyclesync.errors import (
 )
 from cyclesync.fixtures import demo_flow_table
 from cyclesync.networks import (
+    FINAL_DEMAND,
     FlowRecord,
     FlowTable,
+    InteractionNetwork,
     aggregate_nodes,
     build_io_network,
     build_topology,
@@ -20,6 +25,102 @@ from cyclesync.networks import (
     generalized_laplacian,
     uniform_coupling,
 )
+
+
+# --------------------------------------------------------------------------
+# oracles: the first-seen list scans that the shared grouping helper
+# replaced, copied verbatim (the per-node branch of aggregate_nodes as a
+# function returning its blocks)
+
+
+def oracle_build_io_network(flows: FlowTable) -> InteractionNetwork:
+    countries: list = []
+    sectors: list = []
+    for r in flows.records:
+        if r.source_country not in countries:
+            countries.append(r.source_country)
+        if r.source_sector == FINAL_DEMAND:
+            raise DataError("final demand cannot be a flow source")
+        if r.source_sector not in sectors:
+            sectors.append(r.source_sector)
+    for r in flows.records:
+        if r.dest_country not in countries:
+            countries.append(r.dest_country)
+        if r.dest_sector != FINAL_DEMAND and r.dest_sector not in sectors:
+            sectors.append(r.dest_sector)
+
+    nodes = []
+    for c in countries:
+        nodes.extend((s, c) for s in sectors)
+        nodes.append((FINAL_DEMAND, c))
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+
+    ext = np.zeros((n, n))
+    for r in flows.records:
+        ext[index[(r.source_sector, r.source_country)],
+            index[(r.dest_sector, r.dest_country)]] += r.value
+
+    outputs = ext.sum(axis=1)
+    weights = np.zeros((n, n))
+    for c in countries:
+        find_row = index[(FINAL_DEMAND, c)]
+        sector_ids = [index[(s, c)] for s in sectors]
+        country_output = outputs[sector_ids].sum()
+        for s, i in zip(sectors, sector_ids):
+            if outputs[i] <= 0:
+                raise ZeroOutput(f"sector {s!r} in {c!r} has no outgoing flow")
+            weights[i] = ext[i] / outputs[i]
+            weights[find_row, i] = outputs[i] / country_output
+        final_inflow = ext[:, find_row].sum()
+        if final_inflow <= 0:
+            raise MissingFinalDemand(f"country {c!r} has no final-demand records")
+        outputs[find_row] = final_inflow
+
+    labels = [f"{s}|{c}" for s, c in nodes]
+    return InteractionNetwork(weights=weights, labels=labels,
+                              sectors=[s for s, _ in nodes],
+                              countries=[c for _, c in nodes],
+                              outputs=outputs)
+
+
+def oracle_blocks(keys):
+    order = []
+    for key in keys:
+        if key not in order:
+            order.append(key)
+    return [(key, [i for i, k in enumerate(keys) if k == key]) for key in order]
+
+
+def shuffled_flow_table(seed, dest_only_sector=None):
+    """Random flows in shuffled record order; every node has an outflow.
+
+    ``dest_only_sector`` adds one flow into a sector that never sends one.
+    """
+    rng = random.Random(seed)
+    countries = rng.sample(["DE", "FR", "IT", "JP", "US", "CN"], rng.randint(1, 4))
+    sectors = rng.sample(["Agri", "Mining", "Manu", "Util", "Cons", "Serv"], rng.randint(1, 5))
+    nodes = [(s, c) for c in countries for s in sectors]
+    records = []
+    for s, c in nodes:
+        for ds, dc in rng.sample(nodes, rng.randint(0, len(nodes))):
+            records.append(FlowRecord(s, c, ds, dc, rng.uniform(0.5, 10.0)))
+        records.append(FlowRecord(s, c, FINAL_DEMAND, rng.choice(countries),
+                                  rng.uniform(0.5, 10.0)))
+        records.append(FlowRecord(s, c, FINAL_DEMAND, c, rng.uniform(0.5, 10.0)))
+    if dest_only_sector is not None:
+        s, c = rng.choice(nodes)
+        records.append(FlowRecord(s, c, dest_only_sector, rng.choice(countries), 1.0))
+    rng.shuffle(records)
+    return FlowTable(records)
+
+
+def assert_same_network(net, ref):
+    assert net.labels == ref.labels
+    assert net.sectors == ref.sectors
+    assert net.countries == ref.countries
+    np.testing.assert_array_equal(net.weights, ref.weights)
+    np.testing.assert_array_equal(net.outputs, ref.outputs)
 
 
 class TestTopologies:
@@ -169,6 +270,41 @@ class TestIoNetwork:
         with pytest.raises(DataError, match=r"flows\.csv:3: non-finite flow"):
             FlowTable.from_csv(path)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_node_order_matches_first_seen_scans(self, seed):
+        table = shuffled_flow_table(seed)
+        assert_same_network(build_io_network(table), oracle_build_io_network(table))
+
+    def test_sector_first_seen_as_destination(self):
+        # sources set the sector order before destinations do
+        table = FlowTable([
+            FlowRecord("B", "Y", "C", "X", 2.0),
+            FlowRecord("C", "X", "A", "Y", 1.0),
+            FlowRecord("A", "Y", "FinD", "X", 4.0),
+            FlowRecord("C", "Y", "FinD", "Y", 3.0),
+            FlowRecord("A", "X", "FinD", "Y", 3.0),
+            FlowRecord("B", "X", "FinD", "X", 5.0),
+        ])
+        net = build_io_network(table)
+        assert net.labels == ["B|Y", "C|Y", "A|Y", "FinD|Y", "B|X", "C|X", "A|X", "FinD|X"]
+        assert_same_network(net, oracle_build_io_network(table))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_destination_only_sector_names_the_same_node(self, seed):
+        # a sector that never sends a flow has no output in any country; the
+        # error names the first such node in node order
+        table = shuffled_flow_table(seed, dest_only_sector="Dest")
+        with pytest.raises(ZeroOutput) as expected:
+            oracle_build_io_network(table)
+        with pytest.raises(ZeroOutput, match=re.escape(str(expected.value))):
+            build_io_network(table)
+
+    def test_final_demand_source_rejected(self):
+        table = FlowTable([FlowRecord("A", "X", "FinD", "X", 1.0),
+                           FlowRecord("FinD", "X", "A", "X", 1.0)])
+        with pytest.raises(DataError, match="final demand cannot be a flow source"):
+            build_io_network(table)
+
     @pytest.mark.parametrize("field", range(4))
     def test_padded_name_rejected(self, field):
         names = ["A", "X", "FinD", "X"]
@@ -176,6 +312,23 @@ class TestIoNetwork:
         with pytest.raises(DataError, match=f"{FlowTable.HEADER[field]} ' Mining '"):
             FlowTable([FlowRecord("B", "X", "FinD", "X", 1.0),
                        FlowRecord(*names, 5.0)])
+
+
+class TestInteractionNetwork:
+    @pytest.mark.parametrize("weights", [
+        [[0.5, np.nan], [0.5, 0.5]],
+        [[np.nan, np.nan], [0.5, 0.5]],
+        [[1.0, 0.0], [np.inf, 0.0]],
+    ])
+    def test_non_finite_weight_rejected(self, weights):
+        # NaN passed the range and row-sum comparisons and only surfaced as
+        # a power-iteration NonConvergence downstream
+        with pytest.raises(ConfigError, match="finite"):
+            InteractionNetwork(np.array(weights))
+
+    def test_nan_output_rejected(self):
+        with pytest.raises(ConfigError, match="outputs"):
+            InteractionNetwork(np.eye(2), outputs=np.array([1.0, np.nan]))
 
 
 class TestAggregation:
@@ -220,6 +373,17 @@ class TestAggregation:
             member_sum = fine[[i for i, c in enumerate(net.countries)
                                if c == country]].sum()
             assert coarse[bi] == pytest.approx(member_sum, abs=5e-3)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_per_node_keys_match_first_seen_scans(self, seed):
+        # interleaved keys of mixed types; the mapping form keeps the
+        # oracle's blocks, order included, as given
+        net = build_io_network(shuffled_flow_table(seed))
+        rng = random.Random(seed)
+        pool = rng.sample(["north", "south", 3, (1, "x"), None, "east"], rng.randint(1, 5))
+        keys = [rng.choice(pool) for _ in range(net.n)]
+        assert_same_network(aggregate_nodes(net, keys),
+                            aggregate_nodes(net, dict(oracle_blocks(keys))))
 
     def test_empty_block_rejected(self, demo_io_network):
         from cyclesync.errors import EmptyGroup

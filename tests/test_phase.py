@@ -142,6 +142,14 @@ class TestFrequencyEstimators:
         assert w_ft == pytest.approx(2 * np.pi / 40, rel=0.01)
 
 
+def oracle_phase_matrix(ys, peak_kwargs):
+    """The phase matrix epsilon_sweep built with a second peak pass, verbatim."""
+    cols = []
+    for i in range(ys.shape[1]):
+        cols.append(phase_series(ys[:, i], **peak_kwargs).phi)
+    return np.column_stack(cols)
+
+
 @pytest.fixture(scope="module")
 def sweep():
     adj = build_topology("complete", 10)
@@ -168,6 +176,34 @@ class TestEpsilonSweep:
         uncoupled_mean = solo.omegas[0].mean()
         entrained = sweep.omegas[sweep.entrained][0].mean()
         assert entrained == pytest.approx(uncoupled_mean, rel=0.10)
+
+    def test_one_peak_pass_per_series(self, monkeypatch):
+        # frequencies and coherence come from one peak detection per node and
+        # epsilon, and equal the old frequency pass plus phase-matrix pass
+        trajs, calls = [], []
+        batch, peaks = phase.simulate_batch, phase.detect_peaks
+
+        def recording_batch(*args, **kwargs):
+            trajs.extend(batch(*args, **kwargs))
+            return trajs
+
+        def counting_peaks(*args, **kwargs):
+            calls.append(args)
+            return peaks(*args, **kwargs)
+
+        monkeypatch.setattr(phase, "simulate_batch", recording_batch)
+        monkeypatch.setattr(phase, "detect_peaks", counting_peaks)
+        peak_kwargs = {"min_separation": 4, "smooth_window": 3}
+        result = epsilon_sweep(build_topology("complete", 4), [-0.1, -0.07, -0.04, -0.02],
+                               eps_grid=[0.0, 0.3], steps=1500, burn_in=300, seed=3,
+                               peak_kwargs=peak_kwargs)
+        assert len(calls) == 2 * 4
+        for k, traj in enumerate(trajs):
+            np.testing.assert_array_equal(
+                result.omegas[k], [measured_frequency(traj.y[:, i], **peak_kwargs)
+                                   for i in range(4)])
+            assert result.coherence[k] == phase_coherence(
+                oracle_phase_matrix(traj.y, peak_kwargs))
 
     def test_coherence_rises_through_transition(self, sweep):
         assert sweep.coherence[-1] > sweep.coherence[0] + 0.2
