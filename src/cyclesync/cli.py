@@ -23,7 +23,7 @@ import numpy as np
 from . import empirics, fixtures, master_stability, phase
 from ._format import fmt, write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients
-from .errors import ConfigError, CycleSyncError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .networks import (FlowTable, InteractionNetwork, build_io_network, build_topology,
                        uniform_coupling)
 from .simulation import ShockConfig, SimulationConfig, simulate, write_metadata
@@ -209,14 +209,14 @@ def cmd_simulate(cfg: dict, args) -> dict:
     dynamics = cfg["dynamics"]
     traj = simulate(net, _agent_params(dynamics, net.n), dynamics["betas"],
                     ShockConfig(**cfg["shocks"]), _simulation_config(cfg["run"]))
-    traj.to_csv(args.outdir / "trajectory.csv")
     periods, failures = {}, {}
     for i, label in enumerate(traj.labels):
         try:
             omega = phase.measured_frequency(traj.y[:, i], **cfg["measure"])
             periods[label] = 2.0 * np.pi / omega
-        except CycleSyncError as exc:
+        except NumericalError as exc:
             periods[label], failures[label] = None, str(exc)
+    traj.to_csv(args.outdir / "trajectory.csv")
     write_table(args.outdir / "figure-simulate.csv", _FIGURE,
                 np.tile(np.arange(traj.steps, dtype=float), traj.n), traj.y.T.ravel(),
                 np.repeat(np.array(traj.labels, dtype=object), traj.steps))

@@ -62,13 +62,17 @@ DYNAMICS_PRESETS = {
     "focus": (-0.04, 0.3, 0.1),
 }
 
-#: shock-layer presets: which layer standard deviations are switched on
-#: besides the idiosyncratic grid (rho_u = 0, rho_v = rho_z = 0.3)
+#: shock-layer presets: the persistences of all three layers and which
+#: sector and country standard deviations are switched on besides the
+#: idiosyncratic grid
 SHOCK_PRESETS = {
-    "idiosyncratic": {"sigma_v": 0.0, "sigma_z": 0.0},
-    "country": {"sigma_v": 0.0, "sigma_z": 0.05},
-    "sector": {"sigma_v": 0.05, "sigma_z": 0.0},
+    "idiosyncratic": {"rho_u": 0.0, "rho_v": 0.3, "sigma_v": 0.0, "rho_z": 0.3, "sigma_z": 0.0},
+    "country": {"rho_u": 0.0, "rho_v": 0.3, "sigma_v": 0.0, "rho_z": 0.3, "sigma_z": 0.05},
+    "sector": {"rho_u": 0.0, "rho_v": 0.3, "sigma_v": 0.05, "rho_z": 0.3, "sigma_z": 0.0},
 }
+
+#: |trend| below this fraction of the series scale masks the cycle/trend indicator
+_TREND_FLOOR = 1e-6
 
 #: 10-macro-sector codes conventionally dropped from correlation groupings
 #: (agriculture, mining, utilities, government)
@@ -165,8 +169,8 @@ def load_panel_csv(path) -> PanelSeries:
 class FilteredSeries:
     """Band-pass decomposition: original = cycle + trend at every point.
 
-    ``indicator`` is cycle/trend, masked (NaN) where |trend| falls below the
-    floor relative to the series scale.
+    ``indicator`` is cycle/trend, masked (NaN) where |trend| falls below
+    1e-6 of the series scale.
     """
 
     original: np.ndarray
@@ -200,7 +204,7 @@ def cf_weight_matrix(n: int, p_low: float, p_high: float) -> np.ndarray:
 
 
 def cf_bandpass(series, p_low: float = 2.0, p_high: float = 25.0, *,
-                drift: bool = True, trend_floor: float = 1e-6) -> FilteredSeries:
+                drift: bool = True) -> FilteredSeries:
     """Asymmetric random-walk band-pass decomposition of one series.
 
     Keeps fluctuations with periodicities between ``p_low`` and ``p_high``
@@ -221,7 +225,7 @@ def cf_bandpass(series, p_low: float = 2.0, p_high: float = 25.0, *,
     cycle = cf_weight_matrix(n, float(p_low), float(p_high)) @ adjusted
     trend = original - cycle
     scale = np.max(np.abs(original))
-    floor = trend_floor * scale if scale > 0 else trend_floor
+    floor = _TREND_FLOOR * scale if scale > 0 else _TREND_FLOOR
     safe_trend = np.where(np.abs(trend) < floor, np.nan, trend)
     with np.errstate(invalid="ignore"):
         indicator = cycle / safe_trend
@@ -247,7 +251,7 @@ def join_log(x: dict, y: dict, join_year) -> dict:
     return {year: float(np.exp(np.log(value) + ratio)) for year, value in y.items()}
 
 
-def _detrend_column(col, p_low, p_high):
+def _detrend_column(col):
     """CF-filter the first longest contiguous observed run; NaN elsewhere."""
     out = np.full(col.size, np.nan)
     # run starts and ends are the +1 and -1 steps of the zero-padded mask
@@ -258,18 +262,17 @@ def _detrend_column(col, p_low, p_high):
     longest = np.argmax(ends - starts)          # the first run on ties
     lo, hi = starts[longest], ends[longest]
     if hi - lo >= 8:
-        out[lo:hi] = cf_bandpass(col[lo:hi], p_low, p_high).indicator
+        out[lo:hi] = cf_bandpass(col[lo:hi]).indicator
     return out
 
 
-def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10,
-                       p_low: float = 2.0, p_high: float = 25.0) -> np.ndarray:
+def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10) -> np.ndarray:
     """Pairwise-complete Pearson correlations of (T, N) columns.
 
     Entries with fewer than ``min_overlap`` common observations, or with a
     degenerate overlap (either column exactly constant on it, or of zero
     variance), are NaN.  With ``detrend`` the band-pass indicator of each
-    column is correlated instead.
+    column (default 2-25 period band) is correlated instead.
 
     Row i of the matrix is computed for all columns j > i at once on
     (N - i - 1, T) arrays: overlap counts, pairwise-complete means, centered
@@ -279,8 +282,7 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10,
     if arr.ndim != 2:
         raise ConfigError("expected a (T, N) array")
     if detrend:
-        arr = np.column_stack([_detrend_column(arr[:, i], p_low, p_high)
-                               for i in range(arr.shape[1])])
+        arr = np.column_stack([_detrend_column(arr[:, i]) for i in range(arr.shape[1])])
     n = arr.shape[1]
     corr = np.full((n, n), np.nan)
     np.fill_diagonal(corr, 1.0)
@@ -350,9 +352,6 @@ class ScenarioSpec:
     steps: int = 600
     retain: int = 228
     stride: int = 4
-    rho_u: float = 0.0
-    rho_v: float = 0.3
-    rho_z: float = 0.3
     detrend: bool = False
     exclusions: tuple = ()
 
@@ -405,10 +404,7 @@ def _scenario_cell(args):
     net, q, spec, dynamics, shock_type, sigma_u = args
     a1, a2, de = DYNAMICS_PRESETS[dynamics]
     params = AgentParams.with_steady_state(a1, a2, de, q)
-    preset = SHOCK_PRESETS[shock_type]
-    shocks = ShockConfig(rho_u=spec.rho_u, sigma_u=sigma_u,
-                         rho_v=spec.rho_v, sigma_v=preset["sigma_v"],
-                         rho_z=spec.rho_z, sigma_z=preset["sigma_z"])
+    shocks = ShockConfig(sigma_u=sigma_u, **SHOCK_PRESETS[shock_type])
     cfg = SimulationConfig(steps=spec.steps, retain=spec.retain,
                            aggregate_stride=spec.stride)
     trajs = simulate_batch(net, [params] * spec.n_seeds, q, shocks, cfg,

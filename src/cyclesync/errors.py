@@ -125,9 +125,5 @@ class NonPositiveValue(DataError):
     """Logarithmic joining requires strictly positive values."""
 
 
-class InsufficientOverlap(DataError):
-    """Too few common observations for a correlation entry."""
-
-
 class EmptyGroup(DataError):
     """A correlation grouping produced no pairs."""

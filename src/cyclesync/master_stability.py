@@ -337,8 +337,7 @@ def from_eigenbasis(zeta, spec: SpectralDecomposition) -> np.ndarray:
 
 
 def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
-                         xi0, steps: int, *, start: int = 0,
-                         consistency_tol: float = None):
+                         xi0, steps: int, *, start: int = 0):
     """Evolve a deviation through the linearized coupled map.
 
     Runs the node-basis recursion with the full operator and, in parallel,
@@ -347,8 +346,10 @@ def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
     (steps + 1, 2N) starting with the injected deviation; orbit indices
     ``start .. start + steps`` supply the time-varying coefficients.
 
-    With noticeably complex spectra (directed networks) the consistency
-    tolerance widens to 1e-4 because imaginary parts are discarded.
+    The consistency tolerance is 1e-6, widened to 1e-4 for noticeably
+    complex spectra (``spec.max_imag > 1e-12``, directed networks) because
+    imaginary parts are discarded.  Raises :class:`ConsistencyBreach` when
+    the two disagree by more.
     """
     n = spec.n
     mat0, single = _as_matrix(xi0, n)
@@ -356,8 +357,7 @@ def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
         raise ConfigError("initial deviation must be a single 2N vector")
     if start + steps > orbit.steps:
         raise ConfigError("orbit too short for the requested window")
-    if consistency_tol is None:
-        consistency_tol = 1e-4 if spec.max_imag > 1e-12 else 1e-6
+    consistency_tol = 1e-4 if spec.max_imag > 1e-12 else 1e-6
     amplitude = float(orbit.y.max() - orbit.y.min())
     if np.max(np.abs(mat0)) > 0.2 * max(amplitude, 1.0):
         warnings.warn("deviation is large relative to the orbit; the linear "
@@ -432,8 +432,8 @@ def _cross_correlation_lag(perturbed, reference, t0, t1, max_lag):
 def shock_response_compare(net: InteractionNetwork, params: AgentParams,
                            q: QuarticCoefficients = DEFAULT_QUARTIC, *,
                            shock, tau: int = None,
-                           window_periods: int = 3, horizon_periods: int = 10,
-                           orbit_burn_in: int = 2000) -> ShockResponse:
+                           window_periods: int = 3,
+                           horizon_periods: int = 10) -> ShockResponse:
     """Inject a one-off shock on the y variables and compare propagation.
 
     All nodes start on the synchronized orbit; at orbit index ``tau`` the
@@ -453,10 +453,13 @@ def shock_response_compare(net: InteractionNetwork, params: AgentParams,
     shock = np.asarray(shock, dtype=float)
     if shock.shape != (n,):
         raise ConfigError(f"shock must provide one value per node ({n})")
+    if window_periods < 1:
+        raise ConfigError(f"window_periods must be at least 1, got {window_periods}")
+    if tau is not None and tau < 0:
+        raise ConfigError(f"tau must be non-negative, got {tau}")
     period_guess = 40
     orbit = synchronized_orbit(params, q,
-                               steps=max(4000, 2 * horizon_periods * period_guess),
-                               burn_in=orbit_burn_in)
+                               steps=max(4000, 2 * horizon_periods * period_guess))
     period = max(int(round(orbit.period)), 2)
     window = window_periods * period
     horizon = max(horizon_periods * period, window)

@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     DataError,
     Disconnected,
-    EmptyGroup,
     MissingFinalDemand,
     NonConvergence,
     NumericalError,
@@ -56,6 +55,11 @@ __all__ = [
 FINAL_DEMAND = "FinD"
 
 _ROW_SUM_TOL = 1e-10
+#: largest eigenvalue imaginary part for which the real-part approximation holds
+_MAX_IMAGINARY = 0.2
+#: power-iteration convergence tolerance and iteration cap
+_POWER_TOL = 1e-12
+_POWER_MAX_ITER = 100000
 
 
 def _node_groups(keys) -> dict:
@@ -340,34 +344,26 @@ def build_io_network(flows: FlowTable) -> InteractionNetwork:
 def aggregate_nodes(net: InteractionNetwork, partition) -> InteractionNetwork:
     """Aggregate nodes into blocks, summing extensive flows and outputs.
 
-    ``partition`` is either a per-node sequence of block keys or a mapping
-    ``block -> list of node indices`` covering every node.  Extensive flows
-    (output-weighted rows) are summed within blocks and re-normalized; block
-    output is the sum over members.
+    ``partition`` is a per-node sequence of hashable block keys; blocks come
+    in first-seen key order.  Extensive flows (output-weighted rows) are
+    summed within blocks and re-normalized; block output is the sum over
+    members.
     """
     n = net.n
-    if isinstance(partition, dict):
-        blocks = list(partition.items())
-        for key, members in blocks:
-            if len(members) == 0:
-                raise EmptyGroup(f"block {key!r} has no members")
-        covered = sorted(i for _, mem in blocks for i in mem)
-        if covered != list(range(n)):
-            raise ConfigError("partition must cover every node exactly once")
-    else:
-        keys = list(partition)
-        if len(keys) != n:
-            raise ConfigError("per-node partition must list one key per node")
-        blocks = list(_node_groups(keys).items())
-
-    ext = net.outputs[:, None] * net.weights
+    keys = list(partition)
+    if len(keys) != n:
+        raise ConfigError("per-node partition must list one key per node")
+    blocks = list(_node_groups(keys).items())
     m = len(blocks)
-    agg = np.zeros((m, m))
-    outputs = np.zeros(m)
-    for bi, (_, rows) in enumerate(blocks):
-        outputs[bi] = net.outputs[list(rows)].sum()
-        for bj, (_, cols) in enumerate(blocks):
-            agg[bi, bj] = ext[np.ix_(rows, cols)].sum()
+    block = np.empty(n, dtype=np.intp)
+    for bi, (_, members) in enumerate(blocks):
+        block[members] = bi
+
+    # one pass over all node pairs: flow i -> j lands in block pair (block_i, block_j)
+    ext = net.outputs[:, None] * net.weights
+    pair = (block[:, None] * m + block[None, :]).ravel()
+    agg = np.bincount(pair, weights=ext.ravel(), minlength=m * m).reshape(m, m)
+    outputs = np.bincount(block, weights=net.outputs, minlength=m)
     row_tot = agg.sum(axis=1)
     if np.any(row_tot <= 0):
         raise ZeroOutput("an aggregated block has no outgoing flow")
@@ -386,8 +382,7 @@ def aggregate_nodes(net: InteractionNetwork, partition) -> InteractionNetwork:
     )
 
 
-def generalized_laplacian(obj, eps: float = None, *,
-                          max_imaginary: float = 0.2) -> SpectralDecomposition:
+def generalized_laplacian(obj, eps: float = None) -> SpectralDecomposition:
     """Spectral decomposition of the coupling operator B = I - W.
 
     For an :class:`Adjacency`, W is the uniform-coupling matrix at strength
@@ -399,8 +394,8 @@ def generalized_laplacian(obj, eps: float = None, *,
     pair is represented by the two real columns (Re v, Im v) spanning its
     invariant plane, keeping the mode matrix real and invertible; the real
     parts of the eigenvalues are used downstream and the largest imaginary
-    magnitude is recorded.  Imaginary parts beyond ``max_imaginary`` abort
-    rather than silently degrade the real-part approximation.
+    magnitude is recorded.  Imaginary parts beyond 0.2 abort rather than
+    silently degrade the real-part approximation.
     """
     if isinstance(obj, Adjacency):
         net = uniform_coupling(obj, 1.0 if eps is None else eps)
@@ -421,10 +416,10 @@ def generalized_laplacian(obj, eps: float = None, *,
         order = np.argsort(lam.real, kind="stable")
         lam, q = lam[order], q[:, order]
         max_imag = float(np.abs(lam.imag).max(initial=0.0))
-        if max_imag > max_imaginary:
+        if max_imag > _MAX_IMAGINARY:
             raise NumericalError(
                 f"eigenvalue imaginary part {max_imag:.3g} exceeds "
-                f"{max_imaginary}; the real-part approximation is unsafe"
+                f"{_MAX_IMAGINARY}; the real-part approximation is unsafe"
             )
         lam_real = lam.real.copy()
         q_real = np.empty((net.n, net.n))
@@ -482,25 +477,25 @@ def fiedler_vector(spec: SpectralDecomposition, outputs=None) -> np.ndarray:
     return v
 
 
-def eigenvector_centrality(net: InteractionNetwork, tol: float = 1e-12,
-                           max_iter: int = 100000) -> np.ndarray:
+def eigenvector_centrality(net: InteractionNetwork) -> np.ndarray:
     """Stationary distribution of the row-stochastic interaction matrix.
 
-    Power iteration from the uniform vector; converges for irreducible
-    matrices.  Entries that collapse to zero mark a reducible matrix.
+    Power iteration from the uniform vector until no entry moves by 1e-12;
+    converges for irreducible matrices.  Entries that collapse to zero mark
+    a reducible matrix.
     """
     w = net.weights
     pi = np.full(net.n, 1.0 / net.n)
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         nxt = pi @ w
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < tol:
+        if np.max(np.abs(nxt - pi)) < _POWER_TOL:
             pi = nxt
             break
         pi = nxt
     else:
         raise NonConvergence(
-            f"power iteration did not reach {tol} within {max_iter} iterations"
+            f"power iteration did not reach {_POWER_TOL} within {_POWER_MAX_ITER} iterations"
         )
     if np.any(pi < 1e-15):
         raise Reducible("stationary weight vanished on some node")

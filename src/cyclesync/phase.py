@@ -114,6 +114,8 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
     detection (peak positions refer to the smoothed series).  Raises
     :class:`TooFewPeaks` when fewer than three peaks survive.
     """
+    if min_separation < 1:
+        raise ConfigError(f"min_separation must be at least 1, got {min_separation}")
     series = np.asarray(series, dtype=float)
     if series.size <= 2 * min_separation:
         raise TooFewPeaks(
@@ -130,7 +132,7 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
     return peaks
 
 
-def phase_at(series, t: int, peaks) -> float:
+def phase_at(t: int, peaks) -> float:
     """Linear phase 2*pi*(t - t_l)/(t_r - t_l) between surrounding peaks."""
     peaks = np.asarray(peaks)
     if peaks.size < 2 or t < peaks[0] or t > peaks[-1]:
@@ -264,7 +266,7 @@ def _common_frequency(ys, entrain_tol, peak_kwargs, where):
     return float(omegas.mean())
 
 
-def sync_centrality(net: InteractionNetwork, alpha1_grid=None, n_draws: int = 1000,
+def sync_centrality(net: InteractionNetwork, n_draws: int = 1000,
                     mode: str = "L", seed: int = 0, *,
                     alpha2: float = 0.4, delta: float = 0.1,
                     q: QuarticCoefficients = DEFAULT_QUARTIC,
@@ -273,23 +275,22 @@ def sync_centrality(net: InteractionNetwork, alpha1_grid=None, n_draws: int = 10
                     peak_kwargs: dict = None) -> SyncCentralityResult:
     """Monte Carlo influence of each node on the entrained common frequency.
 
-    For each focus node in turn, pin its accumulation-dislike parameter to
-    the grid end for the lowest (mode "L", alpha1 = -0.02) or highest (mode
-    "H", alpha1 = -0.1) natural frequency, randomly permute the remaining
-    grid values over the other nodes ``n_draws`` times, simulate, and
-    average the common frequency.  Scores are the signed gaps to the same
-    procedure on the uniform 1/N matrix, oriented so that more influence is
-    larger, shifted by |min| and normalized to sum to one.
+    The accumulation-dislike grid is alpha1 = linspace(-0.1, -0.02, N).  For
+    each focus node in turn, pin its alpha1 to the grid end for the lowest
+    (mode "L", alpha1 = -0.02) or highest (mode "H", alpha1 = -0.1) natural
+    frequency, randomly permute the remaining grid values over the other
+    nodes ``n_draws`` (at least 1) times, simulate, and average the common
+    frequency.  Scores are the signed gaps to the same procedure on the
+    uniform 1/N matrix, oriented so that more influence is larger, shifted
+    by |min| and normalized to sum to one.
     """
     if mode not in ("L", "H"):
         raise ConfigError(f"mode must be 'L' or 'H', got {mode!r}")
+    if n_draws < 1:
+        raise ConfigError(f"n_draws must be at least 1, got {n_draws}")
     n = net.n
     peak_kwargs = dict(peak_kwargs or {})
-    if alpha1_grid is None:
-        alpha1_grid = np.linspace(-0.1, -0.02, n)
-    alpha1_grid = np.sort(np.asarray(alpha1_grid, dtype=float))
-    if alpha1_grid.size != n:
-        raise ConfigError("alpha1 grid must provide one value per node")
+    alpha1_grid = np.linspace(-0.1, -0.02, n)
     focus_value = alpha1_grid[-1] if mode == "L" else alpha1_grid[0]
     rest = np.delete(alpha1_grid, -1 if mode == "L" else 0)
 

@@ -44,6 +44,10 @@ _LAYER_INIT = 3
 
 #: how normal variates are produced, echoed into run metadata
 _NORMAL_METHOD = "numpy-pcg64-ziggurat"
+#: half-width of the relative uniform perturbation of a "perturbed" start
+_INITIAL_SPREAD = 0.1
+#: |y| beyond which a run counts as blown up
+_BLOWUP_BOUND = 1e3
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,6 @@ class SimulationConfig:
     aggregate_stride: int = 1
     seed: int = 0
     initial_mode: str = "perturbed"
-    initial_spread: float = 0.1
-    blowup_bound: float = 1e3
-    shocks_during_burn_in: bool = True
 
     def __post_init__(self):
         if self.steps < 1:
@@ -119,7 +120,8 @@ class SimulationConfig:
             raise ConfigError(f"unknown initial mode {self.initial_mode!r}")
 
     def echo(self) -> dict:
-        return {**asdict(self), "normal_method": _NORMAL_METHOD}
+        return {**asdict(self), "initial_spread": _INITIAL_SPREAD,
+                "blowup_bound": _BLOWUP_BOUND, "normal_method": _NORMAL_METHOD}
 
 
 @dataclass
@@ -190,6 +192,7 @@ def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, cfg: SimulationCo
 
     Entity j of a layer is its j-th distinct group in sorted order (node
     index, sector or country); every node of the group receives its path.
+    Shocks run from the first step, burn-in included.
     """
     n, steps = net.n, cfg.steps
     paths = []
@@ -206,8 +209,6 @@ def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, cfg: SimulationCo
         for j, group in enumerate(sorted(members)):
             path[:, members[group]] = ar1_path(rho, sigma, steps,
                                                _stream(seed, layer, j))[:, None]
-        if not cfg.shocks_during_burn_in:
-            path[:cfg.burn_in] = 0.0
         paths.append(path)
     return paths
 
@@ -219,8 +220,8 @@ def _initial_state(de: np.ndarray, cfg: SimulationConfig, seed: int):
     y = np.ones(n)
     if cfg.initial_mode == "perturbed":
         rng = _stream(seed, _LAYER_INIT, 0)
-        x = x * (1.0 + rng.uniform(-cfg.initial_spread, cfg.initial_spread, n))
-        y = y * (1.0 + rng.uniform(-cfg.initial_spread, cfg.initial_spread, n))
+        x = x * (1.0 + rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, n))
+        y = y * (1.0 + rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, n))
     return x, y
 
 
@@ -305,7 +306,7 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
             for path in active[1:]:
                 shock_sum[r] += path
     xs, ys = _iterate(w, a0, a1, a2, de, x0, y0, q, cfg.steps, cfg.retain,
-                      cfg.blowup_bound, shock_sum)
+                      _BLOWUP_BOUND, shock_sum)
 
     keep_from = cfg.steps - cfg.retain
     # every silent layer of every run shares one read-only block of zeros
@@ -332,7 +333,7 @@ def simulate(net: InteractionNetwork, params, q: QuarticCoefficients = DEFAULT_Q
 
     ``params`` is one :class:`AgentParams` (homogeneous agents) or one per
     node.  Deterministic given (config, seed).  Raises
-    :class:`NumericalBlowup` if any |y| exceeds the configured bound.
+    :class:`NumericalBlowup` if any |y| exceeds 1e3.
     """
     return simulate_batch(net, [params], q, shocks, cfg)[0]
 
@@ -340,12 +341,9 @@ def simulate(net: InteractionNetwork, params, q: QuarticCoefficients = DEFAULT_Q
 def aggregate_series(values, stride: int, weights=None) -> np.ndarray:
     """Non-overlapping block means over time, optionally output-weighted.
 
-    ``values`` is (T,) or (T, N); a :class:`TrajectorySet` aggregates its
-    decision variable.  With ``weights`` given, nodes are first combined
-    into the weighted cross-node average sum(w_i y_i)/sum(w_i).
+    ``values`` is (T,) or (T, N).  With ``weights`` given, nodes are first
+    combined into the weighted cross-node average sum(w_i y_i)/sum(w_i).
     """
-    if isinstance(values, TrajectorySet):
-        values = values.y
     arr = np.asarray(values, dtype=float)
     if weights is not None:
         weights = np.asarray(weights, dtype=float)

@@ -236,6 +236,34 @@ class TestOtherCommands:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "msf.csv").exists()
 
+    @pytest.mark.parametrize("n_draws", ["0", "-3"])
+    def test_sync_centrality_rejects_too_few_draws(self, n_draws, tmp_path, capsys):
+        code = run(["sync-centrality", "--set", "network.kind=star", "--set", "network.n=4",
+                    "--set", "network.eps=0.5", "--set", f"centrality.n_draws={n_draws}"],
+                   tmp_path)
+        assert code == 2
+        assert "n_draws" in capsys.readouterr().err
+        assert not (tmp_path / "sync-centrality.csv").exists()
+
+    @pytest.mark.parametrize("setting, key", [
+        ("shock_response.window_periods=0", "window_periods"),
+        ("shock_response.window_periods=-2", "window_periods"),
+        ("shock_response.tau=-5", "tau"),
+    ])
+    def test_shock_response_rejects_bad_window(self, setting, key, tmp_path, capsys):
+        code = run(["shock-response", "--preset", "shock-two-agent", "--set", setting],
+                   tmp_path)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "shock-response.csv").exists()
+
+    def test_simulate_rejects_zero_peak_separation(self, tmp_path, capsys):
+        code = run(["simulate", "--preset", "cycle-single",
+                    "--set", "measure.min_separation=0"], tmp_path)
+        assert code == 2
+        assert "min_separation" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("experiment, reads_run", [
         ("simulate", True), ("sweep-epsilon", True), ("sync-centrality", True),
         ("msf", False), ("shock-response", False), ("scenarios", False),

@@ -484,7 +484,7 @@ class TestCorrelationMatrix:
     def test_detrend_filters_first_longest_run(self, rng, finite, run):
         finite = np.array(finite, dtype=bool)
         col = np.where(finite, 100.0 + np.cumsum(rng.normal(0.5, 1.0, finite.size)), np.nan)
-        got = _detrend_column(col, 2.0, 25.0)
+        got = _detrend_column(col)
         np.testing.assert_array_equal(got, oracle_detrend_column(col, 2.0, 25.0))
         if run is None:
             assert np.isnan(got).all()

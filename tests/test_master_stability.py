@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f_prime
-from cyclesync.errors import ConfigError, DegenerateTangent, NotOscillating
+from cyclesync.errors import (
+    ConfigError,
+    ConsistencyBreach,
+    DegenerateTangent,
+    IllConditioned,
+    NotOscillating,
+)
 from cyclesync.master_stability import (
     _BLOCK,
     _CHUNK,
@@ -22,6 +28,7 @@ from cyclesync.master_stability import (
     to_eigenbasis,
 )
 from cyclesync.networks import (
+    SpectralDecomposition,
     build_topology,
     generalized_laplacian,
     uniform_coupling,
@@ -287,6 +294,16 @@ class TestEigenbasisTransform:
         assert abs(zeta_y[1]) == pytest.approx(0.09, abs=0.005)
         assert abs(zeta_y[2]) == pytest.approx(0.00, abs=0.005)
 
+    def test_near_singular_modes_rejected(self):
+        # columns (1, 1) and (1, 1 + 1e-10): condition number about 4e10
+        modes = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+        spec = SpectralDecomposition(matrix=np.zeros((2, 2)), eigenvalues=np.zeros(2),
+                                     modes=modes, modes_inv=np.linalg.inv(modes),
+                                     max_imag=0.0)
+        for transform in (to_eigenbasis, from_eigenbasis):
+            with pytest.raises(IllConditioned, match="condition number"):
+                transform(np.zeros(4), spec)
+
     def test_equal_shocks_have_no_transverse_content(self):
         pair = generalized_laplacian(build_topology("complete", 2), eps=0.3)
         xi = np.zeros(4)
@@ -347,6 +364,34 @@ class TestPropagateDeviations:
                       p.alpha1 * vx + (p.alpha2 + fp) * vy)
             assert zeta[t + 1, 0] == pytest.approx(vx, abs=1e-10)
             assert zeta[t + 1, 1] == pytest.approx(vy, abs=1e-10)
+
+    def test_eigenvalues_off_the_matrix_breach(self, cycle_orbit, two_clique_spec):
+        spec = dataclasses.replace(two_clique_spec,
+                                   eigenvalues=two_clique_spec.eigenvalues + 0.01)
+        xi0 = np.zeros(12)
+        xi0[1::2] = [0.05, 0.03, 0.04, -0.03, -0.06, 0.00]
+        with pytest.raises(ConsistencyBreach, match="disagree"):
+            propagate_deviations(cycle_orbit, spec, xi0, steps=50)
+
+    @pytest.mark.parametrize("gap, max_imag, breach", [
+        (1e-7, 0.0, False), (1e-5, 0.0, True), (1e-5, 1e-6, False), (1e-3, 1e-6, True),
+    ])
+    def test_tolerance_follows_spectrum(self, cycle_orbit, gap, max_imag, breach):
+        # one node, B = 0, eigenvalue d instead of 0: after one step from
+        # xi0 = (0, y0) the eigenbasis y differs by F' d y0, a relative gap
+        # of |F'| d / max(1, |alpha2 + F'|); the tolerance is 1e-6, or 1e-4
+        # for a complex spectrum
+        start = int(np.argmax(np.abs(cycle_orbit.fprime[:100])))
+        fp = cycle_orbit.fprime[start]
+        d = gap * max(1.0, abs(cycle_orbit.params.alpha2 + fp)) / abs(fp)
+        spec = SpectralDecomposition(matrix=np.zeros((1, 1)), eigenvalues=np.array([d]),
+                                     modes=np.eye(1), modes_inv=np.eye(1), max_imag=max_imag)
+        xi0 = np.array([0.0, 0.01])
+        if breach:
+            with pytest.raises(ConsistencyBreach, match="at step 1"):
+                propagate_deviations(cycle_orbit, spec, xi0, steps=1, start=start)
+        else:
+            propagate_deviations(cycle_orbit, spec, xi0, steps=1, start=start)
 
     def test_clique_modes_decay_faster_than_bridge_mode(self, cycle_orbit,
                                                         two_clique_spec):
@@ -416,6 +461,14 @@ class TestShockResponseCompare:
                                         shock=[u, 0.0], tau=200).rmse
                  for u in (0.1, 0.05, 0.025)]
         assert rmses[0] > rmses[1] > rmses[2]
+
+    @pytest.mark.parametrize("options, key", [
+        ({"window_periods": 0}, "window_periods"), ({"window_periods": -2}, "window_periods"),
+        ({"tau": -5}, "tau"),
+    ])
+    def test_rejects_bad_window_or_tau(self, pair_net, params, options, key):
+        with pytest.raises(ConfigError, match=key):
+            shock_response_compare(pair_net, params, Q, shock=[0.1, 0.0], **options)
 
     def test_csv_export(self, pair_net, params, tmp_path):
         resp = shock_response_compare(pair_net, params, Q, shock=[0.1, 0.0],

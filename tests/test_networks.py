@@ -30,7 +30,7 @@ from cyclesync.networks import (
 # --------------------------------------------------------------------------
 # oracles: the first-seen list scans that the shared grouping helper
 # replaced, copied verbatim (the per-node branch of aggregate_nodes as a
-# function returning its blocks)
+# function returning its blocks), and the block-pair loop of aggregate_nodes
 
 
 def oracle_build_io_network(flows: FlowTable) -> InteractionNetwork:
@@ -90,6 +90,35 @@ def oracle_blocks(keys):
         if key not in order:
             order.append(key)
     return [(key, [i for i, k in enumerate(keys) if k == key]) for key in order]
+
+
+def oracle_aggregate_nodes(net: InteractionNetwork, keys) -> InteractionNetwork:
+    """The block-pair double loop that the single bincount pass replaced."""
+    blocks = oracle_blocks(keys)
+    ext = net.outputs[:, None] * net.weights
+    m = len(blocks)
+    agg = np.zeros((m, m))
+    outputs = np.zeros(m)
+    for bi, (_, rows) in enumerate(blocks):
+        outputs[bi] = net.outputs[list(rows)].sum()
+        for bj, (_, cols) in enumerate(blocks):
+            agg[bi, bj] = ext[np.ix_(rows, cols)].sum()
+    row_tot = agg.sum(axis=1)
+    if np.any(row_tot <= 0):
+        raise ZeroOutput("an aggregated block has no outgoing flow")
+    weights = agg / row_tot[:, None]
+
+    def _common(values, members):
+        vals = {values[i] for i in members}
+        return vals.pop() if len(vals) == 1 else None
+
+    return InteractionNetwork(
+        weights=weights,
+        labels=[str(key) for key, _ in blocks],
+        sectors=[_common(net.sectors, mem) for _, mem in blocks],
+        countries=[_common(net.countries, mem) for _, mem in blocks],
+        outputs=outputs,
+    )
 
 
 def shuffled_flow_table(seed, dest_only_sector=None):
@@ -376,20 +405,22 @@ class TestAggregation:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_per_node_keys_match_first_seen_scans(self, seed):
-        # interleaved keys of mixed types; the mapping form keeps the
-        # oracle's blocks, order included, as given
+        # interleaved keys of mixed types: the same blocks in the same order
+        # as the first-seen scans, and the same sums as the block-pair loop
         net = build_io_network(shuffled_flow_table(seed))
         rng = random.Random(seed)
         pool = rng.sample(["north", "south", 3, (1, "x"), None, "east"], rng.randint(1, 5))
         keys = [rng.choice(pool) for _ in range(net.n)]
-        assert_same_network(aggregate_nodes(net, keys),
-                            aggregate_nodes(net, dict(oracle_blocks(keys))))
+        got, want = aggregate_nodes(net, keys), oracle_aggregate_nodes(net, keys)
+        assert got.labels == want.labels
+        assert got.sectors == want.sectors
+        assert got.countries == want.countries
+        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.outputs, want.outputs, rtol=1e-12, atol=0)
 
-    def test_empty_block_rejected(self, demo_io_network):
-        from cyclesync.errors import EmptyGroup
-        part = {0: list(range(demo_io_network.n)), 1: []}
-        with pytest.raises(EmptyGroup):
-            aggregate_nodes(demo_io_network, part)
+    def test_partition_length_checked(self, demo_io_network):
+        with pytest.raises(ConfigError, match="one key per node"):
+            aggregate_nodes(demo_io_network, [0] * (demo_io_network.n - 1))
 
 
 class TestSpectra:

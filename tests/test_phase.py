@@ -47,6 +47,11 @@ class TestDetectPeaks:
         with pytest.raises(TooFewPeaks):
             detect_peaks(np.ones(8), min_separation=5)
 
+    @pytest.mark.parametrize("min_separation", [0, -2])
+    def test_separation_below_one_rejected(self, min_separation):
+        with pytest.raises(ConfigError, match="min_separation"):
+            detect_peaks(sinusoid(36, 400), min_separation=min_separation)
+
     def test_smoothing_suppresses_noise_peaks(self, rng):
         clean = sinusoid(36, 720)
         noisy = clean + rng.normal(0, 0.35, clean.size)
@@ -60,22 +65,22 @@ class TestPhaseAt:
     def test_reference_interpolation(self):
         # between peaks at 86 and 120, step 100 sits at 2*pi*14/34
         peaks = np.array([86, 120, 154])
-        assert phase_at(None, 100, peaks) == pytest.approx(2.58, abs=0.01)
+        assert phase_at(100, peaks) == pytest.approx(2.58, abs=0.01)
 
     def test_zero_at_left_peak(self):
         peaks = np.array([10, 40, 70])
-        assert phase_at(None, 40, peaks) == 0.0
+        assert phase_at(40, peaks) == 0.0
 
     def test_pi_at_midpoint(self):
         peaks = np.array([10, 40])
-        assert phase_at(None, 25, peaks) == pytest.approx(np.pi)
+        assert phase_at(25, peaks) == pytest.approx(np.pi)
 
     def test_undefined_outside(self):
         peaks = np.array([10, 40])
         with pytest.raises(PhaseUndefined):
-            phase_at(None, 5, peaks)
+            phase_at(5, peaks)
         with pytest.raises(PhaseUndefined):
-            phase_at(None, 45, peaks)
+            phase_at(45, peaks)
 
 
 class TestPhaseCoherence:
@@ -254,6 +259,28 @@ class TestSyncCentrality:
         net = InteractionNetwork(weights=np.full((3, 3), 1.0 / 3))
         with pytest.raises(ConfigError):
             sync_centrality(net, mode="X")
+
+    def test_alpha1_grid_is_fixed(self, monkeypatch):
+        # every draw assigns a permutation of linspace(-0.1, -0.02, N)
+        from cyclesync.networks import uniform_coupling
+        net = uniform_coupling(build_topology("star", 4), 0.5)
+        real, seen = phase.simulate_batch, []
+
+        def record(target, draws, *args, **kwargs):
+            seen.extend(sorted(p.alpha1 for p in params) for params in draws)
+            return real(target, draws, *args, **kwargs)
+
+        monkeypatch.setattr(phase, "simulate_batch", record)
+        sync_centrality(net, n_draws=2, seed=1, steps=1500, burn_in=400)
+        assert len(seen) == 2 * (net.n + 1)
+        for alpha1 in seen:
+            assert alpha1 == list(np.linspace(-0.1, -0.02, net.n))
+
+    @pytest.mark.parametrize("n_draws", [0, -3])
+    def test_rejects_fewer_than_one_draw(self, n_draws):
+        net = InteractionNetwork(weights=np.full((3, 3), 1.0 / 3))
+        with pytest.raises(ConfigError, match="n_draws"):
+            sync_centrality(net, n_draws=n_draws)
 
     def test_entrainment_failure_names_focus_node_and_draw(self):
         from cyclesync.networks import uniform_coupling
