@@ -262,8 +262,12 @@ def cmd_sync_centrality(cfg: dict, args) -> dict:
 def cmd_msf(cfg: dict, args) -> dict:
     """Compute the master stability function over effective couplings K."""
     dynamics, msf = cfg["dynamics"], cfg["msf"]
-    orbit = master_stability.synchronized_orbit(
-        _agent_params(dynamics, 1)[0], dynamics["betas"], steps=msf["window"] + msf["burn_in"])
+    steps = msf["window"] + msf["burn_in"]
+    try:
+        orbit = master_stability.synchronized_orbit(_agent_params(dynamics, 1)[0],
+                                                    dynamics["betas"], steps=steps)
+    except ConfigError as exc:
+        raise ConfigError(f"msf.window + msf.burn_in = {steps}: {exc}") from None
     curve = master_stability.master_stability_function(orbit, **msf)
     curve.to_csv(args.outdir / "msf.csv")
     write_table(args.outdir / "figure-msf.csv", _FIGURE, np.tile(curve.k_grid, 2),
@@ -296,11 +300,9 @@ def cmd_shock_response(cfg: dict, args) -> dict:
 
 def cmd_scenarios(cfg: dict, args) -> dict:
     """Compare grouped comovement across dynamics and shock scenarios."""
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     net, _ = _network(cfg["network"])
     spec = empirics.ScenarioSpec(**cfg["scenarios"])
-    rows = empirics.scenario_run(net, spec, q=cfg["dynamics"]["betas"], jobs=args.jobs)
+    rows = empirics.scenario_run(net, spec, q=cfg["dynamics"]["betas"])
     empirics.write_scenario_csv(rows, args.outdir / "scenario-results.csv")
     write_table(args.outdir / "figure-scenarios.csv", _FIGURE, [r.sigma_u for r in rows],
                 [r.mean_corr for r in rows],
@@ -350,8 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--seed", type=int, help="override run.seed")
         cmd.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                          help="override a single config value")
-    sub.choices["scenarios"].add_argument(
-        "--jobs", type=int, default=1, help="worker processes, one scenario cell each")
     return parser
 
 

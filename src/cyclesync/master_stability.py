@@ -43,6 +43,7 @@ from .errors import (
     DegenerateTangent,
     IllConditioned,
     NotOscillating,
+    TooFewPeaks,
 )
 from .networks import InteractionNetwork, SpectralDecomposition, generalized_laplacian
 from .phase import detect_peaks
@@ -64,6 +65,8 @@ __all__ = [
 ]
 
 _MIN_AMPLITUDE = 1e-6
+#: Leading orbit steps on which the period is measured.
+_PERIOD_STEPS = 5000
 _CONDITION_CAP = 1e8
 #: Steps multiplied into one matrix between renormalizations of the tangent.
 _BLOCK = 32
@@ -146,7 +149,8 @@ def synchronized_orbit(params: AgentParams, q: QuarticCoefficients = DEFAULT_QUA
 
     Starts slightly off the fixed point (the exact fixed point never leaves
     it).  Raises :class:`NotOscillating` when the retained window has
-    collapsed to a point.
+    collapsed to a point, and :class:`ConfigError` when an orbit shorter
+    than ``_PERIOD_STEPS`` holds fewer than three peaks.
     """
     if steps < 1 or burn_in < 0:
         raise ConfigError(f"orbit needs steps >= 1 and burn_in >= 0, "
@@ -166,7 +170,12 @@ def synchronized_orbit(params: AgentParams, q: QuarticCoefficients = DEFAULT_QUA
         raise NotOscillating(
             f"orbit amplitude {ys.max() - ys.min():.3g} below {_MIN_AMPLITUDE}"
         )
-    peaks = detect_peaks(ys[:min(steps, 5000)])
+    try:
+        peaks = detect_peaks(ys[:_PERIOD_STEPS])
+    except TooFewPeaks as exc:
+        if steps >= _PERIOD_STEPS:
+            raise
+        raise ConfigError(f"orbit of {steps} steps too short for three peaks ({exc})") from None
     period = float(np.mean(np.diff(peaks)))
     return SynchronizedOrbit(x=xs, y=ys, fprime=eval_f_prime(q, ys),
                              params=params, q=q, period=period)
@@ -453,8 +462,9 @@ def shock_response_compare(net: InteractionNetwork, params: AgentParams,
     shock = np.asarray(shock, dtype=float)
     if shock.shape != (n,):
         raise ConfigError(f"shock must provide one value per node ({n})")
-    if window_periods < 1:
-        raise ConfigError(f"window_periods must be at least 1, got {window_periods}")
+    if not 1 <= window_periods < horizon_periods:
+        raise ConfigError(f"need 1 <= window_periods < horizon_periods, got window_periods "
+                          f"{window_periods} and horizon_periods {horizon_periods}")
     if tau is not None and tau < 0:
         raise ConfigError(f"tau must be non-negative, got {tau}")
     period_guess = 40
@@ -462,7 +472,7 @@ def shock_response_compare(net: InteractionNetwork, params: AgentParams,
                                steps=max(4000, 2 * horizon_periods * period_guess))
     period = max(int(round(orbit.period)), 2)
     window = window_periods * period
-    horizon = max(horizon_periods * period, window)
+    horizon = horizon_periods * period
     if tau is None:
         rise = np.diff(orbit.y[period:2 * period + 1])
         tau = period + int(np.argmax(rise))

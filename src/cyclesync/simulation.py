@@ -187,21 +187,22 @@ def _per_node_params(params, n: int):
 
 
 def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, cfg: SimulationConfig,
-                 seed: int) -> list:
-    """Per-node (steps, N) paths of the u, v and z layers; None for a silent one.
+                 seed: int, total) -> list:
+    """Add each active layer's per-node (steps, N) path into ``total``.
 
-    Entity j of a layer is its j-th distinct group in sorted order (node
-    index, sector or country); every node of the group receives its path.
-    Shocks run from the first step, burn-in included.
+    Returns the retained window of the u, v and z layers; None for a
+    silent one.  Entity j of a layer is its j-th distinct group in sorted
+    order (node index, sector or country); every node of the group
+    receives its path.  Shocks run from the first step, burn-in included.
     """
     n, steps = net.n, cfg.steps
-    paths = []
+    kept = []
     for layer, rho, sigma, groups in (
             (_LAYER_IDIO, shocks.rho_u, shocks.sigma_u, range(n)),
             (_LAYER_SECTOR, shocks.rho_v, shocks.sigma_v, net.sectors),
             (_LAYER_COUNTRY, shocks.rho_z, shocks.sigma_z, net.countries)):
         if sigma == 0:
-            paths.append(None)
+            kept.append(None)
             continue
         members = _node_groups(groups)
         members.pop(None, None)
@@ -209,8 +210,9 @@ def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, cfg: SimulationCo
         for j, group in enumerate(sorted(members)):
             path[:, members[group]] = ar1_path(rho, sigma, steps,
                                                _stream(seed, layer, j))[:, None]
-        paths.append(path)
-    return paths
+        total += path
+        kept.append(path[steps - cfg.retain:].copy())
+    return kept
 
 
 def _initial_state(de: np.ndarray, cfg: SimulationConfig, seed: int):
@@ -258,12 +260,12 @@ def _iterate(w, a0, a1, a2, de, x, y, q: QuarticCoefficients, steps: int,
 
 
 def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTIC,
-                   shocks: ShockConfig = None, cfg: SimulationConfig = None,
-                   seeds=None) -> list:
+                   shocks=None, cfg: SimulationConfig = None, seeds=None) -> list:
     """Iterate B independent runs of the coupled system in one step loop.
 
     ``nets`` is one :class:`InteractionNetwork` shared by every run or a
-    sequence of B networks over the same number of nodes.
+    sequence of B networks over the same number of nodes; ``shocks`` is
+    likewise one :class:`ShockConfig` or one per run.
     ``params_per_run`` holds, per run, what :func:`simulate` accepts as
     ``params``.  ``seeds`` gives each run's seed (default: ``cfg.seed`` for
     all); each run draws its own (seed, layer, entity) shock and initial
@@ -273,13 +275,13 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
     """
     if cfg is None:
         cfg = SimulationConfig(steps=600)
-    if shocks is None:
-        shocks = ShockConfig()
     params_per_run = list(params_per_run)
     b = len(params_per_run)
     if b < 1:
         raise ConfigError("need at least one run")
     seeds = [cfg.seed] * b if seeds is None else [int(s) for s in seeds]
+    shocks = ([shocks or ShockConfig()] * b if shocks is None or isinstance(shocks, ShockConfig)
+              else list(shocks))
     if isinstance(nets, InteractionNetwork):
         w = nets.weights
         nets = [nets] * b
@@ -288,43 +290,29 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
         if len({net.n for net in nets}) != 1:
             raise ConfigError("all networks of a batch need the same number of nodes")
         w = np.stack([net.weights for net in nets])
-    if len(nets) != b or len(seeds) != b:
-        raise ConfigError(f"need one network and seed per run: {b} parameter sets, "
-                          f"{len(nets)} networks, {len(seeds)} seeds")
+    if len(nets) != b or len(seeds) != b or len(shocks) != b:
+        raise ConfigError(f"need one network, shock config and seed per run: {b} runs, "
+                          f"{len(nets)} networks, {len(shocks)} shocks, {len(seeds)} seeds")
     n = nets[0].n
     a0, a1, a2, de = (np.stack(cols) for cols in
                       zip(*(_per_node_params(p, n) for p in params_per_run)))
     x0, y0 = (np.stack(cols) for cols in
               zip(*(_initial_state(de[r], cfg, seeds[r]) for r in range(b))))
-    layers = [_shock_paths(nets[r], shocks, cfg, seeds[r]) for r in range(b)]
-    shock_sum = None
-    if not shocks.silent:
-        shock_sum = np.empty((b, cfg.steps, n))
-        for r, paths in enumerate(layers):
-            active = [path for path in paths if path is not None]
-            shock_sum[r] = active[0]
-            for path in active[1:]:
-                shock_sum[r] += path
+    # a silent run of a mixed batch keeps its row of zeros
+    shock_sum = None if all(s.silent for s in shocks) else np.zeros((b, cfg.steps, n))
+    layers = [_shock_paths(nets[r], shocks[r], cfg, seeds[r],
+                           None if shock_sum is None else shock_sum[r]) for r in range(b)]
     xs, ys = _iterate(w, a0, a1, a2, de, x0, y0, q, cfg.steps, cfg.retain,
                       _BLOWUP_BOUND, shock_sum)
 
-    keep_from = cfg.steps - cfg.retain
     # every silent layer of every run shares one read-only block of zeros
     zeros = np.zeros((cfg.retain, n))
     zeros.flags.writeable = False
-    out = []
-    for r, (net, paths) in enumerate(zip(nets, layers)):
-        u, v, z = (zeros if path is None else path[keep_from:] for path in paths)
-        config = cfg.echo()
-        config["seed"] = seeds[r]
-        config["shocks"] = asdict(shocks)
-        out.append(TrajectorySet(
-            x=xs[r], y=ys[r], u=u, v=v, z=z,
-            labels=list(net.labels), sectors=list(net.sectors),
-            countries=list(net.countries), outputs=net.outputs.copy(),
-            config=config,
-        ))
-    return out
+    return [TrajectorySet(xs[r], ys[r], *(zeros if path is None else path for path in layers[r]),
+                          labels=list(net.labels), sectors=list(net.sectors),
+                          countries=list(net.countries), outputs=net.outputs.copy(),
+                          config={**cfg.echo(), "seed": seeds[r], "shocks": asdict(shocks[r])})
+            for r, net in enumerate(nets)]
 
 
 def simulate(net: InteractionNetwork, params, q: QuarticCoefficients = DEFAULT_QUARTIC,

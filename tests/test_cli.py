@@ -217,14 +217,39 @@ class TestOtherCommands:
         assert len(lines) == 1 + 2 * 1 * 2 * 2
         assert (tmp_path / "figure-scenarios.csv").exists()
 
-    def test_jobs_only_on_scenarios(self, tmp_path):
+    def test_jobs_is_not_an_option(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["simulate", "--preset", "cycle-single", "--jobs", "2"], tmp_path)
+            run(["scenarios", "--preset", "scenarios-smoke", "--jobs", "2"], tmp_path)
         assert exc.value.code == 2
-        for jobs in ("0", "-3"):
-            assert run(["scenarios", "--preset", "scenarios-smoke", "--jobs", jobs],
-                       tmp_path) == 2
+        assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "scenario-results.csv").exists()
+
+    def test_scenarios_blowup_names_cell_and_seed(self, tmp_path, capsys):
+        code = run(["scenarios", "--set", "network.kind=demo_io",
+                    "--set", "scenarios.dynamics=cycle",
+                    "--set", "scenarios.shock_types=idiosyncratic",
+                    "--set", "scenarios.sigma_u_grid=0.1,3",
+                    "--set", "scenarios.n_seeds=3"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        for part in ("'cycle'", "'idiosyncratic'", "sigma_u 3.0", "seed 2"):
+            assert part in err
+        assert not (tmp_path / "scenario-results.csv").exists()
+
+    @pytest.mark.parametrize("n_seeds", ["0", "-1"])
+    def test_scenarios_rejects_too_few_seeds(self, n_seeds, tmp_path, capsys):
+        code = run(["scenarios", "--preset", "scenarios-smoke",
+                    "--set", f"scenarios.n_seeds={n_seeds}"], tmp_path)
+        assert code == 2
+        assert "n_seeds" in capsys.readouterr().err
+        assert not (tmp_path / "scenario-results.csv").exists()
+
+    def test_msf_rejects_orbit_too_short_for_peaks(self, tmp_path, capsys):
+        code = run(["msf", "--set", "msf.window=5", "--set", "msf.burn_in=0"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "msf.window" in err and "msf.burn_in" in err
+        assert not (tmp_path / "msf.csv").exists()
 
     @pytest.mark.parametrize("setting, key", [
         ("msf.window=0", "window"), ("msf.window=-3", "window"), ("msf.burn_in=-5", "burn_in"),
@@ -249,6 +274,9 @@ class TestOtherCommands:
         ("shock_response.window_periods=0", "window_periods"),
         ("shock_response.window_periods=-2", "window_periods"),
         ("shock_response.tau=-5", "tau"),
+        ("shock_response.window_periods=20", "window_periods 20 and horizon_periods 10"),
+        ("shock_response.horizon_periods=-3", "window_periods 3 and horizon_periods -3"),
+        ("shock_response.horizon_periods=3", "window_periods 3 and horizon_periods 3"),
     ])
     def test_shock_response_rejects_bad_window(self, setting, key, tmp_path, capsys):
         code = run(["shock-response", "--preset", "shock-two-agent", "--set", setting],

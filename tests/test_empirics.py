@@ -30,6 +30,8 @@ from cyclesync.errors import (
     MalformedRow,
     MissingJoinYear,
     NonPositiveValue,
+    NumericalBlowup,
+    NumericalError,
     SeriesTooShort,
 )
 from cyclesync.networks import FINAL_DEMAND
@@ -662,12 +664,22 @@ class TestScenarioRun:
         again = scenario_run(demo_io_network, spec)
         assert again == smoke_rows
 
-    def test_parallel_matches_serial(self, demo_io_network, smoke_rows):
-        spec = ScenarioSpec(dynamics=("cycle", "node"),
-                            shock_types=("idiosyncratic",),
-                            sigma_u_grid=(0.0, 0.2), n_seeds=2)
-        parallel = scenario_run(demo_io_network, spec, jobs=2)
-        assert parallel == smoke_rows
+    def test_blowup_names_cell_and_seed(self, demo_io_network):
+        # the second cell's third seed blows up; its block index would be 5
+        spec = ScenarioSpec(dynamics=("cycle",), shock_types=("idiosyncratic",),
+                            sigma_u_grid=(0.1, 3.0), n_seeds=3)
+        with pytest.raises(NumericalError) as err:
+            scenario_run(demo_io_network, spec)
+        message = str(err.value)
+        for part in ("'cycle'", "'idiosyncratic'", "sigma_u 3.0", "seed 2", "at step 3"):
+            assert part in message
+        assert not isinstance(err.value, NumericalBlowup)
+        assert isinstance(err.value.__cause__, NumericalBlowup)
+
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    def test_rejects_too_few_seeds(self, n_seeds):
+        with pytest.raises(ConfigError, match="n_seeds"):
+            ScenarioSpec(n_seeds=n_seeds)
 
     def test_csv_export(self, smoke_rows, tmp_path):
         path = tmp_path / "rows.csv"

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cyclesync import master_stability
 from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f_prime
 from cyclesync.errors import (
     ConfigError,
@@ -12,6 +13,7 @@ from cyclesync.errors import (
     DegenerateTangent,
     IllConditioned,
     NotOscillating,
+    TooFewPeaks,
 )
 from cyclesync.master_stability import (
     _BLOCK,
@@ -56,6 +58,21 @@ class TestSynchronizedOrbit:
         params = AgentParams.with_steady_state(-0.11, 0.4, 0.5, Q)
         with pytest.raises(NotOscillating):
             synchronized_orbit(params, Q, steps=4000)
+
+    @pytest.mark.parametrize("steps", [5, 60])
+    def test_orbit_too_short_for_three_peaks(self, steps):
+        params = AgentParams.with_steady_state(-0.04, 0.4, 0.1, Q)
+        with pytest.raises(ConfigError, match=f"orbit of {steps} steps too short"):
+            synchronized_orbit(params, Q, steps=steps)
+
+    def test_long_orbit_with_too_few_peaks_stays_numerical(self, monkeypatch):
+        def no_peaks(series):
+            raise TooFewPeaks("found 2 peaks, need at least 3")
+
+        monkeypatch.setattr(master_stability, "detect_peaks", no_peaks)
+        params = AgentParams.with_steady_state(-0.04, 0.4, 0.1, Q)
+        with pytest.raises(TooFewPeaks):
+            synchronized_orbit(params, Q, steps=master_stability._PERIOD_STEPS)
 
     def test_orbit_mean_near_steady_state(self, cycle_orbit):
         period = int(round(cycle_orbit.period))
@@ -465,6 +482,9 @@ class TestShockResponseCompare:
     @pytest.mark.parametrize("options, key", [
         ({"window_periods": 0}, "window_periods"), ({"window_periods": -2}, "window_periods"),
         ({"tau": -5}, "tau"),
+        ({"window_periods": 20}, "window_periods 20 and horizon_periods 10"),
+        ({"window_periods": 3, "horizon_periods": 3}, "window_periods 3 and horizon_periods 3"),
+        ({"horizon_periods": -3}, "window_periods 3 and horizon_periods -3"),
     ])
     def test_rejects_bad_window_or_tau(self, pair_net, params, options, key):
         with pytest.raises(ConfigError, match=key):

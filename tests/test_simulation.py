@@ -324,14 +324,20 @@ def oracle_simulate(net, params, q=Q, shocks=None, cfg=None):
 
 
 def oracle_batch(nets, params_per_run, q=Q, shocks=None, cfg=None, seeds=None):
-    """Serial loop of the oracle with the signature of ``simulate_batch``."""
+    """Serial loop of the oracle with the signature of ``simulate_batch``.
+
+    ``nets`` and ``shocks`` are each one value shared by every run or one
+    per run.
+    """
     params_per_run = list(params_per_run)
     if isinstance(nets, InteractionNetwork):
         nets = [nets] * len(params_per_run)
+    if shocks is None or isinstance(shocks, ShockConfig):
+        shocks = [shocks] * len(params_per_run)
     if seeds is None:
         seeds = [cfg.seed] * len(params_per_run)
-    return [oracle_simulate(net, p, q, shocks, dataclasses.replace(cfg, seed=seed))
-            for net, p, seed in zip(nets, params_per_run, seeds)]
+    return [oracle_simulate(net, p, q, shock, dataclasses.replace(cfg, seed=seed))
+            for net, p, shock, seed in zip(nets, params_per_run, shocks, seeds)]
 
 
 TOL = 1e-12
@@ -382,6 +388,27 @@ class TestBatchParity:
         for name in ("x", "y", "u", "v", "z"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
+    def test_mixed_shocks_match_separate_simulate_calls(self):
+        # silent runs sit between active ones with different layers switched on
+        shocks = [ShockConfig(), ALL_LAYERS, SECTOR_ONLY, ShockConfig(), ALL_LAYERS]
+        runs = [hetero_params(5), cycle_params(), hetero_params(5, shift=0.005),
+                cycle_params(-0.03), hetero_params(5)]
+        seeds = [7, 8, 9, 10, 11]
+        cfg = SimulationConfig(steps=300, retain=120, seed=0)
+        batch = simulate_batch(ROUTED, runs, Q, shocks, cfg, seeds=seeds)
+        for got, params, shock, seed in zip(batch, runs, shocks, seeds):
+            want = simulate(ROUTED, params, Q, shock, dataclasses.replace(cfg, seed=seed))
+            for name in ("x", "y", "u", "v", "z"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                              err_msg=name)
+            assert got.config == want.config
+        assert not batch[0].u.any() and not batch[3].z.any()
+
+    def test_rejects_wrong_number_of_shock_configs(self):
+        cfg = SimulationConfig(steps=10)
+        with pytest.raises(ConfigError, match="1 shocks"):
+            simulate_batch(single_net(), [cycle_params()] * 2, Q, [ShockConfig()], cfg)
+
     def test_blowup_names_first_failing_run(self):
         bad = AgentParams(alpha0=5000.0, alpha1=-0.04, alpha2=0.4, delta=0.1)
         cfg = SimulationConfig(steps=100, seed=0)
@@ -427,13 +454,47 @@ class TestBatchedCallersParity:
                                        rtol=0, atol=TOL, err_msg=name)
 
     def test_scenario_run(self, monkeypatch, demo_io_network):
-        spec = empirics.ScenarioSpec(dynamics=("cycle",),
+        # 2 x 3 x 2 cells x 3 seeds = 36 runs: more than one block, and the
+        # idiosyncratic cells at sigma_u = 0 are silent runs among active ones
+        spec = empirics.ScenarioSpec(dynamics=("cycle", "focus"),
                                      shock_types=("idiosyncratic", "country", "sector"),
-                                     sigma_u_grid=(0.1,), n_seeds=3)
+                                     sigma_u_grid=(0.0, 0.1), n_seeds=3)
+        n_runs = 2 * 3 * 2 * spec.n_seeds
+        assert n_runs > empirics._RUNS_PER_BATCH
+        blocks = []
+
+        def recording_batch(*args, **kwargs):
+            blocks.append(len(args[1]))
+            return simulate_batch(*args, **kwargs)
+
+        monkeypatch.setattr(empirics, "simulate_batch", recording_batch)
         batched = empirics.scenario_run(demo_io_network, spec)
+        assert sum(blocks) == n_runs and len(blocks) > 1
         monkeypatch.setattr(empirics, "simulate_batch", oracle_batch)
         serial = empirics.scenario_run(demo_io_network, spec)
-        assert [r.group for r in batched] == [r.group for r in serial]
+        assert [(r.dynamics, r.shock_type, r.sigma_u, r.group) for r in batched] == \
+            [(r.dynamics, r.shock_type, r.sigma_u, r.group) for r in serial]
         for got, want in zip(batched, serial):
             assert got.mean_corr == pytest.approx(want.mean_corr, rel=0, abs=TOL)
             assert got.sd_corr == pytest.approx(want.sd_corr, rel=0, abs=TOL)
+
+    def test_scenario_rows_summarize_their_own_cell(self, demo_io_network):
+        # 12 cells x 3 seeds: the 32-run block boundary splits the 11th cell
+        spec = empirics.ScenarioSpec(dynamics=("cycle", "focus"),
+                                     shock_types=("idiosyncratic", "country", "sector"),
+                                     sigma_u_grid=(0.0, 0.1), n_seeds=3)
+        rows = empirics.scenario_run(demo_io_network, spec)
+        cfg = SimulationConfig(steps=spec.steps, retain=spec.retain,
+                               aggregate_stride=spec.stride)
+        for k in range(0, len(rows), 2):
+            cell = rows[k]
+            params = AgentParams.with_steady_state(*empirics.DYNAMICS_PRESETS[cell.dynamics], Q)
+            shocks = ShockConfig(sigma_u=cell.sigma_u, **empirics.SHOCK_PRESETS[cell.shock_type])
+            # one batch per cell, all its seeds and one shared shock config
+            means = [empirics._grouped_means(traj, spec) for traj in simulate_batch(
+                demo_io_network, [params] * spec.n_seeds, Q, shocks, cfg,
+                seeds=range(spec.n_seeds))]
+            for row in rows[k:k + 2]:
+                vals = [m[row.group] for m in means]
+                assert row.mean_corr == np.mean(vals)
+                assert row.sd_corr == np.std(vals, ddof=1)
