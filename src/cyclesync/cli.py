@@ -81,7 +81,6 @@ _SCHEMA = (
     ("run", "steps", "int", {"*": "2500", "sync-centrality": "2000"}, "simulated steps"),
     ("run", "burn_in", "int?", "", "discarded prefix (empty: steps - retain)"),
     ("run", "retain", "int?", "", "analysis window (empty: steps - burn_in)"),
-    ("run", "stride", "int", "1", "aggregation stride; must divide retain"),
     ("run", "seed", "int", "0", "random seed (--seed sets it too)"),
     ("run", "initial_mode", "str", "perturbed", "perturbed or fixed_point"),
     ("measure", "min_separation", "int", "5", "minimum steps between peaks"),
@@ -194,9 +193,8 @@ def _agent_params(dynamics: dict, n: int) -> list:
 
 
 def _simulation_config(run: dict) -> SimulationConfig:
-    """[run] holds the SimulationConfig fields; only ``stride`` is renamed."""
-    return SimulationConfig(**{"aggregate_stride" if k == "stride" else k: v
-                               for k, v in run.items()})
+    """[run] holds the SimulationConfig fields."""
+    return SimulationConfig(**run)
 
 
 #: header of the plot-ready long-format figure-<experiment>.csv tables

@@ -372,6 +372,9 @@ class ScenarioSpec:
                 raise ConfigError(f"unknown shock preset {name!r}")
         if self.n_seeds < 1:
             raise ConfigError(f"n_seeds must be at least 1, got {self.n_seeds}")
+        if self.stride < 1 or self.retain % self.stride != 0:
+            raise ConfigError(f"stride {self.stride} must be at least 1 and divide "
+                              f"retain {self.retain}")
 
 
 @dataclass(frozen=True)
@@ -417,7 +420,7 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
     """
     cells = list(itertools.product(spec.dynamics, spec.shock_types, map(float, spec.sigma_u_grid)))
     runs = [(*cell, seed) for cell in cells for seed in range(spec.n_seeds)]
-    cfg = SimulationConfig(steps=spec.steps, retain=spec.retain, aggregate_stride=spec.stride)
+    cfg = SimulationConfig(steps=spec.steps, retain=spec.retain)
     means = []
     for first in range(0, len(runs), _RUNS_PER_BATCH):
         block = runs[first:first + _RUNS_PER_BATCH]

@@ -235,6 +235,8 @@ def build_topology(kind: str, n: int = None, *, sizes=None, bridge=None) -> Adja
     if kind == "two_clique":
         if sizes is None:
             sizes = (3, 3)
+        if len(sizes) != 2:
+            raise ConfigError(f"two_clique sizes must give 2 clique sizes, got {list(sizes)}")
         s1, s2 = sizes
         if s1 < 2 or s2 < 2:
             raise ConfigError("each clique needs at least 2 nodes")
@@ -247,6 +249,8 @@ def build_topology(kind: str, n: int = None, *, sizes=None, bridge=None) -> Adja
                         m[i, j] = 1
         if bridge is None:
             bridge = (s1 - 1, s1)
+        if len(bridge) != 2:
+            raise ConfigError(f"two_clique bridge must give 2 node indices, got {list(bridge)}")
         a, b = bridge
         if not (0 <= a < s1 <= b < total):
             raise ConfigError("bridge must connect one node from each clique")

@@ -116,6 +116,8 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
     """
     if min_separation < 1:
         raise ConfigError(f"min_separation must be at least 1, got {min_separation}")
+    if smooth_window < 1:
+        raise ConfigError(f"smooth_window must be at least 1, got {smooth_window}")
     series = np.asarray(series, dtype=float)
     if series.size <= 2 * min_separation:
         raise TooFewPeaks(

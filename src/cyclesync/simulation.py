@@ -78,17 +78,16 @@ class ShockConfig:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Run length, retention window, aggregation stride and seeding.
+    """Run length, retention window and seeding.
 
     The analysis window is the final ``retain`` steps of the ``steps``
     simulated; ``burn_in`` is the discarded prefix and defaults to
-    ``steps - retain``.
+    ``steps - retain``.  Given both, they must add up to ``steps``.
     """
 
     steps: int
     burn_in: int = None
     retain: int = None
-    aggregate_stride: int = 1
     seed: int = 0
     initial_mode: str = "perturbed"
 
@@ -108,14 +107,12 @@ class SimulationConfig:
         if keep < 1:
             raise ConfigError(f"burn_in {burn} leaves no retained steps out of {self.steps}"
                               if self.retain is None else f"retain must be positive, got {keep}")
-        if burn + keep > self.steps:
-            raise ConfigError(f"burn_in {burn} + retain {keep} exceeds steps {self.steps}")
+        if burn + keep != self.steps:
+            raise ConfigError(f"burn_in {burn} + retain {keep} "
+                              f"{'exceeds' if burn + keep > self.steps else 'must equal'} "
+                              f"steps {self.steps}")
         object.__setattr__(self, "burn_in", burn)
         object.__setattr__(self, "retain", keep)
-        if self.aggregate_stride < 1 or keep % self.aggregate_stride != 0:
-            raise ConfigError(
-                f"aggregate_stride {self.aggregate_stride} must divide retain {keep}"
-            )
         if self.initial_mode not in ("perturbed", "fixed_point"):
             raise ConfigError(f"unknown initial mode {self.initial_mode!r}")
 
@@ -126,17 +123,16 @@ class SimulationConfig:
 
 @dataclass
 class TrajectorySet:
-    """Retained simulated paths plus the shock paths that produced them.
+    """The retained window of one simulated run.
 
-    Arrays are (retain, N).  ``u``, ``v``, ``z`` hold the per-node shock
-    contributions of each layer over the retained window.
+    ``x`` (stocks) and ``y`` (output, shocks included) are (retain, N)
+    arrays.  ``labels``, ``sectors``, ``countries`` and ``outputs`` are the
+    network's per-node labels, groups and gross outputs; ``config`` is the
+    run's echoed :class:`SimulationConfig`, seed and shock settings.
     """
 
     x: np.ndarray
     y: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    z: np.ndarray
     labels: list
     sectors: list
     countries: list
@@ -186,33 +182,25 @@ def _per_node_params(params, n: int):
                  for name in ("alpha0", "alpha1", "alpha2", "delta"))
 
 
-def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, cfg: SimulationConfig,
-                 seed: int, total) -> list:
-    """Add each active layer's per-node (steps, N) path into ``total``.
+def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, steps: int, seed: int,
+                 total) -> None:
+    """Add each active layer's AR(1) paths into the (steps, N) shock sum ``total``.
 
-    Returns the retained window of the u, v and z layers; None for a
-    silent one.  Entity j of a layer is its j-th distinct group in sorted
-    order (node index, sector or country); every node of the group
-    receives its path.  Shocks run from the first step, burn-in included.
+    Entity j of a layer is its j-th distinct group in sorted order (node
+    index, sector or country); every node of the group receives its path.
+    Shocks run from the first step, burn-in included.
     """
-    n, steps = net.n, cfg.steps
-    kept = []
     for layer, rho, sigma, groups in (
-            (_LAYER_IDIO, shocks.rho_u, shocks.sigma_u, range(n)),
+            (_LAYER_IDIO, shocks.rho_u, shocks.sigma_u, range(net.n)),
             (_LAYER_SECTOR, shocks.rho_v, shocks.sigma_v, net.sectors),
             (_LAYER_COUNTRY, shocks.rho_z, shocks.sigma_z, net.countries)):
         if sigma == 0:
-            kept.append(None)
             continue
         members = _node_groups(groups)
         members.pop(None, None)
-        path = np.zeros((steps, n))
         for j, group in enumerate(sorted(members)):
-            path[:, members[group]] = ar1_path(rho, sigma, steps,
-                                               _stream(seed, layer, j))[:, None]
-        total += path
-        kept.append(path[steps - cfg.retain:].copy())
-    return kept
+            total[:, members[group]] += ar1_path(rho, sigma, steps,
+                                                 _stream(seed, layer, j))[:, None]
 
 
 def _initial_state(de: np.ndarray, cfg: SimulationConfig, seed: int):
@@ -300,16 +288,12 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
               zip(*(_initial_state(de[r], cfg, seeds[r]) for r in range(b))))
     # a silent run of a mixed batch keeps its row of zeros
     shock_sum = None if all(s.silent for s in shocks) else np.zeros((b, cfg.steps, n))
-    layers = [_shock_paths(nets[r], shocks[r], cfg, seeds[r],
-                           None if shock_sum is None else shock_sum[r]) for r in range(b)]
+    if shock_sum is not None:
+        for r in range(b):
+            _shock_paths(nets[r], shocks[r], cfg.steps, seeds[r], shock_sum[r])
     xs, ys = _iterate(w, a0, a1, a2, de, x0, y0, q, cfg.steps, cfg.retain,
                       _BLOWUP_BOUND, shock_sum)
-
-    # every silent layer of every run shares one read-only block of zeros
-    zeros = np.zeros((cfg.retain, n))
-    zeros.flags.writeable = False
-    return [TrajectorySet(xs[r], ys[r], *(zeros if path is None else path for path in layers[r]),
-                          labels=list(net.labels), sectors=list(net.sectors),
+    return [TrajectorySet(xs[r], ys[r], labels=list(net.labels), sectors=list(net.sectors),
                           countries=list(net.countries), outputs=net.outputs.copy(),
                           config={**cfg.echo(), "seed": seeds[r], "shocks": asdict(shocks[r])})
             for r, net in enumerate(nets)]

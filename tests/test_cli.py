@@ -39,11 +39,29 @@ class TestConfigHandling:
          "network.sizes"),
         (["simulate", "--set", "DEFAULT.x=1"], "DEFAULT.x"),
         (["scenarios", "--set", "scenarios.detrend=ture"], "scenarios.detrend"),
+        (["simulate", "--set", "network.kind=two_clique", "--set", "network.sizes=3"],
+         "two_clique sizes"),
+        (["simulate", "--set", "network.kind=two_clique", "--set", "network.sizes=3,3,3"],
+         "two_clique sizes"),
+        (["simulate", "--set", "network.kind=two_clique", "--set", "network.bridge=1"],
+         "two_clique bridge"),
+        (["simulate", "--set", "network.kind=two_clique", "--set", "network.bridge=1,3,4"],
+         "two_clique bridge"),
+        (["simulate", "--set", "run.stride=2"], "run.stride"),
+        (["simulate", "--preset", "cycle-single", "--set", "measure.smooth_window=0"],
+         "smooth_window must be at least 1, got 0"),
+        (["simulate", "--preset", "cycle-single", "--set", "measure.smooth_window=-3"],
+         "smooth_window must be at least 1, got -3"),
+        (["scenarios", "--preset", "scenarios-smoke", "--set", "scenarios.stride=0"],
+         "stride 0 must be at least 1 and divide retain 228"),
+        (["scenarios", "--preset", "scenarios-smoke", "--set", "scenarios.stride=5"],
+         "stride 5 must be at least 1 and divide retain 228"),
     ])
     def test_malformed_value_names_key(self, argv, key, tmp_path, capsys):
         assert run(argv, tmp_path) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "resolved-config.cfg").exists()
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("text", ["kind = single\n",
                                       "[network]\nkind = single\nkind = star\n",
@@ -308,13 +326,13 @@ class TestOtherCommands:
             assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("experiment, run_keys", [
-        ("simulate", ["steps", "burn_in", "retain", "stride", "seed", "initial_mode"]),
+        ("simulate", ["steps", "burn_in", "retain", "seed", "initial_mode"]),
         ("sweep-epsilon", ["steps", "burn_in", "retain", "seed"]),
         ("sync-centrality", ["steps", "burn_in", "retain", "seed"]),
     ])
     def test_help_lists_only_run_keys_read(self, experiment, run_keys, capsys):
-        # the Monte Carlo commands take a run window and a seed, no stride
-        # and no initial mode
+        # the Monte Carlo commands take a run window and a seed, no initial
+        # mode
         with pytest.raises(SystemExit):
             main([experiment, "--help"])
         listed = re.findall(r"^  run\.(\w+) = ", capsys.readouterr().out, re.MULTILINE)

@@ -681,6 +681,11 @@ class TestScenarioRun:
         with pytest.raises(ConfigError, match="n_seeds"):
             ScenarioSpec(n_seeds=n_seeds)
 
+    @pytest.mark.parametrize("stride", [0, 5])
+    def test_rejects_stride_not_dividing_retain(self, stride):
+        with pytest.raises(ConfigError, match=f"stride {stride} .* retain 228"):
+            ScenarioSpec(retain=228, stride=stride)
+
     def test_csv_export(self, smoke_rows, tmp_path):
         path = tmp_path / "rows.csv"
         write_scenario_csv(smoke_rows, path)

@@ -157,10 +157,8 @@ def labels(n):
 
 
 def trajectory(rows, n):
-    zeros = np.zeros((rows, n))
-    return TrajectorySet(x=floats(rows, n), y=floats(rows, n, shift=4), u=zeros, v=zeros,
-                         z=zeros, labels=labels(n), sectors=[None] * n, countries=[None] * n,
-                         outputs=np.ones(n))
+    return TrajectorySet(x=floats(rows, n), y=floats(rows, n, shift=4), labels=labels(n),
+                         sectors=[None] * n, countries=[None] * n, outputs=np.ones(n))
 
 
 def entrainment(rows, n):

@@ -52,6 +52,11 @@ class TestDetectPeaks:
         with pytest.raises(ConfigError, match="min_separation"):
             detect_peaks(sinusoid(36, 400), min_separation=min_separation)
 
+    @pytest.mark.parametrize("smooth_window", [0, -3])
+    def test_smooth_window_below_one_rejected(self, smooth_window):
+        with pytest.raises(ConfigError, match="smooth_window"):
+            detect_peaks(sinusoid(36, 400), smooth_window=smooth_window)
+
     def test_smoothing_suppresses_noise_peaks(self, rng):
         clean = sinusoid(36, 720)
         noisy = clean + rng.normal(0, 0.35, clean.size)

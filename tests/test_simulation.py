@@ -16,6 +16,7 @@ from cyclesync.simulation import (
     ar1_path,
     simulate,
     simulate_batch,
+    _shock_paths,
     write_metadata,
 )
 
@@ -119,16 +120,20 @@ class TestSimulate:
         np.testing.assert_array_equal(silent.y, nothing.y)
 
     def test_enabling_one_layer_keeps_other_draws(self):
-        # u-paths are keyed independently of the z layer
-        adj = build_topology("complete", 3)
-        net = uniform_coupling(adj, 0.2)
-        cfg = SimulationConfig(steps=200, seed=11)
-        only_u = simulate(net, cycle_params(), Q,
-                          ShockConfig(rho_u=0.4, sigma_u=0.05), cfg)
-        both = simulate(net, cycle_params(), Q,
-                        ShockConfig(rho_u=0.4, sigma_u=0.05,
-                                    rho_z=0.4, sigma_z=0.05), cfg)
-        np.testing.assert_array_equal(only_u.u, both.u)
+        # u-paths are keyed independently of the z layer: the shock sum with
+        # both on is the u-only sum plus the z-only sum, bit for bit
+        steps, seed = 200, 11
+
+        def shock_sum(**layers):
+            total = np.zeros((steps, ROUTED.n))
+            _shock_paths(ROUTED, ShockConfig(**layers), steps, seed, total)
+            return total
+
+        only_u = shock_sum(rho_u=0.4, sigma_u=0.05)
+        only_z = shock_sum(rho_z=0.4, sigma_z=0.05)
+        both = shock_sum(rho_u=0.4, sigma_u=0.05, rho_z=0.4, sigma_z=0.05)
+        assert np.any(only_u != 0) and np.any(only_z != 0)
+        np.testing.assert_array_equal(both, only_u + only_z)
 
     def test_homogeneity_collapse(self):
         # identical params, complete uniform coupling, identical starts:
@@ -142,24 +147,26 @@ class TestSimulate:
         assert spread < 1e-10
 
     def test_sector_country_shock_routing(self):
-        weights = np.full((4, 4), 0.25)
+        # uncoupled identical nodes from the fixed point differ only by the
+        # shock path each one receives
         net = InteractionNetwork(
-            weights=weights,
+            weights=np.eye(4),
             labels=["a", "b", "c", "d"],
             sectors=["S1", "S1", "S2", None],
             countries=["X", "Y", "X", "X"],
         )
         cfg = SimulationConfig(steps=100, seed=9, initial_mode="fixed_point")
-        shocks = ShockConfig(rho_v=0.3, sigma_v=0.1, rho_z=0.3, sigma_z=0.1)
-        traj = simulate(net, cycle_params(), Q, shocks, cfg)
+        sector = simulate(net, cycle_params(), Q, ShockConfig(rho_v=0.3, sigma_v=0.1), cfg).y
         # same sector shares one v path; final-demand-style node gets none
-        np.testing.assert_array_equal(traj.v[:, 0], traj.v[:, 1])
-        assert np.any(traj.v[:, 0] != traj.v[:, 2])
-        np.testing.assert_array_equal(traj.v[:, 3], 0.0)
+        np.testing.assert_array_equal(sector[:, 0], sector[:, 1])
+        assert np.any(sector[:, 0] != sector[:, 2])
+        np.testing.assert_allclose(sector[:, 3], 1.0, atol=1e-12)
+        assert np.any(np.abs(sector[:, :3] - 1.0) > 1e-3)
+        country = simulate(net, cycle_params(), Q, ShockConfig(rho_z=0.3, sigma_z=0.1), cfg).y
         # same country shares one z path
-        np.testing.assert_array_equal(traj.z[:, 0], traj.z[:, 2])
-        np.testing.assert_array_equal(traj.z[:, 0], traj.z[:, 3])
-        assert np.any(traj.z[:, 0] != traj.z[:, 1])
+        np.testing.assert_array_equal(country[:, 0], country[:, 2])
+        np.testing.assert_array_equal(country[:, 0], country[:, 3])
+        assert np.any(country[:, 0] != country[:, 1])
 
     def test_measured_period_stable_across_seeds(self):
         # structure comes from the dynamics, not from the seeded start
@@ -189,7 +196,7 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             SimulationConfig(steps=100, burn_in=80, retain=50)
         with pytest.raises(ConfigError):
-            SimulationConfig(steps=100, retain=30, aggregate_stride=4)
+            SimulationConfig(steps=100, burn_in=20, retain=50)
 
     @pytest.mark.parametrize("window, message", [
         (dict(burn_in=1000), "burn_in 1000 leaves no retained steps out of 400"),
@@ -197,6 +204,7 @@ class TestSimulate:
         (dict(burn_in=-1), "burn_in must be non-negative, got -1"),
         (dict(retain=0), "retain must be positive, got 0"),
         (dict(burn_in=300, retain=200), "burn_in 300 + retain 200 exceeds steps 400"),
+        (dict(burn_in=100, retain=200), "burn_in 100 + retain 200 must equal steps 400"),
     ])
     def test_window_error_names_the_failed_condition(self, window, message):
         with pytest.raises(ConfigError) as err:
@@ -318,8 +326,7 @@ def oracle_simulate(net, params, q=Q, shocks=None, cfg=None):
             xs[t - keep_from] = x
             ys[t - keep_from] = y
     return TrajectorySet(
-        x=xs, y=ys, u=u[keep_from:], v=v[keep_from:], z=z[keep_from:],
-        labels=list(net.labels), sectors=list(net.sectors),
+        x=xs, y=ys, labels=list(net.labels), sectors=list(net.sectors),
         countries=list(net.countries), outputs=net.outputs.copy())
 
 
@@ -376,7 +383,7 @@ class TestBatchParity:
         serial = oracle_batch(nets, runs, Q, shocks, cfg, seeds=seeds)
         assert len(batch) == 3
         for got, want, seed in zip(batch, serial, seeds):
-            for name in ("x", "y", "u", "v", "z"):
+            for name in ("x", "y"):
                 np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                            rtol=0, atol=TOL, err_msg=name)
             assert got.config["seed"] == seed
@@ -385,7 +392,7 @@ class TestBatchParity:
         cfg = SimulationConfig(steps=500, retain=200, seed=21)
         got = simulate(ROUTED, hetero_params(5), Q, ALL_LAYERS, cfg)
         want = oracle_simulate(ROUTED, hetero_params(5), Q, ALL_LAYERS, cfg)
-        for name in ("x", "y", "u", "v", "z"):
+        for name in ("x", "y"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_mixed_shocks_match_separate_simulate_calls(self):
@@ -398,11 +405,10 @@ class TestBatchParity:
         batch = simulate_batch(ROUTED, runs, Q, shocks, cfg, seeds=seeds)
         for got, params, shock, seed in zip(batch, runs, shocks, seeds):
             want = simulate(ROUTED, params, Q, shock, dataclasses.replace(cfg, seed=seed))
-            for name in ("x", "y", "u", "v", "z"):
+            for name in ("x", "y"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                               err_msg=name)
             assert got.config == want.config
-        assert not batch[0].u.any() and not batch[3].z.any()
 
     def test_rejects_wrong_number_of_shock_configs(self):
         cfg = SimulationConfig(steps=10)
@@ -484,8 +490,7 @@ class TestBatchedCallersParity:
                                      shock_types=("idiosyncratic", "country", "sector"),
                                      sigma_u_grid=(0.0, 0.1), n_seeds=3)
         rows = empirics.scenario_run(demo_io_network, spec)
-        cfg = SimulationConfig(steps=spec.steps, retain=spec.retain,
-                               aggregate_stride=spec.stride)
+        cfg = SimulationConfig(steps=spec.steps, retain=spec.retain)
         for k in range(0, len(rows), 2):
             cell = rows[k]
             params = AgentParams.with_steady_state(*empirics.DYNAMICS_PRESETS[cell.dynamics], Q)
