@@ -192,11 +192,6 @@ def _agent_params(dynamics: dict, n: int) -> list:
                                           dynamics["betas"]) for a1 in alpha1]
 
 
-def _simulation_config(run: dict) -> SimulationConfig:
-    """[run] holds the SimulationConfig fields."""
-    return SimulationConfig(**run)
-
-
 #: header of the plot-ready long-format figure-<experiment>.csv tables
 _FIGURE = ("x", "y", "series")
 
@@ -205,8 +200,9 @@ def cmd_simulate(cfg: dict, args) -> dict:
     """Simulate the coupled map and measure each node's cycle period."""
     net, _ = _network(cfg["network"])
     dynamics = cfg["dynamics"]
+    phase._check_peak_options(**cfg["measure"])
     traj = simulate(net, _agent_params(dynamics, net.n), dynamics["betas"],
-                    ShockConfig(**cfg["shocks"]), _simulation_config(cfg["run"]))
+                    ShockConfig(**cfg["shocks"]), SimulationConfig(**cfg["run"]))
     periods, failures = {}, {}
     for i, label in enumerate(traj.labels):
         try:
@@ -226,13 +222,11 @@ def cmd_sweep_epsilon(cfg: dict, args) -> dict:
     _, adj = _network(cfg["network"])
     if adj is None:
         raise ConfigError("sweep-epsilon needs an abstract topology")
-    dynamics, sim_cfg = cfg["dynamics"], _simulation_config(cfg["run"])
+    dynamics = cfg["dynamics"]
     result = phase.epsilon_sweep(
-        adj, [p.alpha1 for p in _agent_params(dynamics, adj.n)], **cfg["sweep"],
-        alpha2=dynamics["alpha2"], delta=dynamics["delta"], q=dynamics["betas"],
-        shocks=ShockConfig(**cfg["shocks"]),
-        steps=sim_cfg.steps, burn_in=sim_cfg.burn_in, seed=sim_cfg.seed,
-        peak_kwargs=cfg["measure"])
+        adj, _agent_params(dynamics, adj.n), **cfg["sweep"],
+        cfg=SimulationConfig(**cfg["run"]), q=dynamics["betas"],
+        shocks=ShockConfig(**cfg["shocks"]), peak_kwargs=cfg["measure"])
     result.to_csv(args.outdir / "entrainment.csv")
     series = [f"omega_node_{i}" for i in range(adj.n)] + ["coherence", "mean_correlation"]
     write_table(args.outdir / "figure-sweep-epsilon.csv", _FIGURE,
@@ -245,11 +239,10 @@ def cmd_sweep_epsilon(cfg: dict, args) -> dict:
 def cmd_sync_centrality(cfg: dict, args) -> dict:
     """Score each node's pull on the common frequency by Monte Carlo."""
     net, _ = _network(cfg["network"])
-    dynamics, sim_cfg = cfg["dynamics"], _simulation_config(cfg["run"])
+    dynamics = cfg["dynamics"]
     result = phase.sync_centrality(
-        net, **cfg["centrality"], seed=sim_cfg.seed, q=dynamics["betas"],
-        alpha2=dynamics["alpha2"], delta=dynamics["delta"],
-        steps=sim_cfg.steps, burn_in=sim_cfg.burn_in, peak_kwargs=cfg["measure"])
+        net, SimulationConfig(**cfg["run"]), **cfg["centrality"], q=dynamics["betas"],
+        alpha2=dynamics["alpha2"], delta=dynamics["delta"], peak_kwargs=cfg["measure"])
     result.to_csv(args.outdir / "sync-centrality.csv")
     write_table(args.outdir / "figure-sync-centrality.csv", _FIGURE,
                 np.arange(result.scores.size, dtype=float), result.scores, result.labels)

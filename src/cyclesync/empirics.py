@@ -400,7 +400,8 @@ def _grouped_means(traj, spec):
     countries = _node_groups(traj.countries)
     agg = np.empty((annual.shape[0], len(countries)))
     for j, ids in enumerate(countries.values()):
-        agg[:, j] = aggregate_series(annual[:, ids], 1, weights=traj.outputs[ids])
+        w = traj.outputs[ids]
+        agg[:, j] = annual[:, ids] @ w / w.sum()
     corr_c = correlation_matrix(agg, detrend=spec.detrend, min_overlap=3)
     across = grouped_correlations(corr_c, list(countries), "across_country_aggregates")
     return {

@@ -275,7 +275,7 @@ def build_topology(kind: str, n: int = None, *, sizes=None, bridge=None) -> Adja
     return Adjacency(m)
 
 
-def uniform_coupling(adj: Adjacency, eps: float, labels=None) -> InteractionNetwork:
+def uniform_coupling(adj: Adjacency, eps: float) -> InteractionNetwork:
     """Uniform coupling on a graph: self-weight 1 - eps, eps/k_i per neighbour."""
     if not 0.0 <= eps <= 1.0:
         raise ConfigError(f"coupling strength must lie in [0, 1], got {eps}")
@@ -289,7 +289,7 @@ def uniform_coupling(adj: Adjacency, eps: float, labels=None) -> InteractionNetw
             # isolated nodes keep full self-weight
             iso = np.flatnonzero(k == 0)
             w[iso, iso] = 1.0
-    return InteractionNetwork(weights=w, labels=list(labels) if labels else [])
+    return InteractionNetwork(weights=w)
 
 
 def build_io_network(flows: FlowTable) -> InteractionNetwork:
@@ -386,13 +386,12 @@ def aggregate_nodes(net: InteractionNetwork, partition) -> InteractionNetwork:
     )
 
 
-def generalized_laplacian(obj, eps: float = None) -> SpectralDecomposition:
+def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
     """Spectral decomposition of the coupling operator B = I - W.
 
-    For an :class:`Adjacency`, W is the uniform-coupling matrix at strength
-    ``eps`` (default 1), so B = eps * (I - A/k): same spectrum as the
-    degree-normalized Laplacian scaled by eps, with the constant vector in
-    the kernel.  For an :class:`InteractionNetwork`, B = I - W directly.
+    For a topology, ``generalized_laplacian(uniform_coupling(adj, eps))``
+    gives B = eps * (I - A/k): the spectrum of the degree-normalized
+    Laplacian scaled by eps, with the constant vector in the kernel.
 
     Directed networks may have complex conjugate eigenvalue pairs.  Each
     pair is represented by the two real columns (Re v, Im v) spanning its
@@ -401,15 +400,6 @@ def generalized_laplacian(obj, eps: float = None) -> SpectralDecomposition:
     magnitude is recorded.  Imaginary parts beyond 0.2 abort rather than
     silently degrade the real-part approximation.
     """
-    if isinstance(obj, Adjacency):
-        net = uniform_coupling(obj, 1.0 if eps is None else eps)
-    elif isinstance(obj, InteractionNetwork):
-        if eps is not None:
-            raise ConfigError("eps applies only to adjacency input")
-        net = obj
-    else:
-        raise ConfigError("expected an Adjacency or InteractionNetwork")
-
     b = np.eye(net.n) - net.weights
     symmetric = np.allclose(b, b.T, atol=1e-13)
     if symmetric:

@@ -105,6 +105,15 @@ def _smooth(series: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(series, kernel, mode="same")
 
 
+def _check_peak_options(min_separation: int = 5, min_prominence: float = None,
+                        smooth_window: int = 1):
+    """Reject peak-detection options out of range, so drivers fail before simulating."""
+    if min_separation < 1:
+        raise ConfigError(f"min_separation must be at least 1, got {min_separation}")
+    if smooth_window < 1:
+        raise ConfigError(f"smooth_window must be at least 1, got {smooth_window}")
+
+
 def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
                  smooth_window: int = 1) -> np.ndarray:
     """Local maxima at least ``min_separation`` apart with enough prominence.
@@ -114,10 +123,7 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
     detection (peak positions refer to the smoothed series).  Raises
     :class:`TooFewPeaks` when fewer than three peaks survive.
     """
-    if min_separation < 1:
-        raise ConfigError(f"min_separation must be at least 1, got {min_separation}")
-    if smooth_window < 1:
-        raise ConfigError(f"smooth_window must be at least 1, got {smooth_window}")
+    _check_peak_options(min_separation, min_prominence, smooth_window)
     series = np.asarray(series, dtype=float)
     if series.size <= 2 * min_separation:
         raise TooFewPeaks(
@@ -219,23 +225,21 @@ def _relative_spread(omegas) -> float:
     return float((omegas.max() - omegas.min()) / omegas.mean())
 
 
-def epsilon_sweep(adj: Adjacency, alpha1_values, eps_grid, *,
-                  alpha2: float = 0.4, delta: float = 0.1,
+def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
                   q: QuarticCoefficients = DEFAULT_QUARTIC,
                   shocks: ShockConfig = None,
-                  steps: int = 2500, burn_in: int = 500, seed: int = 0,
                   entrain_tol: float = 0.01,
                   peak_kwargs: dict = None) -> EntrainmentResult:
     """Simulate over a coupling grid and measure entrainment per epsilon.
 
-    Entrained means the relative spread of measured per-node frequencies,
-    (max - min)/mean, falls below ``entrain_tol``.
+    Every epsilon runs ``simulate(uniform_coupling(adj, eps), params, q,
+    shocks, cfg)``: ``params`` is one :class:`AgentParams` or one per node,
+    as :func:`simulate` takes it.  Entrained means the relative spread of
+    measured per-node frequencies, (max - min)/mean, falls below
+    ``entrain_tol``.
     """
     peak_kwargs = dict(peak_kwargs or {})
-    alpha1_values = np.asarray(alpha1_values, dtype=float)
-    params = [AgentParams.with_steady_state(a1, alpha2, delta, q)
-              for a1 in alpha1_values]
-    cfg = SimulationConfig(steps=steps, burn_in=burn_in, seed=seed)
+    _check_peak_options(**peak_kwargs)
     eps_grid = np.asarray(eps_grid, dtype=float)
 
     omegas = np.empty((eps_grid.size, adj.n))
@@ -268,11 +272,10 @@ def _common_frequency(ys, entrain_tol, peak_kwargs, where):
     return float(omegas.mean())
 
 
-def sync_centrality(net: InteractionNetwork, n_draws: int = 1000,
-                    mode: str = "L", seed: int = 0, *,
+def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int = 1000,
+                    mode: str = "L", *,
                     alpha2: float = 0.4, delta: float = 0.1,
                     q: QuarticCoefficients = DEFAULT_QUARTIC,
-                    steps: int = 2000, burn_in: int = 500,
                     entrain_tol: float = 0.05,
                     peak_kwargs: dict = None) -> SyncCentralityResult:
     """Monte Carlo influence of each node on the entrained common frequency.
@@ -284,19 +287,22 @@ def sync_centrality(net: InteractionNetwork, n_draws: int = 1000,
     nodes ``n_draws`` (at least 1) times, simulate, and average the common
     frequency.  Scores are the signed gaps to the same procedure on the
     uniform 1/N matrix, oriented so that more influence is larger, shifted
-    by |min| and normalized to sum to one.
+    by |min| and normalized to sum to one.  Every run simulates with
+    ``cfg``; draw d of focus node i (the benchmark counts as i = N)
+    permutes with the stream seeded by (``cfg.seed``, i, d).
     """
     if mode not in ("L", "H"):
         raise ConfigError(f"mode must be 'L' or 'H', got {mode!r}")
     if n_draws < 1:
         raise ConfigError(f"n_draws must be at least 1, got {n_draws}")
     n = net.n
+    if n < 2:
+        raise ConfigError(f"sync_centrality needs at least 2 nodes, got {n}")
     peak_kwargs = dict(peak_kwargs or {})
+    _check_peak_options(**peak_kwargs)
     alpha1_grid = np.linspace(-0.1, -0.02, n)
     focus_value = alpha1_grid[-1] if mode == "L" else alpha1_grid[0]
     rest = np.delete(alpha1_grid, -1 if mode == "L" else 0)
-
-    cfg = SimulationConfig(steps=steps, burn_in=burn_in, seed=seed)
 
     def mean_frequency(weights, focus, key, name):
         target = InteractionNetwork(weights=weights, labels=list(net.labels),
@@ -306,7 +312,7 @@ def sync_centrality(net: InteractionNetwork, n_draws: int = 1000,
         others = [i for i in range(n) if i != focus]
         draws = []
         for d in range(n_draws):
-            rng = np.random.default_rng((seed, key, d))
+            rng = np.random.default_rng((cfg.seed, key, d))
             assignment = np.empty(n)
             assignment[focus] = focus_value
             assignment[others] = rng.permutation(rest)

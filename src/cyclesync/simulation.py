@@ -310,16 +310,9 @@ def simulate(net: InteractionNetwork, params, q: QuarticCoefficients = DEFAULT_Q
     return simulate_batch(net, [params], q, shocks, cfg)[0]
 
 
-def aggregate_series(values, stride: int, weights=None) -> np.ndarray:
-    """Non-overlapping block means over time, optionally output-weighted.
-
-    ``values`` is (T,) or (T, N).  With ``weights`` given, nodes are first
-    combined into the weighted cross-node average sum(w_i y_i)/sum(w_i).
-    """
+def aggregate_series(values, stride: int) -> np.ndarray:
+    """Non-overlapping block means over time of a (T,) or (T, N) series."""
     arr = np.asarray(values, dtype=float)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        arr = arr @ weights / weights.sum()
     t = arr.shape[0]
     if stride < 1 or t % stride != 0:
         raise ConfigError(f"stride {stride} must divide series length {t}")

@@ -71,9 +71,10 @@ def test_criterion_02_uncoupled_period_spread():
 
 def test_criterion_03_entrainment_transition():
     adj = build_topology("complete", 10)
-    sweep = epsilon_sweep(adj, np.linspace(-0.1, -0.02, 10),
+    sweep = epsilon_sweep(adj, [AgentParams.with_steady_state(a1, 0.4, 0.1, Q)
+                                for a1 in np.linspace(-0.1, -0.02, 10)],
                           eps_grid=[0.10, 0.15, 0.20, 0.25],
-                          steps=2500, burn_in=500, seed=0)
+                          cfg=SimulationConfig(steps=2500, burn_in=500, seed=0))
     assert not sweep.entrained[0]                     # eps = 0.10
     assert sweep.entrained[-1]                        # eps = 0.25
     assert 0.15 <= sweep.transition_epsilon() <= 0.25
@@ -84,10 +85,12 @@ def test_criterion_04_star_hub_frequency_dominance():
     # the hub (node 0) carries the highest natural frequency
     grid = np.linspace(-0.1, -0.02, 10)
     alpha1 = np.concatenate([[grid[0]], grid[1:]])
-    uncoupled = epsilon_sweep(adj, alpha1, eps_grid=[0.0],
-                              steps=2500, burn_in=500, seed=0)
-    coupled = epsilon_sweep(adj, alpha1, eps_grid=[0.5],
-                            steps=2500, burn_in=500, seed=0)
+    uncoupled = epsilon_sweep(adj, [AgentParams.with_steady_state(a1, 0.4, 0.1, Q)
+                                    for a1 in alpha1], eps_grid=[0.0],
+                              cfg=SimulationConfig(steps=2500, burn_in=500, seed=0))
+    coupled = epsilon_sweep(adj, [AgentParams.with_steady_state(a1, 0.4, 0.1, Q)
+                                  for a1 in alpha1], eps_grid=[0.5],
+                            cfg=SimulationConfig(steps=2500, burn_in=500, seed=0))
     assert coupled.entrained[0]
     omega_common = coupled.omegas[0].mean()
     omega_hub = uncoupled.omegas[0, 0]
@@ -119,7 +122,7 @@ def test_criterion_06_time_resolved_stability(long_orbit):
 
 
 def test_criterion_07_eigenbasis_oracle(long_orbit, two_clique_adj):
-    spec = generalized_laplacian(two_clique_adj, eps=0.3)
+    spec = generalized_laplacian(uniform_coupling(two_clique_adj, 0.3))
     shock_y = np.array([0.05, 0.03, 0.04, -0.03, -0.06, 0.00])
     xi0 = np.zeros(12)
     xi0[1::2] = shock_y
@@ -244,7 +247,7 @@ class TestCriterion11PropertySuites:
     def test_spectral_bounds_undirected(self, rng):
         for _ in range(100):
             adj = self._random_connected_adjacency(rng)
-            spec = generalized_laplacian(adj)
+            spec = generalized_laplacian(uniform_coupling(adj, 1.0))
             assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-8)
             assert spec.eigenvalues[-1] <= 2.0 + 1e-8
 
@@ -287,7 +290,7 @@ class TestCriterion11PropertySuites:
     def test_eigenbasis_round_trip(self, rng):
         for _ in range(100):
             adj = self._random_connected_adjacency(rng)
-            spec = generalized_laplacian(adj, eps=float(rng.uniform(0.1, 1.0)))
+            spec = generalized_laplacian(uniform_coupling(adj, float(rng.uniform(0.1, 1.0))))
             xi = rng.normal(0, 0.1, 2 * spec.n)
             back = from_eigenbasis(to_eigenbasis(xi, spec), spec)
             assert np.max(np.abs(back - xi)) < 1e-10

@@ -3,13 +3,22 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
+from cyclesync import cli, phase
+from cyclesync.dynamics import DEFAULT_QUARTIC
 from cyclesync.cli import main
+from cyclesync.networks import build_topology, uniform_coupling
+from cyclesync.simulation import SimulationConfig
 
 
 def run(args, tmp_path):
     return main(args + ["--outdir", str(tmp_path)])
+
+
+def simulate_nothing(*args, **kwargs):
+    raise AssertionError("simulated before rejecting the config")
 
 
 class TestConfigHandling:
@@ -310,6 +319,30 @@ class TestOtherCommands:
         assert "min_separation" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("setting", ["measure.smooth_window=0", "measure.min_separation=0"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "cycle-single"],
+        ["sweep-epsilon", "--preset", "entrainment-complete"],
+        ["sync-centrality", "--set", "network.kind=star", "--set", "network.n=6",
+         "--set", "network.eps=0.5"],
+    ], ids=["simulate", "sweep-epsilon", "sync-centrality"])
+    def test_bad_peak_option_rejected_before_simulating(self, argv, setting, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+        monkeypatch.setattr(cli, "simulate", simulate_nothing)
+        assert run(argv + ["--set", setting], tmp_path) == 2
+        key = setting[len("measure."):-len("=0")]
+        assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_sync_centrality_rejects_single_node(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+        code = run(["sync-centrality", "--set", "network.kind=single",
+                    "--set", "centrality.n_draws=2"], tmp_path)
+        assert code == 2
+        assert "at least 2 nodes, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "sync-centrality.csv").exists()
+
     @pytest.mark.parametrize("experiment, reads_run", [
         ("simulate", True), ("sweep-epsilon", True), ("sync-centrality", True),
         ("msf", False), ("shock-response", False), ("scenarios", False),
@@ -403,6 +436,33 @@ class TestResolvedConfig:
         assert cfg["dynamics"]["betas"] == "-0.5,0.1,0.2,0.5,-0.3"
         assert len(cfg["shocks"]) == 6
         assert dict(cfg["sweep"]) == {"entrain_tol": "0.02"}    # set, though unread
+
+
+class TestLibraryParity:
+    """The CLI hands the drivers its run window and agents unchanged."""
+
+    def test_sync_centrality_matches_library_call(self, tmp_path):
+        code = run(["sync-centrality", "--set", "network.kind=star", "--set", "network.n=4",
+                    "--set", "network.eps=0.5", "--set", "centrality.n_draws=3",
+                    "--set", "run.steps=1500"], tmp_path / "cli")
+        assert code == 0
+        net = uniform_coupling(build_topology("star", 4), 0.5)
+        phase.sync_centrality(net, SimulationConfig(steps=1500, seed=0),
+                              n_draws=3).to_csv(tmp_path / "library.csv")
+        assert (tmp_path / "cli" / "sync-centrality.csv").read_bytes() == \
+            (tmp_path / "library.csv").read_bytes()
+
+    def test_sweep_epsilon_matches_library_call(self, tmp_path):
+        code = run(["sweep-epsilon", "--preset", "entrainment-complete",
+                    "--set", "sweep.eps_grid=0,0.25,0.5"], tmp_path / "cli")
+        assert code == 0
+        dynamics = {"alpha1": tuple(np.linspace(-0.1, -0.02, 10)), "alpha2": 0.4,
+                    "delta": 0.1, "betas": DEFAULT_QUARTIC}
+        phase.epsilon_sweep(build_topology("complete", 10), cli._agent_params(dynamics, 10),
+                            [0.0, 0.25, 0.5], SimulationConfig(steps=2500, burn_in=500, seed=0),
+                            entrain_tol=0.01).to_csv(tmp_path / "library.csv")
+        assert (tmp_path / "cli" / "entrainment.csv").read_bytes() == \
+            (tmp_path / "library.csv").read_bytes()
 
 
 class TestEnvOutdir:

@@ -202,7 +202,8 @@ def oracle_grouped_means(traj, spec):
     agg = np.empty((annual.shape[0], len(countries)))
     for j, country in enumerate(countries):
         ids = [i for i, c in enumerate(traj.countries) if c == country]
-        agg[:, j] = aggregate_series(annual[:, ids], 1, weights=traj.outputs[ids])
+        w = traj.outputs[ids]
+        agg[:, j] = annual[:, ids] @ w / w.sum()
     corr_c = correlation_matrix(agg, detrend=spec.detrend, min_overlap=3)
     across = oracle_grouped_correlations(corr_c, countries, "across_country_aggregates")
     return {

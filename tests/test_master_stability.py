@@ -47,7 +47,7 @@ def cycle_orbit():
 
 @pytest.fixture(scope="module")
 def two_clique_spec(two_clique_adj):
-    return generalized_laplacian(two_clique_adj, eps=0.3)
+    return generalized_laplacian(uniform_coupling(two_clique_adj, 0.3))
 
 
 class TestSynchronizedOrbit:
@@ -322,7 +322,7 @@ class TestEigenbasisTransform:
                 transform(np.zeros(4), spec)
 
     def test_equal_shocks_have_no_transverse_content(self):
-        pair = generalized_laplacian(build_topology("complete", 2), eps=0.3)
+        pair = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 0.3))
         xi = np.zeros(4)
         xi[1::2] = [0.07, 0.07]
         zeta_y = to_eigenbasis(xi, pair)[1::2]
@@ -338,7 +338,7 @@ class TestPropagateDeviations:
         assert np.all(zeta == 0)
 
     def test_transverse_mode_decays_parallel_persists(self, cycle_orbit):
-        pair = generalized_laplacian(build_topology("complete", 2), eps=0.3)
+        pair = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 0.3))
         xi0 = np.zeros(4)
         xi0[1] = 0.1                     # shock on y of agent 1 only
         xi, zeta = propagate_deviations(cycle_orbit, pair, xi0, steps=400,
@@ -350,7 +350,7 @@ class TestPropagateDeviations:
         assert late[0] > 0.1 * initial[0]           # parallel persists
 
     def test_opposite_shocks_leave_parallel_mode_empty(self, cycle_orbit):
-        pair = generalized_laplacian(build_topology("complete", 2), eps=0.3)
+        pair = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 0.3))
         xi0 = np.zeros(4)
         xi0[1], xi0[3] = 0.05, -0.05
         xi, zeta = propagate_deviations(cycle_orbit, pair, xi0, steps=300)

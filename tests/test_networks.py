@@ -426,7 +426,7 @@ class TestAggregation:
 class TestSpectra:
     def test_two_node_pair_eigensystem(self):
         adj = build_topology("complete", 2)
-        spec = generalized_laplacian(adj)
+        spec = generalized_laplacian(uniform_coupling(adj, 1.0))
         np.testing.assert_allclose(spec.eigenvalues, [0.0, 2.0], atol=1e-12)
         np.testing.assert_allclose(np.abs(spec.modes[:, 0]),
                                    [1 / np.sqrt(2)] * 2, atol=1e-12)
@@ -445,7 +445,7 @@ class TestSpectra:
 
     def test_rows_of_b_sum_to_zero(self, demo_io_network, two_clique_adj):
         for spec in (generalized_laplacian(demo_io_network),
-                     generalized_laplacian(two_clique_adj, eps=0.3)):
+                     generalized_laplacian(uniform_coupling(two_clique_adj, 0.3))):
             np.testing.assert_allclose(spec.matrix.sum(axis=1), 0.0, atol=1e-10)
 
     def test_kernel_vector_is_constant(self, demo_io_network):
@@ -463,7 +463,7 @@ class TestSpectra:
             idx = np.arange(n - 1)
             m[idx, idx + 1] = 1
             m[idx + 1, idx] = 1
-            spec = generalized_laplacian(Adjacency(m))
+            spec = generalized_laplacian(uniform_coupling(Adjacency(m), 1.0))
             assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-8)
             assert spec.eigenvalues[-1] <= 2.0 + 1e-8
             assert np.all(np.diff(spec.eigenvalues) >= -1e-10)
@@ -481,10 +481,10 @@ class TestSpectra:
         m[0, 1] = m[1, 0] = 1
         m[2, 3] = m[3, 2] = 1
         with pytest.raises(Disconnected):
-            generalized_laplacian(Adjacency(m))
+            generalized_laplacian(uniform_coupling(Adjacency(m), 1.0))
 
     def test_two_clique_mode_pattern(self, two_clique_adj):
-        spec = generalized_laplacian(two_clique_adj)
+        spec = generalized_laplacian(uniform_coupling(two_clique_adj, 1.0))
         # the slow mode splits the cliques, bridge nodes least extreme
         row = spec.modes_inv[1]
         assert np.sign(row[0]) == np.sign(row[1]) == np.sign(row[2])
@@ -509,7 +509,7 @@ class TestSpectra:
                 if a != b:
                     m[a, b] = 1
         from cyclesync.networks import Adjacency
-        spec = generalized_laplacian(Adjacency(m))
+        spec = generalized_laplacian(uniform_coupling(Adjacency(m), 1.0))
         lam = spec.eigenvalues
         low = np.sum(lam < 0.3)
         high = np.sum(lam > 1.4)
@@ -521,14 +521,14 @@ class TestSpectra:
 
 class TestFiedler:
     def test_two_clique_sign_split(self, two_clique_adj):
-        spec = generalized_laplacian(two_clique_adj)
+        spec = generalized_laplacian(uniform_coupling(two_clique_adj, 1.0))
         v = fiedler_vector(spec)
         assert np.all(v[:3] * v[0] > 0)
         assert np.all(v[3:] * v[3] > 0)
         assert v[0] * v[3] < 0
 
     def test_two_node_vector(self):
-        spec = generalized_laplacian(build_topology("complete", 2))
+        spec = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 1.0))
         v = fiedler_vector(spec)
         np.testing.assert_allclose(np.abs(v), [1 / np.sqrt(2)] * 2, atol=1e-12)
         assert v[0] * v[1] < 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cyclesync import phase
+from cyclesync.dynamics import AgentParams
 from cyclesync.errors import (
     ConfigError,
     DegenerateSeries,
@@ -9,7 +10,7 @@ from cyclesync.errors import (
     PhaseUndefined,
     TooFewPeaks,
 )
-from cyclesync.networks import InteractionNetwork, build_topology
+from cyclesync.networks import InteractionNetwork, build_topology, uniform_coupling
 from cyclesync.phase import (
     detect_peaks,
     epsilon_sweep,
@@ -21,6 +22,12 @@ from cyclesync.phase import (
     phase_series,
     sync_centrality,
 )
+from cyclesync.simulation import SimulationConfig
+
+
+def agents(alpha1):
+    """One cycling agent per alpha1 value, the other parameters at their defaults."""
+    return [AgentParams.with_steady_state(a1, 0.4, 0.1) for a1 in alpha1]
 
 
 def sinusoid(period, steps, amplitude=1.0, phase=0.0):
@@ -163,9 +170,9 @@ def oracle_phase_matrix(ys, peak_kwargs):
 @pytest.fixture(scope="module")
 def sweep():
     adj = build_topology("complete", 10)
-    return epsilon_sweep(adj, np.linspace(-0.1, -0.02, 10),
+    return epsilon_sweep(adj, agents(np.linspace(-0.1, -0.02, 10)),
                          eps_grid=[0.10, 0.15, 0.20, 0.25, 0.30],
-                         steps=2500, burn_in=500, seed=0)
+                         cfg=SimulationConfig(steps=2500, burn_in=500, seed=0))
 
 
 class TestEpsilonSweep:
@@ -181,8 +188,8 @@ class TestEpsilonSweep:
 
     def test_entrained_frequency_near_uncoupled_mean(self, sweep):
         adj = build_topology("complete", 10)
-        solo = epsilon_sweep(adj, np.linspace(-0.1, -0.02, 10), eps_grid=[0.0],
-                             steps=2500, burn_in=500, seed=0)
+        solo = epsilon_sweep(adj, agents(np.linspace(-0.1, -0.02, 10)), eps_grid=[0.0],
+                             cfg=SimulationConfig(steps=2500, burn_in=500, seed=0))
         uncoupled_mean = solo.omegas[0].mean()
         entrained = sweep.omegas[sweep.entrained][0].mean()
         assert entrained == pytest.approx(uncoupled_mean, rel=0.10)
@@ -204,8 +211,9 @@ class TestEpsilonSweep:
         monkeypatch.setattr(phase, "simulate_batch", recording_batch)
         monkeypatch.setattr(phase, "detect_peaks", counting_peaks)
         peak_kwargs = {"min_separation": 4, "smooth_window": 3}
-        result = epsilon_sweep(build_topology("complete", 4), [-0.1, -0.07, -0.04, -0.02],
-                               eps_grid=[0.0, 0.3], steps=1500, burn_in=300, seed=3,
+        result = epsilon_sweep(build_topology("complete", 4),
+                               agents([-0.1, -0.07, -0.04, -0.02]), eps_grid=[0.0, 0.3],
+                               cfg=SimulationConfig(steps=1500, burn_in=300, seed=3),
                                peak_kwargs=peak_kwargs)
         assert len(calls) == 2 * 4
         for k, traj in enumerate(trajs):
@@ -226,6 +234,23 @@ class TestEpsilonSweep:
         assert len(lines) == 6
 
 
+def simulate_nothing(*args, **kwargs):
+    raise AssertionError("simulated before rejecting its input")
+
+
+@pytest.mark.parametrize("bad", [{"min_separation": 0}, {"smooth_window": 0}])
+@pytest.mark.parametrize("driver", ["epsilon_sweep", "sync_centrality"])
+def test_drivers_reject_peak_options_before_simulating(driver, bad, monkeypatch):
+    monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+    adj = build_topology("star", 4)
+    cfg = SimulationConfig(steps=1500)
+    with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be at least 1"):
+        if driver == "epsilon_sweep":
+            epsilon_sweep(adj, agents([-0.04] * 4), [0.5], cfg, peak_kwargs=bad)
+        else:
+            sync_centrality(uniform_coupling(adj, 0.5), cfg, n_draws=2, peak_kwargs=bad)
+
+
 class TestSyncCentrality:
     def test_uniform_network_is_symmetric(self):
         # every focus node pulls the common frequency equally: the raw
@@ -234,40 +259,36 @@ class TestSyncCentrality:
         # statement lives in the raw differences)
         n = 5
         net = InteractionNetwork(weights=np.full((n, n), 1.0 / n))
-        result = sync_centrality(net, n_draws=12, mode="L", seed=4,
-                                 steps=1500, burn_in=400)
+        result = sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=4),
+                                 n_draws=12, mode="L")
         assert result.scores.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(result.scores >= 0)
         assert np.all(np.abs(result.raw_differences)
                       < 1e-3 * result.benchmark_frequency)
 
     def test_star_hub_scores_highest(self):
-        from cyclesync.networks import uniform_coupling
         adj = build_topology("star", 6)
         net = uniform_coupling(adj, 0.5)
-        result = sync_centrality(net, n_draws=12, mode="L", seed=2,
-                                 steps=1500, burn_in=400)
+        result = sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=2),
+                                 n_draws=12, mode="L")
         assert result.scores[0] == result.scores.max()
 
     def test_modes_l_and_h_agree_on_star_ranking(self):
-        from cyclesync.networks import uniform_coupling
         adj = build_topology("star", 5)
         net = uniform_coupling(adj, 0.5)
-        low = sync_centrality(net, n_draws=10, mode="L", seed=3,
-                              steps=1500, burn_in=400)
-        high = sync_centrality(net, n_draws=10, mode="H", seed=3,
-                               steps=1500, burn_in=400)
+        cfg = SimulationConfig(steps=1500, burn_in=400, seed=3)
+        low = sync_centrality(net, cfg, n_draws=10, mode="L")
+        high = sync_centrality(net, cfg, n_draws=10, mode="H")
         assert low.scores[0] == low.scores.max()
         assert high.scores[0] == high.scores.max()
 
     def test_rejects_unknown_mode(self):
         net = InteractionNetwork(weights=np.full((3, 3), 1.0 / 3))
         with pytest.raises(ConfigError):
-            sync_centrality(net, mode="X")
+            sync_centrality(net, SimulationConfig(steps=2000), mode="X")
 
     def test_alpha1_grid_is_fixed(self, monkeypatch):
         # every draw assigns a permutation of linspace(-0.1, -0.02, N)
-        from cyclesync.networks import uniform_coupling
         net = uniform_coupling(build_topology("star", 4), 0.5)
         real, seen = phase.simulate_batch, []
 
@@ -276,7 +297,7 @@ class TestSyncCentrality:
             return real(target, draws, *args, **kwargs)
 
         monkeypatch.setattr(phase, "simulate_batch", record)
-        sync_centrality(net, n_draws=2, seed=1, steps=1500, burn_in=400)
+        sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=1), n_draws=2)
         assert len(seen) == 2 * (net.n + 1)
         for alpha1 in seen:
             assert alpha1 == list(np.linspace(-0.1, -0.02, net.n))
@@ -285,17 +306,22 @@ class TestSyncCentrality:
     def test_rejects_fewer_than_one_draw(self, n_draws):
         net = InteractionNetwork(weights=np.full((3, 3), 1.0 / 3))
         with pytest.raises(ConfigError, match="n_draws"):
-            sync_centrality(net, n_draws=n_draws)
+            sync_centrality(net, SimulationConfig(steps=2000), n_draws=n_draws)
+
+    def test_rejects_fewer_than_two_nodes(self, monkeypatch):
+        monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+        with pytest.raises(ConfigError, match="at least 2 nodes, got 1"):
+            sync_centrality(InteractionNetwork(weights=np.eye(1)), SimulationConfig(steps=2000),
+                            n_draws=2)
 
     def test_entrainment_failure_names_focus_node_and_draw(self):
-        from cyclesync.networks import uniform_coupling
-        net = uniform_coupling(build_topology("star", 4), 0.05, labels="abcd")
+        net = InteractionNetwork(weights=uniform_coupling(build_topology("star", 4), 0.05).weights,
+                                 labels=list("abcd"))
         with pytest.raises(EntrainmentFailure,
                            match=r"focus node a, draw 0: frequency spread \d"):
-            sync_centrality(net, n_draws=2, seed=1, steps=1500, burn_in=400)
+            sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=1), n_draws=2)
 
     def test_entrainment_failure_names_uniform_benchmark(self, monkeypatch):
-        from cyclesync.networks import uniform_coupling
         net = uniform_coupling(build_topology("star", 4), 0.5)
         real = phase.simulate_batch
 
@@ -308,13 +334,13 @@ class TestSyncCentrality:
         monkeypatch.setattr(phase, "simulate_batch", detune_uniform_draw_one)
         with pytest.raises(EntrainmentFailure,
                            match=r"uniform benchmark, draw 1: frequency spread \d"):
-            sync_centrality(net, n_draws=2, seed=1, steps=1500, burn_in=400)
+            sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=1), n_draws=2)
 
     def test_csv_export(self, tmp_path):
         n = 4
         net = InteractionNetwork(weights=np.full((n, n), 1.0 / n))
-        result = sync_centrality(net, n_draws=6, mode="L", seed=1,
-                                 steps=1200, burn_in=300)
+        result = sync_centrality(net, SimulationConfig(steps=1200, burn_in=300, seed=1),
+                                 n_draws=6, mode="L")
         path = tmp_path / "scores.csv"
         result.to_csv(path)
         lines = path.read_text().strip().splitlines()

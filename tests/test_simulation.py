@@ -228,11 +228,6 @@ class TestAggregateSeries:
         data = np.full((40, 3), 2.5)
         np.testing.assert_allclose(aggregate_series(data, 8), 2.5)
 
-    def test_weighted_cross_node_aggregate(self):
-        data = np.array([[1.0, 3.0], [2.0, 6.0]])
-        out = aggregate_series(data, 1, weights=[1.0, 3.0])
-        np.testing.assert_allclose(out, [2.5, 5.0])
-
     def test_rejects_bad_stride(self):
         with pytest.raises(ConfigError):
             aggregate_series(np.arange(10.0), 3)
@@ -438,10 +433,10 @@ class TestBatchedCallersParity:
 
     def test_sync_centrality(self, monkeypatch):
         net = uniform_coupling(build_topology("star", 4), 0.5)
-        kwargs = dict(n_draws=3, mode="L", seed=1, steps=1500, burn_in=400)
-        batched = phase.sync_centrality(net, **kwargs)
+        cfg = SimulationConfig(steps=1500, burn_in=400, seed=1)
+        batched = phase.sync_centrality(net, cfg, n_draws=3, mode="L")
         monkeypatch.setattr(phase, "simulate_batch", oracle_batch)
-        serial = phase.sync_centrality(net, **kwargs)
+        serial = phase.sync_centrality(net, cfg, n_draws=3, mode="L")
         for name in ("scores", "raw_differences", "stderr", "mean_frequencies"):
             np.testing.assert_allclose(getattr(batched, name), getattr(serial, name),
                                        rtol=0, atol=TOL, err_msg=name)
@@ -450,11 +445,14 @@ class TestBatchedCallersParity:
 
     def test_epsilon_sweep(self, monkeypatch):
         adj = build_topology("complete", 4)
-        kwargs = dict(eps_grid=[0.0, 0.2, 0.4], steps=1500, burn_in=300, seed=2,
+        params = [AgentParams.with_steady_state(a1, 0.4, 0.1, Q)
+                  for a1 in np.linspace(-0.1, -0.02, 4)]
+        kwargs = dict(eps_grid=[0.0, 0.2, 0.4],
+                      cfg=SimulationConfig(steps=1500, burn_in=300, seed=2),
                       shocks=ShockConfig(rho_u=0.2, sigma_u=0.01))
-        batched = phase.epsilon_sweep(adj, np.linspace(-0.1, -0.02, 4), **kwargs)
+        batched = phase.epsilon_sweep(adj, params, **kwargs)
         monkeypatch.setattr(phase, "simulate_batch", oracle_batch)
-        serial = phase.epsilon_sweep(adj, np.linspace(-0.1, -0.02, 4), **kwargs)
+        serial = phase.epsilon_sweep(adj, params, **kwargs)
         for name in ("omegas", "coherence", "mean_correlation", "spread"):
             np.testing.assert_allclose(getattr(batched, name), getattr(serial, name),
                                        rtol=0, atol=TOL, err_msg=name)
