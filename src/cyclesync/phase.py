@@ -11,10 +11,10 @@ assignments to the other nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from ._format import write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients
@@ -114,27 +114,133 @@ def _check_peak_options(min_separation: int = 5, min_prominence: float = None,
         raise ConfigError(f"smooth_window must be at least 1, got {smooth_window}")
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Midpoints of the plateaus with strictly lower neighbours on both sides.
+
+    A plateau that touches either end of the series is not a maximum.
+    """
+    d = x[1:] - x[:-1]
+    steps = np.flatnonzero(d)
+    rising = d[steps] > 0
+    turn = np.flatnonzero(rising[:-1] > rising[1:])
+    return (steps[turn] + steps[turn + 1] + 1) // 2
+
+
+def _keep_by_distance(maxima: np.ndarray, heights: np.ndarray, distance: int) -> np.ndarray:
+    """Visit the maxima highest first and drop neighbours closer than ``distance``."""
+    pos = maxima.tolist()
+    keep = [True] * len(pos)
+    for j in np.argsort(heights)[::-1].tolist():
+        if not keep[j]:
+            continue
+        k = j - 1
+        while k >= 0 and pos[j] - pos[k] < distance:
+            keep[k] = False
+            k -= 1
+        k = j + 1
+        while k < len(pos) and pos[k] - pos[j] < distance:
+            keep[k] = False
+            k += 1
+    return np.array(keep)
+
+
+def _basin_floors(heights: list, valleys: list) -> list:
+    """Lowest valley between each maximum and the nearest strictly higher one before it.
+
+    ``valleys[i]`` is the minimum between maximum i and its predecessor (or
+    the series start).  One pass with a stack of the maxima not yet
+    overtopped, each carrying its own floor.
+    """
+    floors = []
+    stack_h, stack_v = [math.inf], [None]
+    for h, v in zip(heights, valleys):
+        while stack_h[-1] <= h:
+            stack_h.pop()
+            w = stack_v.pop()
+            if w < v:
+                v = w
+        stack_h.append(h)
+        stack_v.append(v)
+        floors.append(v)
+    return floors
+
+
+def _interquartile_range(x: np.ndarray) -> float:
+    """``q75 - q25`` of ``np.percentile(x, [75, 25])``, without its overhead.
+
+    numpy's default ("linear") quantile blends the sorted values k and k + 1
+    around the virtual index v = (n - 1) q with weight t = v - k, from
+    whichever end is nearer, as its ``_lerp`` does; so the values agree
+    exactly.
+    """
+    ordered = np.sort(x)
+    q = []
+    for v in ((x.size - 1) * 0.75, (x.size - 1) * 0.25):
+        k = math.floor(v)
+        a, b, t = float(ordered[k]), float(ordered[k + 1]), v - k
+        q.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return q[0] - q[1]
+
+
+def _find_peaks(x: np.ndarray, distance: float, prominence: float) -> np.ndarray:
+    """``scipy.signal.find_peaks(x, distance=, prominence=)[0]`` for finite ``x``.
+
+    A peak's prominence is its height over the higher of its two base
+    minima, each taken out to the first strictly higher point on that side
+    (or the series end).  Nothing between that point and the nearest
+    strictly higher local maximum is lower than the base, so each base is
+    the minimum over a run of the valleys between consecutive maxima.
+    """
+    maxima = _local_maxima(x)
+    if maxima.size == 0:
+        return maxima
+    heights = x[maxima]
+    keep = None
+    distance = math.ceil(distance)
+    if maxima.size > 1 and (maxima[1:] - maxima[:-1]).min() < distance:
+        keep = _keep_by_distance(maxima, heights, distance)
+    valleys = np.minimum.reduceat(x, np.append(0, maxima)).tolist()
+    h = heights.tolist()
+    left = _basin_floors(h, valleys[:-1])
+    right = _basin_floors(h[::-1], valleys[:0:-1])
+    right.reverse()
+    ok = heights - np.maximum(left, right) >= prominence
+    if keep is not None:
+        ok &= keep
+    return maxima[ok]
+
+
 def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
                  smooth_window: int = 1) -> np.ndarray:
     """Local maxima at least ``min_separation`` apart with enough prominence.
 
     ``min_prominence`` defaults to 10% of the interquartile range.  A
     moving-average ``smooth_window`` > 1 suppresses noise wiggles before
-    detection (peak positions refer to the smoothed series).  Raises
-    :class:`TooFewPeaks` when fewer than three peaks survive.
+    detection (peak positions refer to the smoothed series).  The selection
+    reproduces ``scipy.signal.find_peaks(distance=min_separation,
+    prominence=min_prominence)`` (``scipy/signal/_peak_finding.py``):
+    plateau midpoints, then the highest-first distance rule, then the
+    prominence threshold.  Raises :class:`DegenerateSeries` for a
+    non-finite value, :class:`ConfigError` when ``smooth_window`` exceeds
+    the series length and :class:`TooFewPeaks` when fewer than three peaks
+    survive.
     """
     _check_peak_options(min_separation, min_prominence, smooth_window)
     series = np.asarray(series, dtype=float)
+    finite = np.isfinite(series)
+    if not finite.all():
+        raise DegenerateSeries(f"series value at index {int(np.argmin(finite))} is not finite")
     if series.size <= 2 * min_separation:
         raise TooFewPeaks(
             f"series of length {series.size} too short for separation {min_separation}"
         )
+    if smooth_window > series.size:
+        raise ConfigError(f"smooth_window {smooth_window} exceeds the series length "
+                          f"{series.size}")
     smoothed = _smooth(series, smooth_window)
     if min_prominence is None:
-        q75, q25 = np.percentile(smoothed, [75, 25])
-        min_prominence = 0.1 * (q75 - q25)
-    peaks, _ = find_peaks(smoothed, distance=min_separation,
-                          prominence=max(min_prominence, 1e-300))
+        min_prominence = 0.1 * _interquartile_range(smoothed)
+    peaks = _find_peaks(smoothed, min_separation, max(min_prominence, 1e-300))
     if peaks.size < 3:
         raise TooFewPeaks(f"found {peaks.size} peaks, need at least 3")
     return peaks

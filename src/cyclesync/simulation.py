@@ -19,7 +19,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._format import write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients, _map_step
@@ -158,18 +157,30 @@ def _stream(seed, layer, index) -> np.random.Generator:
     return np.random.default_rng((seed, layer, index))
 
 
+def _ar1_recursion(paths: np.ndarray, rho) -> np.ndarray:
+    """Turn the innovations in rows 1.. of (steps, P) ``paths`` into AR(1) paths in place.
+
+    Row 0 holds the zero start; each later row becomes u[t] = e[t] +
+    rho * u[t-1], with ``rho`` one value or one per column.  All paths step
+    together, and the bits equal ``scipy.signal.lfilter([1], [1, -rho], e)``
+    column by column.
+    """
+    for t in range(1, paths.shape[0]):
+        paths[t] += rho * paths[t - 1]
+    return paths
+
+
 def ar1_path(rho: float, sigma: float, steps: int, rng) -> np.ndarray:
     """AR(1) path with u[0] = 0 and u[t+1] = rho u[t] + N(0, sigma)."""
     if not 0.0 <= rho < 1.0:
         raise ConfigError(f"persistence must lie in [0, 1), got {rho}")
     if sigma < 0:
         raise ConfigError(f"innovation s.d. must be non-negative, got {sigma}")
-    out = np.zeros(steps)
+    out = np.zeros((steps, 1))
     if sigma == 0.0 or steps < 2:
-        return out
-    innovations = rng.normal(0.0, sigma, steps - 1)
-    out[1:] = lfilter([1.0], [1.0, -rho], innovations)
-    return out
+        return out[:, 0]
+    out[1:, 0] = rng.normal(0.0, sigma, steps - 1)
+    return _ar1_recursion(out, rho)[:, 0]
 
 
 def _per_node_params(params, n: int):
@@ -182,25 +193,35 @@ def _per_node_params(params, n: int):
                  for name in ("alpha0", "alpha1", "alpha2", "delta"))
 
 
-def _shock_paths(net: InteractionNetwork, shocks: ShockConfig, steps: int, seed: int,
-                 total) -> None:
-    """Add each active layer's AR(1) paths into the (steps, N) shock sum ``total``.
+def _shock_paths(nets, shocks, steps: int, seeds, total) -> None:
+    """Add every run's active AR(1) shock layers into the (B, steps, N) sum ``total``.
 
     Entity j of a layer is its j-th distinct group in sorted order (node
     index, sector or country); every node of the group receives its path.
+    Each path draws its innovations from its own (seed, layer, entity)
+    stream, and all paths of the batch then step through one recursion.
     Shocks run from the first step, burn-in included.
     """
-    for layer, rho, sigma, groups in (
-            (_LAYER_IDIO, shocks.rho_u, shocks.sigma_u, range(net.n)),
-            (_LAYER_SECTOR, shocks.rho_v, shocks.sigma_v, net.sectors),
-            (_LAYER_COUNTRY, shocks.rho_z, shocks.sigma_z, net.countries)):
-        if sigma == 0:
-            continue
-        members = _node_groups(groups)
-        members.pop(None, None)
-        for j, group in enumerate(sorted(members)):
-            total[:, members[group]] += ar1_path(rho, sigma, steps,
-                                                 _stream(seed, layer, j))[:, None]
+    targets, rhos, draws = [], [], []     # per path: (run, nodes), rho, (sigma, stream)
+    for r, (net, shock, seed) in enumerate(zip(nets, shocks, seeds)):
+        for layer, rho, sigma, groups in (
+                (_LAYER_IDIO, shock.rho_u, shock.sigma_u, range(net.n)),
+                (_LAYER_SECTOR, shock.rho_v, shock.sigma_v, net.sectors),
+                (_LAYER_COUNTRY, shock.rho_z, shock.sigma_z, net.countries)):
+            if sigma == 0:
+                continue
+            members = _node_groups(groups)
+            members.pop(None, None)
+            for j, group in enumerate(sorted(members)):
+                targets.append((r, members[group]))
+                rhos.append(rho)
+                draws.append((sigma, _stream(seed, layer, j)))
+    paths = np.zeros((steps, len(targets)))
+    for k, (sigma, rng) in enumerate(draws):
+        paths[1:, k] = rng.normal(0.0, sigma, steps - 1)
+    _ar1_recursion(paths, np.array(rhos))
+    for k, (r, nodes) in enumerate(targets):
+        total[r][:, nodes] += paths[:, k, None]
 
 
 def _initial_state(de: np.ndarray, cfg: SimulationConfig, seed: int):
@@ -289,8 +310,7 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
     # a silent run of a mixed batch keeps its row of zeros
     shock_sum = None if all(s.silent for s in shocks) else np.zeros((b, cfg.steps, n))
     if shock_sum is not None:
-        for r in range(b):
-            _shock_paths(nets[r], shocks[r], cfg.steps, seeds[r], shock_sum[r])
+        _shock_paths(nets, shocks, cfg.steps, seeds, shock_sum)
     xs, ys = _iterate(w, a0, a1, a2, de, x0, y0, q, cfg.steps, cfg.retain,
                       _BLOWUP_BOUND, shock_sum)
     return [TrajectorySet(xs[r], ys[r], labels=list(net.labels), sectors=list(net.sectors),

@@ -1,11 +1,16 @@
 import configparser
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclesync
 from cyclesync import cli, phase
 from cyclesync.dynamics import DEFAULT_QUARTIC
 from cyclesync.cli import main
@@ -472,3 +477,15 @@ class TestEnvOutdir:
                      "--set", "run.steps=600",
                      "--set", "run.burn_in=100"]) == 0
         assert (tmp_path / "trajectory.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle: the command line must start without it
+    src = str(Path(cyclesync.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, cyclesync.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

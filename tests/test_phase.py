@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclesync import phase
 from cyclesync.dynamics import AgentParams
@@ -22,7 +24,7 @@ from cyclesync.phase import (
     phase_series,
     sync_centrality,
 )
-from cyclesync.simulation import SimulationConfig
+from cyclesync.simulation import ShockConfig, SimulationConfig, simulate
 
 
 def agents(alpha1):
@@ -71,6 +73,84 @@ class TestDetectPeaks:
         n_smoothed = detect_peaks(noisy, min_separation=10,
                                   min_prominence=None, smooth_window=7).size
         assert abs(n_smoothed - n_clean) <= 2
+
+    def test_smooth_window_longer_than_series_rejected(self):
+        # "same"-mode convolution would return the window's length and
+        # peaks past the end of the 60-step series
+        with pytest.raises(ConfigError, match="smooth_window 90 exceeds the series length 60"):
+            detect_peaks(sinusoid(12, 60), smooth_window=90)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("min_prominence", [None, 0.1])
+    def test_non_finite_value_rejected(self, bad, min_prominence):
+        series = sinusoid(12, 60)
+        series[7] = bad
+        series[20] = np.nan
+        with pytest.raises(DegenerateSeries, match="index 7 is not finite"):
+            detect_peaks(series, min_prominence=min_prominence)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 2000),
+           unit=st.sampled_from([0.0, 1.0, 0.1, 1e-3]))
+    @settings(max_examples=300, deadline=None)
+    def test_default_prominence_uses_numpy_percentiles(self, seed, n, unit):
+        # multiples of a unit give ties; unit = 0 draws tie-free values
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-3, 4, n) * unit if unit else rng.normal(size=n) ** 3
+        q75, q25 = np.percentile(x, [75, 25])
+        assert phase._interquartile_range(x) == q75 - q25
+
+
+@pytest.fixture(scope="module")
+def find_peaks():
+    return pytest.importorskip("scipy.signal").find_peaks
+
+
+@st.composite
+def stepped_series(draw):
+    """Small-integer series: plateaus, equal heights and flat ends are common."""
+    top = draw(st.integers(1, 8))
+    return np.array(draw(st.lists(st.integers(0, top), min_size=3, max_size=300)), dtype=float)
+
+
+class TestFindPeaksOracle:
+    """The owned peak finder against ``scipy.signal.find_peaks``, index for index."""
+
+    @given(x=stepped_series(), distance=st.integers(1, 7),
+           prominence=st.one_of(st.just(1e-300), st.integers(1, 8).map(float),
+                                st.floats(1e-300, 8.0)))
+    @settings(max_examples=600, deadline=None)
+    # equal twin maxima: each one's base reaches past the other
+    @example(x=np.array([0.0, 2, 1, 2, 0]), distance=1, prominence=2.0)
+    # even-width plateau peak, and plateaus running into both ends
+    @example(x=np.array([1.0, 1, 0, 3, 3, 3, 3, 0, 2, 2]), distance=1, prominence=1e-300)
+    # equal heights closer than the distance: argsort order picks the survivor
+    @example(x=np.array([0.0, 3, 0, 3, 0, 3, 0, 1, 0]), distance=3, prominence=1.0)
+    def test_stepped_series(self, find_peaks, x, distance, prominence):
+        want = find_peaks(x, distance=distance, prominence=prominence)[0]
+        np.testing.assert_array_equal(phase._find_peaks(x, distance, prominence), want)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 2000),
+           noise=st.sampled_from([0.0, 0.05, 0.5, 5.0]), distance=st.integers(1, 7),
+           prominence=st.sampled_from([1e-300, 0.01, 0.1, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_noisy_oscillations(self, find_peaks, seed, n, noise, distance, prominence):
+        rng = np.random.default_rng(seed)
+        x = sinusoid(rng.uniform(4, 80), n, phase=rng.uniform(0, 6)) + rng.normal(0, noise, n)
+        want = find_peaks(x, distance=distance, prominence=prominence)[0]
+        np.testing.assert_array_equal(phase._find_peaks(x, distance, prominence), want)
+
+    @pytest.mark.parametrize("smooth_window", [1, 5])
+    def test_detect_peaks_on_simulated_paths(self, find_peaks, smooth_window):
+        # the centrality runs' case: noisy cycles, default prominence
+        traj = simulate(uniform_coupling(build_topology("star", 4), 0.5),
+                        agents(np.linspace(-0.1, -0.02, 4)),
+                        shocks=ShockConfig(rho_u=0.3, sigma_u=0.05),
+                        cfg=SimulationConfig(steps=2500, burn_in=500, seed=3))
+        for y in traj.y.T:
+            smoothed = phase._smooth(y, smooth_window)
+            q75, q25 = np.percentile(smoothed, [75, 25])
+            want = find_peaks(smoothed, distance=5, prominence=0.1 * (q75 - q25))[0]
+            np.testing.assert_array_equal(detect_peaks(y, smooth_window=smooth_window), want)
 
 
 class TestPhaseAt:

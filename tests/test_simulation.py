@@ -16,6 +16,7 @@ from cyclesync.simulation import (
     ar1_path,
     simulate,
     simulate_batch,
+    _ar1_recursion,
     _shock_paths,
     write_metadata,
 )
@@ -67,6 +68,65 @@ class TestAr1Path:
             ar1_path(1.0, 0.1, 10, rng)
         with pytest.raises(ConfigError):
             ar1_path(0.5, -0.1, 10, rng)
+
+
+@pytest.fixture(scope="module")
+def lfilter():
+    return pytest.importorskip("scipy.signal").lfilter
+
+
+def lfilter_path(lfilter, rho, innovations):
+    """The zero-started AR(1) path as scipy's first-order filter gives it."""
+    return np.concatenate(([0.0], lfilter([1.0], [1.0, -rho], innovations)))
+
+
+class TestAr1AgainstLfilter:
+    """The owned recursion reproduces ``lfilter([1], [1, -rho])`` bit for bit."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("steps", [2, 3, 600, 4000])
+    def test_ar1_path(self, lfilter, rho, steps):
+        path = ar1_path(rho, 0.2, steps, np.random.default_rng(steps))
+        innovations = np.random.default_rng(steps).normal(0.0, 0.2, steps - 1)
+        np.testing.assert_array_equal(path, lfilter_path(lfilter, rho, innovations))
+
+    def test_recursion_with_rho_per_column(self, lfilter):
+        rhos = np.array([0.0, 0.2, 0.5, 0.75, 0.95, 0.3])
+        innovations = np.random.default_rng(5).normal(0.0, 0.1, (999, rhos.size))
+        paths = np.zeros((1000, rhos.size))
+        paths[1:] = innovations
+        _ar1_recursion(paths, rhos)
+        for k, rho in enumerate(rhos):
+            np.testing.assert_array_equal(paths[:, k],
+                                          lfilter_path(lfilter, rho, innovations[:, k]))
+
+    def test_mixed_batch_shock_sum(self, lfilter):
+        # silent runs sit between active ones; every (run, layer, entity)
+        # path is filtered from its own stream and added layer by layer
+        nets = [ROUTED] * 5
+        shocks = [ALL_LAYERS, ShockConfig(), SECTOR_ONLY, ShockConfig(rho_u=0.5),
+                  ShockConfig(rho_u=0.8, sigma_u=0.05, rho_z=0.1, sigma_z=0.01)]
+        seeds = [3, 4, 5, 6, 7]
+        steps = 700
+        total = np.zeros((5, steps, ROUTED.n))
+        _shock_paths(nets, shocks, steps, seeds, total)
+
+        want = np.zeros_like(total)
+        for r, (shock, seed) in enumerate(zip(shocks, seeds)):
+            for layer, rho, sigma, groups in (
+                    (0, shock.rho_u, shock.sigma_u, list(range(ROUTED.n))),
+                    (1, shock.rho_v, shock.sigma_v, ROUTED.sectors),
+                    (2, shock.rho_z, shock.sigma_z, ROUTED.countries)):
+                if sigma == 0:
+                    continue
+                for j, group in enumerate(sorted({g for g in groups if g is not None})):
+                    rng = np.random.default_rng((seed, layer, j))
+                    path = lfilter_path(lfilter, rho, rng.normal(0.0, sigma, steps - 1))
+                    for i in range(ROUTED.n):
+                        if groups[i] == group:
+                            want[r, :, i] += path
+        np.testing.assert_array_equal(total, want)
+        assert not total[1].any() and not total[3].any()
 
 
 def single_net():
@@ -125,9 +185,9 @@ class TestSimulate:
         steps, seed = 200, 11
 
         def shock_sum(**layers):
-            total = np.zeros((steps, ROUTED.n))
-            _shock_paths(ROUTED, ShockConfig(**layers), steps, seed, total)
-            return total
+            total = np.zeros((1, steps, ROUTED.n))
+            _shock_paths([ROUTED], [ShockConfig(**layers)], steps, [seed], total)
+            return total[0]
 
         only_u = shock_sum(rho_u=0.4, sigma_u=0.05)
         only_z = shock_sum(rho_z=0.4, sigma_z=0.05)
