@@ -200,9 +200,10 @@ def cmd_simulate(cfg: dict, args) -> dict:
     """Simulate the coupled map and measure each node's cycle period."""
     net, _ = _network(cfg["network"])
     dynamics = cfg["dynamics"]
-    phase._check_peak_options(**cfg["measure"])
+    run = SimulationConfig(**cfg["run"])
+    phase._check_peak_options(run.retain, **cfg["measure"])
     traj = simulate(net, _agent_params(dynamics, net.n), dynamics["betas"],
-                    ShockConfig(**cfg["shocks"]), SimulationConfig(**cfg["run"]))
+                    ShockConfig(**cfg["shocks"]), run)
     periods, failures = {}, {}
     for i, label in enumerate(traj.labels):
         try:

@@ -82,6 +82,18 @@ _RUNS_PER_BATCH = 32
 #: |trend| below this fraction of the series scale masks the cycle/trend indicator
 _TREND_FLOOR = 1e-6
 
+#: fewest observations the band-pass filter takes
+_CF_MIN_OBS = 8
+
+#: fewest common observations of a pair in the scenario grid's correlations
+_SCENARIO_MIN_OVERLAP = 3
+
+#: pair x time elements per block of the all-pairs correlation pass.  Each
+#: temporary of a block holds at most this many floats (256 kB), so a wide
+#: panel (28,680 pairs x 160 years) never builds pairs x time arrays whole,
+#: while the 153 pairs x 57 years of the 18-node demo network fit in one block.
+_PAIR_BLOCK = 2 ** 15
+
 #: 10-macro-sector codes conventionally dropped from correlation groupings
 #: (agriculture, mining, utilities, government)
 DEFAULT_SECTOR_EXCLUSIONS = frozenset({"AtB", "C", "E", "LtN"})
@@ -211,6 +223,27 @@ def cf_weight_matrix(n: int, p_low: float, p_high: float) -> np.ndarray:
     return w
 
 
+def _cf_filter(rows, p_low: float, p_high: float, drift: bool):
+    """Cycle, trend and masked indicator of each row of a (k, n) block of series.
+
+    The stacked product ``W @ rows[:, :, None]`` is one matrix-vector
+    product per series, so a series gets the same bits in any block.
+    """
+    n = rows.shape[1]
+    if drift:
+        adjusted = rows - ((rows[:, -1] - rows[:, 0]) / (n - 1))[:, None] * np.arange(n)
+    else:
+        adjusted = rows
+    weights = cf_weight_matrix(n, float(p_low), float(p_high))
+    cycle = (weights @ adjusted[:, :, None])[:, :, 0]
+    trend = rows - cycle
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    floor = np.where(scale > 0, _TREND_FLOOR * scale, _TREND_FLOOR)
+    with np.errstate(invalid="ignore"):
+        indicator = cycle / np.where(np.abs(trend) < floor, np.nan, trend)
+    return cycle, trend, indicator
+
+
 def cf_bandpass(series, p_low: float = 2.0, p_high: float = 25.0, *,
                 drift: bool = True) -> FilteredSeries:
     """Asymmetric random-walk band-pass decomposition of one series.
@@ -220,25 +253,15 @@ def cf_bandpass(series, p_low: float = 2.0, p_high: float = 25.0, *,
     """
     original = np.asarray(series, dtype=float)
     n = original.size
-    if n < 8:
-        raise SeriesTooShort(f"need at least 8 observations, got {n}")
+    if n < _CF_MIN_OBS:
+        raise SeriesTooShort(f"need at least {_CF_MIN_OBS} observations, got {n}")
     if not 0 < p_low < p_high:
         raise ConfigError(f"need 0 < p_low < p_high, got ({p_low}, {p_high})")
     if np.any(~np.isfinite(original)):
         raise ConfigError("series must be finite (split on gaps before filtering)")
-    if drift:
-        adjusted = original - (original[-1] - original[0]) / (n - 1) * np.arange(n)
-    else:
-        adjusted = original
-    cycle = cf_weight_matrix(n, float(p_low), float(p_high)) @ adjusted
-    trend = original - cycle
-    scale = np.max(np.abs(original))
-    floor = _TREND_FLOOR * scale if scale > 0 else _TREND_FLOOR
-    safe_trend = np.where(np.abs(trend) < floor, np.nan, trend)
-    with np.errstate(invalid="ignore"):
-        indicator = cycle / safe_trend
-    return FilteredSeries(original=original, cycle=cycle, trend=trend,
-                          indicator=indicator, band=(p_low, p_high))
+    cycle, trend, indicator = _cf_filter(original[None, :], p_low, p_high, drift)
+    return FilteredSeries(original=original, cycle=cycle[0], trend=trend[0],
+                          indicator=indicator[0], band=(p_low, p_high))
 
 
 def join_offset(x: dict, y: dict, join_year) -> dict:
@@ -259,19 +282,24 @@ def join_log(x: dict, y: dict, join_year) -> dict:
     return {year: float(np.exp(np.log(value) + ratio)) for year, value in y.items()}
 
 
-def _detrend_column(col):
-    """CF-filter the first longest contiguous observed run; NaN elsewhere."""
-    out = np.full(col.size, np.nan)
-    # run starts and ends are the +1 and -1 steps of the zero-padded mask
-    edges = np.diff(np.concatenate(([0], np.isfinite(col).astype(np.int8), [0])))
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    if starts.size == 0:
-        return out
-    longest = np.argmax(ends - starts)          # the first run on ties
-    lo, hi = starts[longest], ends[longest]
-    if hi - lo >= 8:
-        out[lo:hi] = cf_bandpass(col[lo:hi]).indicator
-    return out
+def _detrend_columns(arr):
+    """CF-filter the first longest contiguous observed run of each (T, N)
+    column; NaN elsewhere.  Runs of one length are filtered as one block."""
+    series = arr.T
+    out = np.full(series.shape, np.nan)
+    # run starts and ends are the +1 and -1 steps of each zero-padded mask row
+    edges = np.diff(np.isfinite(series).astype(np.int8), prepend=0, append=0, axis=1)
+    col, lo = np.nonzero(edges == 1)
+    length = np.nonzero(edges == -1)[1] - lo
+    # per column the longest run, the first one on ties
+    order = np.lexsort((lo, -length, col))
+    heads = order[np.diff(col[order], prepend=-1) != 0]
+    heads = heads[length[heads] >= _CF_MIN_OBS]
+    for n_obs in sorted(set(length[heads].tolist())):
+        run = heads[length[heads] == n_obs]
+        rows, times = col[run][:, None], lo[run][:, None] + np.arange(n_obs)
+        out[rows, times] = _cf_filter(series[rows, times], 2.0, 25.0, True)[2]
+    return out.T
 
 
 def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10) -> np.ndarray:
@@ -282,26 +310,30 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10) ->
     variance), are NaN.  With ``detrend`` the band-pass indicator of each
     column (default 2-25 period band) is correlated instead.
 
-    Row i of the matrix is computed for all columns j > i at once on
-    (N - i - 1, T) arrays: overlap counts, pairwise-complete means, centered
-    cross and auto sums, clipped to [-1, 1] as ``np.corrcoef`` does.
+    All pairs i < j are computed together, in blocks of at most
+    ``_PAIR_BLOCK`` pair x time elements: overlap counts, pairwise-complete
+    means, centered cross and auto sums, clipped to [-1, 1] as
+    ``np.corrcoef`` does.
     """
     arr = np.array(data, dtype=float)
     if arr.ndim != 2:
         raise ConfigError("expected a (T, N) array")
     if detrend:
-        arr = np.column_stack([_detrend_column(arr[:, i]) for i in range(arr.shape[1])])
-    n = arr.shape[1]
+        arr = _detrend_columns(arr)
+    t, n = arr.shape
     corr = np.full((n, n), np.nan)
     np.fill_diagonal(corr, 1.0)
     observed = np.isfinite(arr.T)               # (N, T), one row per column
     values = np.where(observed, arr.T, 0.0)
+    first, second = np.triu_indices(n, 1)
+    step = max(1, _PAIR_BLOCK // max(t, 1))
     with np.errstate(invalid="ignore", divide="ignore"):
-        for i in range(n - 1):
-            both = observed[i] & observed[i + 1:]
+        for start in range(0, first.size, step):
+            i, j = first[start:start + step], second[start:start + step]
+            both = observed[i] & observed[j]
             count = both.sum(axis=1)
             xi = np.where(both, values[i], 0.0)
-            xj = np.where(both, values[i + 1:], 0.0)
+            xj = np.where(both, values[j], 0.0)
             di = np.where(both, xi - (xi.sum(axis=1) / count)[:, None], 0.0)
             dj = np.where(both, xj - (xj.sum(axis=1) / count)[:, None], 0.0)
             var_i, var_j = (di * di).sum(axis=1), (dj * dj).sum(axis=1)
@@ -311,7 +343,7 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10) ->
                       & (np.where(both, xj, -np.inf).max(axis=1)
                          > np.where(both, xj, np.inf).min(axis=1)))
             valid = (count >= min_overlap) & varies & (var_i > 0) & (var_j > 0)
-            corr[i, i + 1:] = corr[i + 1:, i] = np.where(valid, np.clip(r, -1, 1), np.nan)
+            corr[i, j] = corr[j, i] = np.where(valid, np.clip(r, -1, 1), np.nan)
     return corr
 
 
@@ -375,6 +407,13 @@ class ScenarioSpec:
         if self.stride < 1 or self.retain % self.stride != 0:
             raise ConfigError(f"stride {self.stride} must be at least 1 and divide "
                               f"retain {self.retain}")
+        # shorter series leave every correlation NaN and every group empty
+        need, use = ((_CF_MIN_OBS, "band-pass detrend") if self.detrend
+                     else (_SCENARIO_MIN_OVERLAP, "correlate"))
+        if self.retain // self.stride < need:
+            raise ConfigError(f"retain {self.retain} // stride {self.stride} = "
+                              f"{self.retain // self.stride} observations per series, "
+                              f"need at least {need} to {use}")
 
 
 @dataclass(frozen=True)
@@ -393,7 +432,7 @@ def _grouped_means(traj, spec):
     annual = aggregate_series(traj.y, spec.stride)
 
     pairs = list(zip(traj.sectors, traj.countries))
-    corr = correlation_matrix(annual, detrend=spec.detrend, min_overlap=3)
+    corr = correlation_matrix(annual, detrend=spec.detrend, min_overlap=_SCENARIO_MIN_OVERLAP)
     within = grouped_correlations(corr, pairs, "within_country_sectors",
                                   spec.exclusions)
 
@@ -402,7 +441,7 @@ def _grouped_means(traj, spec):
     for j, ids in enumerate(countries.values()):
         w = traj.outputs[ids]
         agg[:, j] = annual[:, ids] @ w / w.sum()
-    corr_c = correlation_matrix(agg, detrend=spec.detrend, min_overlap=3)
+    corr_c = correlation_matrix(agg, detrend=spec.detrend, min_overlap=_SCENARIO_MIN_OVERLAP)
     across = grouped_correlations(corr_c, list(countries), "across_country_aggregates")
     return {
         "within_country_sectors": float(np.mean(list(within.values()))),

@@ -105,13 +105,16 @@ def _smooth(series: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(series, kernel, mode="same")
 
 
-def _check_peak_options(min_separation: int = 5, min_prominence: float = None,
+def _check_peak_options(length: int, min_separation: int = 5, min_prominence: float = None,
                         smooth_window: int = 1):
-    """Reject peak-detection options out of range, so drivers fail before simulating."""
+    """Reject peak-detection options out of range for series of ``length``
+    steps, so drivers fail before simulating."""
     if min_separation < 1:
         raise ConfigError(f"min_separation must be at least 1, got {min_separation}")
     if smooth_window < 1:
         raise ConfigError(f"smooth_window must be at least 1, got {smooth_window}")
+    if smooth_window > length:
+        raise ConfigError(f"smooth_window {smooth_window} exceeds the series length {length}")
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -225,8 +228,8 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
     the series length and :class:`TooFewPeaks` when fewer than three peaks
     survive.
     """
-    _check_peak_options(min_separation, min_prominence, smooth_window)
     series = np.asarray(series, dtype=float)
+    _check_peak_options(series.size, min_separation, min_prominence, smooth_window)
     finite = np.isfinite(series)
     if not finite.all():
         raise DegenerateSeries(f"series value at index {int(np.argmin(finite))} is not finite")
@@ -234,9 +237,6 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
         raise TooFewPeaks(
             f"series of length {series.size} too short for separation {min_separation}"
         )
-    if smooth_window > series.size:
-        raise ConfigError(f"smooth_window {smooth_window} exceeds the series length "
-                          f"{series.size}")
     smoothed = _smooth(series, smooth_window)
     if min_prominence is None:
         min_prominence = 0.1 * _interquartile_range(smoothed)
@@ -345,7 +345,7 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
     ``entrain_tol``.
     """
     peak_kwargs = dict(peak_kwargs or {})
-    _check_peak_options(**peak_kwargs)
+    _check_peak_options(cfg.retain, **peak_kwargs)
     eps_grid = np.asarray(eps_grid, dtype=float)
 
     omegas = np.empty((eps_grid.size, adj.n))
@@ -405,7 +405,7 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
     if n < 2:
         raise ConfigError(f"sync_centrality needs at least 2 nodes, got {n}")
     peak_kwargs = dict(peak_kwargs or {})
-    _check_peak_options(**peak_kwargs)
+    _check_peak_options(cfg.retain, **peak_kwargs)
     alpha1_grid = np.linspace(-0.1, -0.02, n)
     focus_value = alpha1_grid[-1] if mode == "L" else alpha1_grid[0]
     rest = np.delete(alpha1_grid, -1 if mode == "L" else 0)

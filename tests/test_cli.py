@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cyclesync
-from cyclesync import cli, phase
+from cyclesync import cli, empirics, phase
 from cyclesync.dynamics import DEFAULT_QUARTIC
 from cyclesync.cli import main
 from cyclesync.networks import build_topology, uniform_coupling
@@ -338,6 +338,35 @@ class TestOtherCommands:
         assert run(argv + ["--set", setting], tmp_path) == 2
         key = setting[len("measure."):-len("=0")]
         assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv, retain", [
+        (["simulate", "--preset", "cycle-single"], 3000),
+        (["sweep-epsilon", "--preset", "entrainment-complete"], 2000),
+        (["sync-centrality", "--set", "network.kind=star", "--set", "network.n=6",
+          "--set", "network.eps=0.5"], 2000),
+    ], ids=["simulate", "sweep-epsilon", "sync-centrality"])
+    def test_smooth_window_beyond_retain_rejected_before_simulating(
+            self, argv, retain, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+        monkeypatch.setattr(cli, "simulate", simulate_nothing)
+        assert run(argv + ["--set", f"measure.smooth_window={retain + 1}"], tmp_path) == 2
+        assert (f"smooth_window {retain + 1} exceeds the series length {retain}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("settings, message", [
+        (["scenarios.retain=28", "scenarios.detrend=true"], "retain 28 // stride 4 = 7"),
+        (["scenarios.retain=8"], "retain 8 // stride 4 = 2"),
+    ], ids=["detrended", "raw"])
+    def test_scenarios_reject_too_short_window_before_simulating(
+            self, settings, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(empirics, "simulate_batch", simulate_nothing)
+        argv = ["scenarios", "--preset", "scenarios-smoke"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert run(argv, tmp_path) == 2
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_sync_centrality_rejects_single_node(self, tmp_path, capsys, monkeypatch):

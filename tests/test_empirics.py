@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -8,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclesync import empirics
+from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams
 from cyclesync.empirics import (
     DEFAULT_SECTOR_EXCLUSIONS,
-    _detrend_column,
+    DYNAMICS_PRESETS,
+    SHOCK_PRESETS,
+    _detrend_columns,
     _grouped_means,
     ScenarioSpec,
     cf_bandpass,
@@ -35,7 +40,7 @@ from cyclesync.errors import (
     SeriesTooShort,
 )
 from cyclesync.networks import FINAL_DEMAND
-from cyclesync.simulation import aggregate_series
+from cyclesync.simulation import ShockConfig, SimulationConfig, aggregate_series, simulate
 
 
 # --------------------------------------------------------------------------
@@ -187,11 +192,11 @@ def oracle_grouped_correlations(matrix, groups, grouping: str = "within_country_
     return result
 
 
-def oracle_grouped_means(traj, spec):
+def oracle_grouped_means(traj, spec, correlate=correlation_matrix):
     annual = aggregate_series(traj.y, spec.stride)
 
     pairs = list(zip(traj.sectors, traj.countries))
-    corr = correlation_matrix(annual, detrend=spec.detrend, min_overlap=3)
+    corr = correlate(annual, detrend=spec.detrend, min_overlap=3)
     within = oracle_grouped_correlations(corr, pairs, "within_country_sectors",
                                          spec.exclusions)
 
@@ -204,7 +209,7 @@ def oracle_grouped_means(traj, spec):
         ids = [i for i, c in enumerate(traj.countries) if c == country]
         w = traj.outputs[ids]
         agg[:, j] = annual[:, ids] @ w / w.sum()
-    corr_c = correlation_matrix(agg, detrend=spec.detrend, min_overlap=3)
+    corr_c = correlate(agg, detrend=spec.detrend, min_overlap=3)
     across = oracle_grouped_correlations(corr_c, countries, "across_country_aggregates")
     return {
         "within_country_sectors": float(np.mean(list(within.values()))),
@@ -487,7 +492,7 @@ class TestCorrelationMatrix:
     def test_detrend_filters_first_longest_run(self, rng, finite, run):
         finite = np.array(finite, dtype=bool)
         col = np.where(finite, 100.0 + np.cumsum(rng.normal(0.5, 1.0, finite.size)), np.nan)
-        got = _detrend_column(col)
+        got = _detrend_columns(col[:, None])[:, 0]
         np.testing.assert_array_equal(got, oracle_detrend_column(col, 2.0, 25.0))
         if run is None:
             assert np.isnan(got).all()
@@ -547,6 +552,40 @@ class TestCorrelationParity:
         kept = ~np.isnan(new)
         np.testing.assert_allclose(new[kept], old[kept], rtol=0, atol=1e-12)
         assert np.all(np.abs(new[kept]) <= 1.0)
+
+    @pytest.mark.parametrize("pairs", [1, 2, 7])
+    @pytest.mark.parametrize("seed, t, n", [(1, 57, 18), (2, 40, 9), (3, 7, 5)])
+    def test_pair_block_size_does_not_change_the_bits(self, pairs, seed, t, n, monkeypatch):
+        data = ragged_columns(seed, t, n)
+        whole = correlation_matrix(data, detrend=True, min_overlap=3)
+        raw = correlation_matrix(data, min_overlap=3)
+        monkeypatch.setattr(empirics, "_PAIR_BLOCK", pairs * t)
+        np.testing.assert_array_equal(correlation_matrix(data, detrend=True, min_overlap=3),
+                                      whole)
+        np.testing.assert_array_equal(correlation_matrix(data, min_overlap=3), raw)
+
+
+class TestBatchedDetrend:
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(2, 80), n=st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_column_filter(self, seed, t, n):
+        # ragged runs of many lengths and all-NaN columns, plus runs on the
+        # degenerate-trend floor: all zero (scale 0) and a trend through 0
+        data = ragged_columns(seed, t, n)
+        rng = np.random.default_rng(seed)
+        observed = np.isfinite(data)
+        floor_cols = rng.random(n) < 0.2
+        data[:, floor_cols] = np.where(observed[:, floor_cols], 0.0, np.nan)
+        line_cols = ~floor_cols & (rng.random(n) < 0.2)
+        data[:, line_cols] = np.where(observed[:, line_cols], np.linspace(-1, 1, t)[:, None],
+                                      np.nan)
+        got = _detrend_columns(data)
+        want = np.column_stack([oracle_detrend_column(data[:, i], 2.0, 25.0)
+                                for i in range(n)])
+        # the stacked product filters each series alone: equal bits, stricter
+        # than the correlation tolerance, because the correlations of a
+        # filtered constant column are rounding noise
+        np.testing.assert_array_equal(got, want)
 
 
 class TestGroupedCorrelations:
@@ -676,6 +715,40 @@ class TestScenarioRun:
             assert part in message
         assert not isinstance(err.value, NumericalBlowup)
         assert isinstance(err.value.__cause__, NumericalBlowup)
+
+    def test_detrended_rows_match_per_run_oracle(self, demo_io_network):
+        spec = ScenarioSpec(dynamics=("cycle", "node"), shock_types=("idiosyncratic", "country"),
+                            sigma_u_grid=(0.1, 0.25), n_seeds=3, detrend=True)
+        rows = scenario_run(demo_io_network, spec)
+        expected = []
+        for dyn, shock, sigma_u in itertools.product(spec.dynamics, spec.shock_types,
+                                                     spec.sigma_u_grid):
+            params = AgentParams.with_steady_state(*DYNAMICS_PRESETS[dyn], DEFAULT_QUARTIC)
+            means = [oracle_grouped_means(
+                simulate(demo_io_network, params, DEFAULT_QUARTIC,
+                         ShockConfig(sigma_u=sigma_u, **SHOCK_PRESETS[shock]),
+                         SimulationConfig(steps=spec.steps, retain=spec.retain, seed=seed)),
+                spec, oracle_correlation_matrix) for seed in range(spec.n_seeds)]
+            for group in ("within_country_sectors", "across_country_aggregates"):
+                vals = np.array([m[group] for m in means])
+                expected.append((dyn, shock, sigma_u, group, vals.mean(), vals.std(ddof=1)))
+        assert [(r.dynamics, r.shock_type, r.sigma_u, r.group) for r in rows] == \
+            [e[:4] for e in expected]
+        for r, e in zip(rows, expected):
+            assert r.mean_corr == pytest.approx(e[4], rel=0, abs=1e-12)
+            assert r.sd_corr == pytest.approx(e[5], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("retain, stride, detrend", [(28, 4, True), (7, 1, True),
+                                                          (8, 4, False)])
+    def test_rejects_too_short_window(self, retain, stride, detrend):
+        need = 8 if detrend else 3
+        with pytest.raises(ConfigError, match=f"retain {retain} // stride {stride} = "
+                                              f"{retain // stride} .* at least {need}"):
+            ScenarioSpec(retain=retain, stride=stride, detrend=detrend)
+
+    @pytest.mark.parametrize("retain, stride, detrend", [(32, 4, True), (12, 4, False)])
+    def test_accepts_shortest_window(self, retain, stride, detrend):
+        ScenarioSpec(retain=retain, stride=stride, detrend=detrend)
 
     @pytest.mark.parametrize("n_seeds", [0, -2])
     def test_rejects_too_few_seeds(self, n_seeds):
