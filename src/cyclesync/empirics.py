@@ -338,10 +338,11 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10) ->
             dj = np.where(both, xj - (xj.sum(axis=1) / count)[:, None], 0.0)
             var_i, var_j = (di * di).sum(axis=1), (dj * dj).sum(axis=1)
             r = (di * dj).sum(axis=1) / np.sqrt(var_i) / np.sqrt(var_j)
-            varies = ((np.where(both, xi, -np.inf).max(axis=1)
-                       > np.where(both, xi, np.inf).min(axis=1))
-                      & (np.where(both, xj, -np.inf).max(axis=1)
-                         > np.where(both, xj, np.inf).min(axis=1)))
+            # the initial values keep zero-row data defined: nothing varies
+            varies = ((np.where(both, xi, -np.inf).max(axis=1, initial=-np.inf)
+                       > np.where(both, xi, np.inf).min(axis=1, initial=np.inf))
+                      & (np.where(both, xj, -np.inf).max(axis=1, initial=-np.inf)
+                         > np.where(both, xj, np.inf).min(axis=1, initial=np.inf)))
             valid = (count >= min_overlap) & varies & (var_i > 0) & (var_j > 0)
             corr[i, j] = corr[j, i] = np.where(valid, np.clip(r, -1, 1), np.nan)
     return corr

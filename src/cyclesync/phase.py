@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-#: draws simulated together by :func:`sync_centrality`; bounds the retained
+#: runs simulated together by :func:`sync_centrality`; bounds the retained
 #: paths held at once while keeping the per-step overhead amortized
 _DRAWS_PER_BATCH = 100
 
@@ -265,9 +265,10 @@ def phase_series(series, min_separation: int = 5, min_prominence: float = None,
     series = np.asarray(series, dtype=float)
     peaks = detect_peaks(series, min_separation, min_prominence, smooth_window)
     phi = np.full(series.size, np.nan)
-    for a, b in zip(peaks[:-1], peaks[1:]):
-        steps = np.arange(a, b)
-        phi[a:b] = 2.0 * np.pi * (steps - a) / (b - a)
+    t = np.arange(peaks[0], peaks[-1])
+    right = np.searchsorted(peaks, t, side="right")
+    a, b = peaks[right - 1], peaks[right]
+    phi[peaks[0]:peaks[-1]] = 2.0 * np.pi * (t - a) / (b - a)
     phi[peaks[-1]] = 0.0
     omega = 2.0 * np.pi / float(np.mean(np.diff(peaks)))
     return PhaseSeries(peaks=peaks, phi=phi, omega=omega)
@@ -395,7 +396,8 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
     uniform 1/N matrix, oriented so that more influence is larger, shifted
     by |min| and normalized to sum to one.  Every run simulates with
     ``cfg``; draw d of focus node i (the benchmark counts as i = N)
-    permutes with the stream seeded by (``cfg.seed``, i, d).
+    permutes with the stream seeded by (``cfg.seed``, i, d).  All (i, d)
+    runs form one list, simulated in blocks of ``_DRAWS_PER_BATCH``.
     """
     if mode not in ("L", "H"):
         raise ConfigError(f"mode must be 'L' or 'H', got {mode!r}")
@@ -410,37 +412,37 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
     focus_value = alpha1_grid[-1] if mode == "L" else alpha1_grid[0]
     rest = np.delete(alpha1_grid, -1 if mode == "L" else 0)
 
-    def mean_frequency(weights, focus, key, name):
-        target = InteractionNetwork(weights=weights, labels=list(net.labels),
-                                    sectors=list(net.sectors),
-                                    countries=list(net.countries),
-                                    outputs=net.outputs.copy())
+    agent = {a1: AgentParams.with_steady_state(a1, alpha2, delta, q) for a1 in alpha1_grid}
+    uniform = InteractionNetwork(weights=np.full((n, n), 1.0 / n), labels=list(net.labels),
+                                 sectors=list(net.sectors), countries=list(net.countries),
+                                 outputs=net.outputs.copy())
+    runs = []       # (key, draw, network, per-node params); key n is the benchmark
+    for key in range(n + 1):
+        focus = key if key < n else 0
         others = [i for i in range(n) if i != focus]
-        draws = []
         for d in range(n_draws):
             rng = np.random.default_rng((cfg.seed, key, d))
             assignment = np.empty(n)
             assignment[focus] = focus_value
             assignment[others] = rng.permutation(rest)
-            draws.append([AgentParams.with_steady_state(a1, alpha2, delta, q)
-                          for a1 in assignment])
-        sims = np.empty(n_draws)
-        for lo in range(0, n_draws, _DRAWS_PER_BATCH):
-            trajs = simulate_batch(target, draws[lo:lo + _DRAWS_PER_BATCH], q, None, cfg)
-            for d, traj in enumerate(trajs, start=lo):
-                sims[d] = _common_frequency(traj.y, entrain_tol, peak_kwargs,
-                                            f"{name}, draw {d}")
-        se = float(sims.std(ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0
-        return float(sims.mean()), se
+            runs.append((key, d, net if key < n else uniform,
+                         [agent[a1] for a1 in assignment]))
 
-    means = np.empty(n)
-    stderr = np.empty(n)
-    for focus in range(n):
-        means[focus], stderr[focus] = mean_frequency(
-            net.weights, focus, focus, f"focus node {net.labels[focus]}")
+    sims = np.empty((n + 1, n_draws))
+    for lo in range(0, len(runs), _DRAWS_PER_BATCH):
+        block = runs[lo:lo + _DRAWS_PER_BATCH]
+        trajs = simulate_batch([run[2] for run in block], [run[3] for run in block],
+                               q, None, cfg)
+        for (key, d, _, _), traj in zip(block, trajs):
+            name = f"focus node {net.labels[key]}" if key < n else "uniform benchmark"
+            sims[key, d] = _common_frequency(traj.y, entrain_tol, peak_kwargs,
+                                             f"{name}, draw {d}")
+        del trajs, traj  # free the block before the next one is simulated
 
-    uniform = np.full((n, n), 1.0 / n)
-    benchmark, _ = mean_frequency(uniform, 0, n, "uniform benchmark")
+    means = sims[:n].mean(axis=1)
+    stderr = (sims[:n].std(axis=1, ddof=1) / np.sqrt(n_draws) if n_draws > 1
+              else np.zeros(n))
+    benchmark = float(sims[n].mean())
 
     raw = benchmark - means if mode == "L" else means - benchmark
     shifted = raw + abs(raw.min())

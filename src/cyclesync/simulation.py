@@ -124,14 +124,17 @@ class SimulationConfig:
 class TrajectorySet:
     """The retained window of one simulated run.
 
-    ``x`` (stocks) and ``y`` (output, shocks included) are (retain, N)
-    arrays.  ``labels``, ``sectors``, ``countries`` and ``outputs`` are the
-    network's per-node labels, groups and gross outputs; ``config`` is the
-    run's echoed :class:`SimulationConfig`, seed and shock settings.
+    ``y`` (output, shocks included) is a (retain, N) array; ``x_start`` is
+    the (N,) stock at the first retained step and ``delta`` the per-node
+    depreciation, from which :attr:`x` replays the stocks.  ``labels``,
+    ``sectors``, ``countries`` and ``outputs`` are the network's per-node
+    labels, groups and gross outputs; ``config`` is the run's echoed
+    :class:`SimulationConfig`, seed and shock settings.
     """
 
-    x: np.ndarray
     y: np.ndarray
+    x_start: np.ndarray
+    delta: np.ndarray
     labels: list
     sectors: list
     countries: list
@@ -145,6 +148,18 @@ class TrajectorySet:
     @property
     def steps(self) -> int:
         return self.y.shape[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        """(retain, N) stocks, replayed as x[t+1] = (1 - delta) x[t] + y[t].
+
+        The same IEEE operations as the map's own stock update, so the bits
+        are those of the simulated stocks.
+        """
+        paths = np.concatenate([self.x_start[None], self.y[:-1]])[:self.steps]
+        x = _ar1_recursion(paths, 1.0 - self.delta)
+        x.flags.writeable = False
+        return x
 
     def to_csv(self, path):
         """Long-format export: node,step,x,y."""
@@ -242,15 +257,16 @@ def _iterate(w, a0, a1, a2, de, x, y, q: QuarticCoefficients, steps: int,
 
     ``w`` is shared (N, N) or per run (B, N, N); ``a0``, ``a1``, ``a2``,
     ``de``, ``x`` and ``y`` are (B, N); ``shock_sum`` is (B, steps, N) or
-    None.  Returns the last ``retain`` states as (B, retain, N) arrays
-    ``(xs, ys)``.  Every run's coupling term is its own matrix-vector
-    product, so a batch reproduces separate runs bit for bit.  Raises
-    :class:`NumericalBlowup` naming the first run whose |y| is not finite or
-    exceeds ``bound``.
+    None.  Returns ``(x_start, ys)``: the (B, N) stocks at the first of the
+    last ``retain`` steps and the (B, retain, N) outputs of those steps,
+    from which :attr:`TrajectorySet.x` replays the stocks.  Every run's
+    coupling term is its own matrix-vector product, so a batch reproduces
+    separate runs bit for bit.  Raises :class:`NumericalBlowup` naming the
+    first run whose |y| is not finite or exceeds ``bound``.
     """
     keep_from = steps - retain
-    xs = np.empty((y.shape[0], retain, y.shape[1]))
-    ys = np.empty_like(xs)
+    ys = np.empty((y.shape[0], retain, y.shape[1]))
+    x_start = None
     for t in range(steps):
         ybar = np.matmul(w, y[:, :, None])[:, :, 0]
         x, y = _map_step(x, y, ybar, a0, a1, a2, de, q)
@@ -262,10 +278,11 @@ def _iterate(w, a0, a1, a2, de, x, y, q: QuarticCoefficients, steps: int,
             run = int(np.argmax(bad))
             raise NumericalBlowup(step=t, value=float(np.max(np.abs(y[run]))),
                                   bound=bound, run=run)
+        if t == keep_from:
+            x_start = x
         if t >= keep_from:
-            xs[:, t - keep_from] = x
             ys[:, t - keep_from] = y
-    return xs, ys
+    return x_start, ys
 
 
 def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTIC,
@@ -311,10 +328,11 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
     shock_sum = None if all(s.silent for s in shocks) else np.zeros((b, cfg.steps, n))
     if shock_sum is not None:
         _shock_paths(nets, shocks, cfg.steps, seeds, shock_sum)
-    xs, ys = _iterate(w, a0, a1, a2, de, x0, y0, q, cfg.steps, cfg.retain,
-                      _BLOWUP_BOUND, shock_sum)
-    return [TrajectorySet(xs[r], ys[r], labels=list(net.labels), sectors=list(net.sectors),
-                          countries=list(net.countries), outputs=net.outputs.copy(),
+    x_start, ys = _iterate(w, a0, a1, a2, de, x0, y0, q, cfg.steps, cfg.retain,
+                           _BLOWUP_BOUND, shock_sum)
+    return [TrajectorySet(ys[r], x_start[r], de[r], labels=list(net.labels),
+                          sectors=list(net.sectors), countries=list(net.countries),
+                          outputs=net.outputs.copy(),
                           config={**cfg.echo(), "seed": seeds[r], "shocks": asdict(shocks[r])})
             for r, net in enumerate(nets)]
 

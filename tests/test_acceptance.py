@@ -268,7 +268,11 @@ class TestCriterion11PropertySuites:
         assert np.var(path[100:]) == pytest.approx(0.01 / 0.75, rel=0.05)
 
     def test_cf_linearity_and_bands(self, rng):
-        sm = pytest.importorskip("statsmodels.tsa.filters.cf_filter")
+        # only the statsmodels reference comparison needs statsmodels
+        try:
+            from statsmodels.tsa.filters import cf_filter as sm
+        except ImportError:
+            sm = None
         for _ in range(100):
             n = int(rng.integers(12, 90))
             x = np.cumsum(rng.normal(0, 1, n))
@@ -278,9 +282,10 @@ class TestCriterion11PropertySuites:
             rhs = a * cf_bandpass(x, drift=False).cycle \
                 + b * cf_bandpass(y, drift=False).cycle
             np.testing.assert_allclose(lhs, rhs, atol=1e-8)
-            ref, _ = sm.cffilter(x, low=2, high=25, drift=True)
-            np.testing.assert_allclose(cf_bandpass(x).cycle, np.asarray(ref),
-                                       atol=1e-10)
+            if sm is not None:
+                ref, _ = sm.cffilter(x, low=2, high=25, drift=True)
+                np.testing.assert_allclose(cf_bandpass(x).cycle, np.asarray(ref),
+                                           atol=1e-10)
         t = np.arange(57)
         assert np.var(cf_bandpass(np.sin(2 * np.pi * t / 10)).cycle) >= \
             0.8 * np.var(np.sin(2 * np.pi * t / 10))

@@ -481,6 +481,14 @@ class TestCorrelationMatrix:
         with pytest.raises(ConfigError):
             correlation_matrix(np.zeros(shape))
 
+    @pytest.mark.parametrize("detrend", [False, True])
+    def test_no_rows_gives_what_one_row_gives(self, detrend):
+        none = correlation_matrix(np.zeros((0, 3)), detrend=detrend)
+        want = np.where(np.eye(3) == 1, 1.0, np.nan)
+        np.testing.assert_array_equal(none, want)
+        np.testing.assert_array_equal(correlation_matrix(np.zeros((1, 3)), detrend=detrend),
+                                      want)
+
     @pytest.mark.parametrize("finite, run", [
         ([1] * 20, (0, 20)),
         ([0] * 3 + [1] * 9 + [0] + [1] * 9, (3, 12)),       # a tie goes to the first run

@@ -157,8 +157,10 @@ def labels(n):
 
 
 def trajectory(rows, n):
-    return TrajectorySet(x=floats(rows, n), y=floats(rows, n, shift=4), labels=labels(n),
-                         sectors=[None] * n, countries=[None] * n, outputs=np.ones(n))
+    # the stocks replay from x_start through y, so the special values sit in y
+    return TrajectorySet(y=floats(rows, n, shift=4), x_start=floats(n, shift=3),
+                         delta=np.full(n, 0.1), labels=labels(n), sectors=[None] * n,
+                         countries=[None] * n, outputs=np.ones(n))
 
 
 def entrainment(rows, n):

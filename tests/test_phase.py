@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclesync import phase
@@ -173,6 +173,50 @@ class TestPhaseAt:
             phase_at(5, peaks)
         with pytest.raises(PhaseUndefined):
             phase_at(45, peaks)
+
+
+def oracle_phase_fill(size, peaks):
+    """The per-interval loop that filled ``phase_series`` phases, kept as reference."""
+    phi = np.full(size, np.nan)
+    for a, b in zip(peaks[:-1], peaks[1:]):
+        steps = np.arange(a, b)
+        phi[a:b] = 2.0 * np.pi * (steps - a) / (b - a)
+    phi[peaks[-1]] = 0.0
+    return phi
+
+
+class TestPhaseSeriesOracle:
+    """The one-pass phase fill against the per-interval loop, bit for bit."""
+
+    def check(self, x, **peak_kwargs):
+        try:
+            got = phase_series(x, **peak_kwargs)
+        except TooFewPeaks:
+            assume(False)
+        np.testing.assert_array_equal(got.phi, oracle_phase_fill(x.size, got.peaks),
+                                      strict=True)
+        assert np.isnan(got.phi[:got.peaks[0]]).all()
+        assert np.isnan(got.phi[got.peaks[-1] + 1:]).all()
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(300, 2500),
+           noise=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+           quantum=st.sampled_from([0.0, 0.25, 1.0]), smooth_window=st.sampled_from([1, 5]))
+    @settings(max_examples=300, deadline=None)
+    def test_noisy_oscillations(self, seed, n, noise, quantum, smooth_window):
+        # rounding to a quantum turns the crests into plateaus
+        rng = np.random.default_rng(seed)
+        x = sinusoid(rng.uniform(12, 80), n, phase=rng.uniform(0, 6)) + rng.normal(0, noise, n)
+        if quantum:
+            x = np.round(x / quantum) * quantum
+        self.check(x, smooth_window=smooth_window)
+
+    def test_plateau_peaks(self):
+        # plateau peaks of odd and even width, the even ones at their left midpoint
+        x = np.array([0.0, 2, 2, 2, 0, 0, 3, 3, 0, 1, 0, 4, 4, 4, 4, 0])
+        got = phase_series(x, min_separation=1, min_prominence=0.5)
+        assert got.peaks.tolist() == [2, 6, 9, 12]
+        np.testing.assert_array_equal(got.phi, oracle_phase_fill(x.size, got.peaks),
+                                      strict=True)
 
 
 class TestPhaseCoherence:
@@ -405,16 +449,36 @@ class TestSyncCentrality:
         net = uniform_coupling(build_topology("star", 4), 0.5)
         real = phase.simulate_batch
 
-        def detune_uniform_draw_one(target, draws, *args, **kwargs):
-            trajs = real(target, draws, *args, **kwargs)
-            if np.all(target.weights == 0.25):
-                trajs[1].y[:, 0] = sinusoid(7, trajs[1].steps)
+        def detune_uniform_draw_one(nets, draws, *args, **kwargs):
+            trajs = real(nets, draws, *args, **kwargs)
+            uniform = [r for r, target in enumerate(nets) if np.all(target.weights == 0.25)]
+            trajs[uniform[1]].y[:, 0] = sinusoid(7, trajs[uniform[1]].steps)
             return trajs
 
         monkeypatch.setattr(phase, "simulate_batch", detune_uniform_draw_one)
         with pytest.raises(EntrainmentFailure,
                            match=r"uniform benchmark, draw 1: frequency spread \d"):
             sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=1), n_draws=2)
+
+    def test_block_boundary_inside_a_key(self, monkeypatch):
+        # 3-run blocks split every key's draws; the scores equal one block's
+        net = uniform_coupling(build_topology("star", 4), 0.5)
+        cfg = SimulationConfig(steps=1500, burn_in=400, seed=1)
+        whole = sync_centrality(net, cfg, n_draws=2)
+        blocks = []
+
+        def recording_batch(nets, draws, *args, **kwargs):
+            blocks.append(len(draws))
+            return real(nets, draws, *args, **kwargs)
+
+        real = phase.simulate_batch
+        monkeypatch.setattr(phase, "simulate_batch", recording_batch)
+        monkeypatch.setattr(phase, "_DRAWS_PER_BATCH", 3)
+        split = sync_centrality(net, cfg, n_draws=2)
+        assert blocks == [3, 3, 3, 1]
+        for name in ("scores", "raw_differences", "stderr", "mean_frequencies"):
+            np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
+        assert split.benchmark_frequency == whole.benchmark_frequency
 
     def test_csv_export(self, tmp_path):
         n = 4

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cyclesync.networks import InteractionNetwork, build_topology, uniform_coupl
 from cyclesync.simulation import (
     ShockConfig,
     SimulationConfig,
-    TrajectorySet,
     aggregate_series,
     ar1_path,
     simulate,
@@ -380,7 +380,7 @@ def oracle_simulate(net, params, q=Q, shocks=None, cfg=None):
         if t >= keep_from:
             xs[t - keep_from] = x
             ys[t - keep_from] = y
-    return TrajectorySet(
+    return SimpleNamespace(
         x=xs, y=ys, labels=list(net.labels), sectors=list(net.sectors),
         countries=list(net.countries), outputs=net.outputs.copy())
 
