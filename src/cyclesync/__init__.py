@@ -29,8 +29,6 @@ from .empirics import (
     cf_bandpass,
     correlation_matrix,
     grouped_correlations,
-    join_log,
-    join_offset,
     load_panel_csv,
     scenario_run,
 )
@@ -53,7 +51,6 @@ from .networks import (
     FlowTable,
     InteractionNetwork,
     SpectralDecomposition,
-    aggregate_nodes,
     build_io_network,
     build_topology,
     eigenvector_centrality,
@@ -67,10 +64,8 @@ from .phase import (
     SyncCentralityResult,
     detect_peaks,
     epsilon_sweep,
-    frequency_fft,
     mean_pairwise_correlation,
     measured_frequency,
-    phase_at,
     phase_coherence,
     phase_series,
     sync_centrality,

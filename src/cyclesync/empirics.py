@@ -1,5 +1,5 @@
-"""Empirical panels, band-pass detrending, series joining and the
-model-vs-data scenario harness.
+"""Empirical panels, band-pass detrending and the model-vs-data scenario
+harness.
 
 The band-pass filter is the asymmetric random-walk variant: ideal low/high
 cut weights B_j = (sin(j b) - sin(j a)) / (pi j) with a = 2 pi / p_high and
@@ -26,8 +26,6 @@ from .errors import (
     DuplicateKey,
     EmptyGroup,
     MalformedRow,
-    MissingJoinYear,
-    NonPositiveValue,
     NumericalBlowup,
     NumericalError,
     SeriesTooShort,
@@ -47,8 +45,6 @@ __all__ = [
     "load_panel_csv",
     "cf_weight_matrix",
     "cf_bandpass",
-    "join_offset",
-    "join_log",
     "correlation_matrix",
     "grouped_correlations",
     "scenario_run",
@@ -262,24 +258,6 @@ def cf_bandpass(series, p_low: float = 2.0, p_high: float = 25.0, *,
     cycle, trend, indicator = _cf_filter(original[None, :], p_low, p_high, drift)
     return FilteredSeries(original=original, cycle=cycle[0], trend=trend[0],
                           indicator=indicator[0], band=(p_low, p_high))
-
-
-def join_offset(x: dict, y: dict, join_year) -> dict:
-    """Shift series y by a constant so it matches x at the joining year."""
-    if join_year not in x or join_year not in y:
-        raise MissingJoinYear(f"both series must be defined at {join_year}")
-    offset = x[join_year] - y[join_year]
-    return {year: value + offset for year, value in y.items()}
-
-
-def join_log(x: dict, y: dict, join_year) -> dict:
-    """Rescale series y so it matches x at the joining year, preserving growth rates."""
-    if join_year not in x or join_year not in y:
-        raise MissingJoinYear(f"both series must be defined at {join_year}")
-    if x[join_year] <= 0 or any(v <= 0 for v in y.values()):
-        raise NonPositiveValue("logarithmic joining needs strictly positive values")
-    ratio = np.log(x[join_year]) - np.log(y[join_year])
-    return {year: float(np.exp(np.log(value) + ratio)) for year, value in y.items()}
 
 
 def _detrend_columns(arr):

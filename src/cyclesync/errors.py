@@ -46,7 +46,7 @@ class NonConvergence(NumericalError):
 
 
 class Reducible(NumericalError):
-    """The stochastic matrix is reducible (some centrality entries vanish)."""
+    """The stochastic matrix is reducible: some node cannot reach another."""
 
 
 # --- simulation -------------------------------------------------------------
@@ -71,10 +71,6 @@ class NumericalBlowup(NumericalError):
 
 class TooFewPeaks(NumericalError):
     """Fewer than three peaks were found; period estimation impossible."""
-
-
-class PhaseUndefined(NumericalError):
-    """Phase requested before the first or after the last detected peak."""
 
 
 class DegenerateSeries(DataError):
@@ -115,14 +111,6 @@ class MalformedRow(DataError):
 
 class SeriesTooShort(DataError):
     """Series too short for the band-pass filter."""
-
-
-class MissingJoinYear(DataError):
-    """The joining year is absent from one of the series."""
-
-
-class NonPositiveValue(DataError):
-    """Logarithmic joining requires strictly positive values."""
 
 
 class EmptyGroup(DataError):

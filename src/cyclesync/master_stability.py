@@ -114,9 +114,6 @@ class MasterStabilityCurve:
     mu1: np.ndarray
     mu2: np.ndarray
 
-    def interpolate(self, k: float) -> float:
-        return float(np.interp(k, self.k_grid, self.mu1))
-
     def to_csv(self, path):
         write_table(path, ("K", "mu1", "mu2"), self.k_grid, self.mu1, self.mu2)
 

@@ -45,7 +45,6 @@ __all__ = [
     "build_topology",
     "uniform_coupling",
     "build_io_network",
-    "aggregate_nodes",
     "generalized_laplacian",
     "fiedler_vector",
     "eigenvector_centrality",
@@ -345,47 +344,6 @@ def build_io_network(flows: FlowTable) -> InteractionNetwork:
                               outputs=outputs)
 
 
-def aggregate_nodes(net: InteractionNetwork, partition) -> InteractionNetwork:
-    """Aggregate nodes into blocks, summing extensive flows and outputs.
-
-    ``partition`` is a per-node sequence of hashable block keys; blocks come
-    in first-seen key order.  Extensive flows (output-weighted rows) are
-    summed within blocks and re-normalized; block output is the sum over
-    members.
-    """
-    n = net.n
-    keys = list(partition)
-    if len(keys) != n:
-        raise ConfigError("per-node partition must list one key per node")
-    blocks = list(_node_groups(keys).items())
-    m = len(blocks)
-    block = np.empty(n, dtype=np.intp)
-    for bi, (_, members) in enumerate(blocks):
-        block[members] = bi
-
-    # one pass over all node pairs: flow i -> j lands in block pair (block_i, block_j)
-    ext = net.outputs[:, None] * net.weights
-    pair = (block[:, None] * m + block[None, :]).ravel()
-    agg = np.bincount(pair, weights=ext.ravel(), minlength=m * m).reshape(m, m)
-    outputs = np.bincount(block, weights=net.outputs, minlength=m)
-    row_tot = agg.sum(axis=1)
-    if np.any(row_tot <= 0):
-        raise ZeroOutput("an aggregated block has no outgoing flow")
-    weights = agg / row_tot[:, None]
-
-    def _common(values, members):
-        vals = {values[i] for i in members}
-        return vals.pop() if len(vals) == 1 else None
-
-    return InteractionNetwork(
-        weights=weights,
-        labels=[str(key) for key, _ in blocks],
-        sectors=[_common(net.sectors, mem) for _, mem in blocks],
-        countries=[_common(net.countries, mem) for _, mem in blocks],
-        outputs=outputs,
-    )
-
-
 def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
     """Spectral decomposition of the coupling operator B = I - W.
 
@@ -471,14 +429,28 @@ def fiedler_vector(spec: SpectralDecomposition, outputs=None) -> np.ndarray:
     return v
 
 
+def _reaches_all(links: np.ndarray) -> bool:
+    """Whether every node is reachable from node 0 along ``links[i, j]`` edges."""
+    seen = np.zeros(len(links), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = links[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def eigenvector_centrality(net: InteractionNetwork) -> np.ndarray:
     """Stationary distribution of the row-stochastic interaction matrix.
 
-    Power iteration from the uniform vector until no entry moves by 1e-12;
-    converges for irreducible matrices.  Entries that collapse to zero mark
-    a reducible matrix.
+    Raises :class:`Reducible` unless every node reaches node 0 and is
+    reached from it along positive weights; otherwise power iteration from
+    the uniform vector runs until no entry moves by 1e-12.
     """
     w = net.weights
+    links = w > 0
+    if not (_reaches_all(links) and _reaches_all(links.T)):
+        raise Reducible("not every node reaches every other along positive weights")
     pi = np.full(net.n, 1.0 / net.n)
     for _ in range(_POWER_MAX_ITER):
         nxt = pi @ w
@@ -491,6 +463,4 @@ def eigenvector_centrality(net: InteractionNetwork) -> np.ndarray:
         raise NonConvergence(
             f"power iteration did not reach {_POWER_TOL} within {_POWER_MAX_ITER} iterations"
         )
-    if np.any(pi < 1e-15):
-        raise Reducible("stationary weight vanished on some node")
     return pi

@@ -22,7 +22,6 @@ from .errors import (
     ConfigError,
     DegenerateSeries,
     EntrainmentFailure,
-    PhaseUndefined,
     TooFewPeaks,
 )
 from .networks import Adjacency, InteractionNetwork, uniform_coupling
@@ -33,10 +32,8 @@ __all__ = [
     "EntrainmentResult",
     "SyncCentralityResult",
     "detect_peaks",
-    "phase_at",
     "phase_series",
     "measured_frequency",
-    "frequency_fft",
     "phase_coherence",
     "mean_pairwise_correlation",
     "epsilon_sweep",
@@ -111,6 +108,8 @@ def _check_peak_options(length: int, min_separation: int = 5, min_prominence: fl
     steps, so drivers fail before simulating."""
     if min_separation < 1:
         raise ConfigError(f"min_separation must be at least 1, got {min_separation}")
+    if min_prominence is not None and not 0 <= min_prominence < math.inf:
+        raise ConfigError(f"min_prominence must be finite and non-negative, got {min_prominence}")
     if smooth_window < 1:
         raise ConfigError(f"smooth_window must be at least 1, got {smooth_window}")
     if smooth_window > length:
@@ -246,19 +245,6 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
     return peaks
 
 
-def phase_at(t: int, peaks) -> float:
-    """Linear phase 2*pi*(t - t_l)/(t_r - t_l) between surrounding peaks."""
-    peaks = np.asarray(peaks)
-    if peaks.size < 2 or t < peaks[0] or t > peaks[-1]:
-        raise PhaseUndefined(f"step {t} lies outside the peak range")
-    right = int(np.searchsorted(peaks, t, side="right"))
-    if right == peaks.size:
-        # t is exactly the last peak
-        return 0.0
-    t_l, t_r = int(peaks[right - 1]), int(peaks[right])
-    return 2.0 * np.pi * (t - t_l) / (t_r - t_l)
-
-
 def phase_series(series, min_separation: int = 5, min_prominence: float = None,
                  smooth_window: int = 1) -> PhaseSeries:
     """Phase at every step between the first and last peak, plus mean frequency."""
@@ -280,29 +266,12 @@ def measured_frequency(series, **peak_kwargs) -> float:
     return 2.0 * np.pi / float(np.mean(np.diff(peaks)))
 
 
-def frequency_fft(series) -> float:
-    """Angular frequency of the dominant nonzero Fourier bin.
-
-    Alternative estimator for noisy runs where inter-peak spacing is
-    unreliable.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.size < 4:
-        raise ConfigError("series too short for a spectral estimate")
-    spectrum = np.abs(np.fft.rfft(series - series.mean()))
-    spectrum[0] = 0.0
-    freqs = np.fft.rfftfreq(series.size)
-    return 2.0 * np.pi * float(freqs[int(np.argmax(spectrum))])
-
-
 def phase_coherence(phases) -> float:
     """Time-average of |mean_i exp(I phi_i)| over the common defined window.
 
     ``phases`` is a (T, N) array of per-node phases (NaN outside each node's
-    peak range) or a list of :class:`PhaseSeries`.
+    peak range).
     """
-    if isinstance(phases, (list, tuple)):
-        phases = np.column_stack([p.phi for p in phases])
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 2 or phases.shape[1] < 2:
         raise ConfigError("need phases for at least 2 nodes")
@@ -358,7 +327,7 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
     for k, traj in enumerate(trajs):
         phases = [phase_series(traj.y[:, i], **peak_kwargs) for i in range(adj.n)]
         omegas[k] = [p.omega for p in phases]
-        coherence[k] = phase_coherence(phases)
+        coherence[k] = phase_coherence(np.column_stack([p.phi for p in phases]))
         mean_corr[k] = mean_pairwise_correlation(traj.y)
         spread[k] = _relative_spread(omegas[k])
     entrained = spread < entrain_tol

@@ -41,6 +41,8 @@ from cyclesync.simulation import (
     simulate_batch,
 )
 
+from conftest import oracle_cf_cycle
+
 Q = DEFAULT_QUARTIC
 CYCLE = AgentParams.with_steady_state(-0.04, 0.4, 0.1, Q)
 NOISY_PEAKS = {"min_separation": 10, "smooth_window": 7}
@@ -282,10 +284,12 @@ class TestCriterion11PropertySuites:
             rhs = a * cf_bandpass(x, drift=False).cycle \
                 + b * cf_bandpass(y, drift=False).cycle
             np.testing.assert_allclose(lhs, rhs, atol=1e-8)
+            cycle = cf_bandpass(x).cycle
+            np.testing.assert_allclose(cycle, oracle_cf_cycle(x.tolist(), 2, 25, True),
+                                       atol=1e-10)
             if sm is not None:
                 ref, _ = sm.cffilter(x, low=2, high=25, drift=True)
-                np.testing.assert_allclose(cf_bandpass(x).cycle, np.asarray(ref),
-                                           atol=1e-10)
+                np.testing.assert_allclose(cycle, np.asarray(ref), atol=1e-10)
         t = np.arange(57)
         assert np.var(cf_bandpass(np.sin(2 * np.pi * t / 10)).cycle) >= \
             0.8 * np.var(np.sin(2 * np.pi * t / 10))

@@ -324,20 +324,25 @@ class TestOtherCommands:
         assert "min_separation" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
-    @pytest.mark.parametrize("setting", ["measure.smooth_window=0", "measure.min_separation=0"])
+    @pytest.mark.parametrize("setting, message", [pytest.param(s, m, id=s) for s, m in [
+        ("measure.smooth_window=0", "smooth_window must be at least 1, got 0"),
+        ("measure.min_separation=0", "min_separation must be at least 1, got 0"),
+        ("measure.min_prominence=nan", "min_prominence must be finite and non-negative, got nan"),
+        ("measure.min_prominence=inf", "min_prominence must be finite and non-negative, got inf"),
+        ("measure.min_prominence=-1", "min_prominence must be finite and non-negative, got -1.0"),
+    ]])
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "cycle-single"],
         ["sweep-epsilon", "--preset", "entrainment-complete"],
         ["sync-centrality", "--set", "network.kind=star", "--set", "network.n=6",
          "--set", "network.eps=0.5"],
     ], ids=["simulate", "sweep-epsilon", "sync-centrality"])
-    def test_bad_peak_option_rejected_before_simulating(self, argv, setting, tmp_path, capsys,
-                                                         monkeypatch):
+    def test_bad_peak_option_rejected_before_simulating(self, argv, setting, message, tmp_path,
+                                                         capsys, monkeypatch):
         monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
         monkeypatch.setattr(cli, "simulate", simulate_nothing)
         assert run(argv + ["--set", setting], tmp_path) == 2
-        key = setting[len("measure."):-len("=0")]
-        assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("argv, retain", [

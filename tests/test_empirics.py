@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import re
 from types import SimpleNamespace
@@ -22,8 +21,6 @@ from cyclesync.empirics import (
     cf_weight_matrix,
     correlation_matrix,
     grouped_correlations,
-    join_log,
-    join_offset,
     load_panel_csv,
     scenario_run,
     write_scenario_csv,
@@ -33,14 +30,14 @@ from cyclesync.errors import (
     DuplicateKey,
     EmptyGroup,
     MalformedRow,
-    MissingJoinYear,
-    NonPositiveValue,
     NumericalBlowup,
     NumericalError,
     SeriesTooShort,
 )
 from cyclesync.networks import FINAL_DEMAND
 from cyclesync.simulation import ShockConfig, SimulationConfig, aggregate_series, simulate
+
+from conftest import oracle_cf_cycle
 
 
 # --------------------------------------------------------------------------
@@ -122,39 +119,6 @@ def oracle_gaps(records):
         if missing:
             gaps[key] = missing
     return gaps
-
-
-def oracle_cf_cycle(x, p_low, p_high, drift):
-    """Christiano-Fitzgerald asymmetric random-walk cycle, one weight at a time.
-
-    c_t = B0 x_t + sum_{j=1}^{n-2-t} B_j x_{t+j} + Bt_{n-1-t} x_{n-1}
-              + sum_{j=1}^{t-1} B_j x_{t-j} + Bt_t x_0,
-    B_j = (sin(j b) - sin(j a)) / (pi j), B0 = (b - a) / pi, and each
-    endpoint weight Bt_k = -B0/2 - sum_{j=1}^{k-1} B_j makes the weights of
-    one observation sum to zero.
-    """
-    n = len(x)
-    a, b = 2 * math.pi / p_high, 2 * math.pi / p_low
-    weights = [(b - a) / math.pi]
-    weights += [(math.sin(j * b) - math.sin(j * a)) / (math.pi * j) for j in range(1, n)]
-    if drift:
-        slope = (x[n - 1] - x[0]) / (n - 1)
-        x = [x[t] - slope * t for t in range(n)]
-    cycle = []
-    for t in range(n):
-        c = weights[0] * x[t]
-        lead_sum = 0.0
-        for j in range(1, n - 1 - t):
-            c += weights[j] * x[t + j]
-            lead_sum += weights[j]
-        c += (-0.5 * weights[0] - lead_sum) * x[n - 1]
-        lag_sum = 0.0
-        for j in range(1, t):
-            c += weights[j] * x[t - j]
-            lag_sum += weights[j]
-        c += (-0.5 * weights[0] - lag_sum) * x[0]
-        cycle.append(c)
-    return np.array(cycle)
 
 
 # the first-seen country scans that the shared grouping helper replaced,
@@ -384,53 +348,6 @@ class TestCfBandpass:
         ours = cf_bandpass(x, *band, drift=drift).cycle
         np.testing.assert_allclose(ours, oracle_cf_cycle(x.tolist(), *band, drift),
                                    rtol=0, atol=1e-12)
-
-
-class TestJoins:
-    def test_offset_reference_values(self):
-        x = {2000: 100.0}
-        y = {2000: 90.0, 1999: 95.0}
-        joined = join_offset(x, y, 2000)
-        assert joined[1999] == pytest.approx(105.0)
-        assert joined[2000] == pytest.approx(100.0)
-
-    def test_offset_identity(self):
-        y = {1: 5.0, 2: 6.0}
-        assert join_offset(y, y, 1) == pytest.approx(y)
-
-    def test_log_reference_values(self):
-        x = {2000: 100.0}
-        y = {2000: 50.0, 1999: 55.0}
-        joined = join_log(x, y, 2000)
-        assert joined[1999] == pytest.approx(110.0)
-        assert joined[2000] == pytest.approx(100.0)
-
-    def test_log_preserves_growth_rates(self, rng):
-        years = range(1990, 2001)
-        y = {yr: float(v) for yr, v in zip(years, rng.uniform(10, 20, 11))}
-        x = {2000: 123.4}
-        joined = join_log(x, y, 2000)
-        for a, b in zip(list(years)[:-1], list(years)[1:]):
-            assert joined[b] / joined[a] == pytest.approx(y[b] / y[a])
-
-    def test_missing_join_year(self):
-        with pytest.raises(MissingJoinYear):
-            join_offset({1: 1.0}, {2: 2.0}, 1)
-
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveValue):
-            join_log({1: 1.0}, {1: -2.0}, 1)
-
-    @given(st.floats(0.1, 100.0))
-    @settings(max_examples=30, deadline=None)
-    def test_log_join_commutes_with_common_rescaling(self, factor):
-        x = {2000: 80.0}
-        y = {1999: 30.0, 2000: 40.0}
-        direct = join_log({2000: x[2000] * factor},
-                          {k: v * factor for k, v in y.items()}, 2000)
-        scaled = {k: v * factor for k, v in join_log(x, y, 2000).items()}
-        for k in direct:
-            assert direct[k] == pytest.approx(scaled[k], rel=1e-12)
 
 
 class TestCorrelationMatrix:

@@ -9,6 +9,7 @@ from cyclesync.errors import (
     DataError,
     Disconnected,
     MissingFinalDemand,
+    Reducible,
     ZeroOutput,
 )
 from cyclesync.fixtures import demo_flow_table
@@ -17,7 +18,6 @@ from cyclesync.networks import (
     FlowRecord,
     FlowTable,
     InteractionNetwork,
-    aggregate_nodes,
     build_io_network,
     build_topology,
     eigenvector_centrality,
@@ -28,9 +28,8 @@ from cyclesync.networks import (
 
 
 # --------------------------------------------------------------------------
-# oracles: the first-seen list scans that the shared grouping helper
-# replaced, copied verbatim (the per-node branch of aggregate_nodes as a
-# function returning its blocks), and the block-pair loop of aggregate_nodes
+# oracle: the first-seen list scans that the shared grouping helper
+# replaced, copied verbatim
 
 
 def oracle_build_io_network(flows: FlowTable) -> InteractionNetwork:
@@ -82,43 +81,6 @@ def oracle_build_io_network(flows: FlowTable) -> InteractionNetwork:
                               sectors=[s for s, _ in nodes],
                               countries=[c for _, c in nodes],
                               outputs=outputs)
-
-
-def oracle_blocks(keys):
-    order = []
-    for key in keys:
-        if key not in order:
-            order.append(key)
-    return [(key, [i for i, k in enumerate(keys) if k == key]) for key in order]
-
-
-def oracle_aggregate_nodes(net: InteractionNetwork, keys) -> InteractionNetwork:
-    """The block-pair double loop that the single bincount pass replaced."""
-    blocks = oracle_blocks(keys)
-    ext = net.outputs[:, None] * net.weights
-    m = len(blocks)
-    agg = np.zeros((m, m))
-    outputs = np.zeros(m)
-    for bi, (_, rows) in enumerate(blocks):
-        outputs[bi] = net.outputs[list(rows)].sum()
-        for bj, (_, cols) in enumerate(blocks):
-            agg[bi, bj] = ext[np.ix_(rows, cols)].sum()
-    row_tot = agg.sum(axis=1)
-    if np.any(row_tot <= 0):
-        raise ZeroOutput("an aggregated block has no outgoing flow")
-    weights = agg / row_tot[:, None]
-
-    def _common(values, members):
-        vals = {values[i] for i in members}
-        return vals.pop() if len(vals) == 1 else None
-
-    return InteractionNetwork(
-        weights=weights,
-        labels=[str(key) for key, _ in blocks],
-        sectors=[_common(net.sectors, mem) for _, mem in blocks],
-        countries=[_common(net.countries, mem) for _, mem in blocks],
-        outputs=outputs,
-    )
 
 
 def shuffled_flow_table(seed, dest_only_sector=None):
@@ -360,69 +322,6 @@ class TestInteractionNetwork:
             InteractionNetwork(np.eye(2), outputs=np.array([1.0, np.nan]))
 
 
-class TestAggregation:
-    def test_identity_partition_is_noop(self, demo_io_network):
-        net = demo_io_network
-        agg = aggregate_nodes(net, list(range(net.n)))
-        np.testing.assert_allclose(agg.weights, net.weights, atol=1e-12)
-        np.testing.assert_allclose(agg.outputs, net.outputs)
-
-    def test_aggregation_matches_direct_build(self):
-        # building from a table where two sectors merge equals aggregating
-        table = FlowTable([
-            FlowRecord("A1", "X", "B", "X", 10.0),
-            FlowRecord("A1", "X", "FinD", "X", 30.0),
-            FlowRecord("A2", "X", "B", "X", 20.0),
-            FlowRecord("A2", "X", "FinD", "X", 20.0),
-            FlowRecord("B", "X", "A1", "X", 5.0),
-            FlowRecord("B", "X", "A2", "X", 15.0),
-            FlowRecord("B", "X", "FinD", "X", 40.0),
-        ])
-        fine = build_io_network(table)
-        merged_table = FlowTable([
-            FlowRecord("A", "X", "B", "X", 30.0),
-            FlowRecord("A", "X", "FinD", "X", 50.0),
-            FlowRecord("B", "X", "A", "X", 20.0),
-            FlowRecord("B", "X", "FinD", "X", 40.0),
-        ])
-        coarse = build_io_network(merged_table)
-        keys = ["A" if s in ("A1", "A2") else s for s in fine.sectors]
-        agg = aggregate_nodes(fine, keys)
-        order = [agg.labels.index(str(k)) for k in ("A", "B", "FinD")]
-        np.testing.assert_allclose(agg.weights[np.ix_(order, order)],
-                                   coarse.weights, atol=1e-10)
-
-    def test_centrality_consistent_under_aggregation(self, demo_io_network):
-        # centrality of country blocks matches centrality of the aggregated net
-        net = demo_io_network
-        fine = eigenvector_centrality(net)
-        agg = aggregate_nodes(net, net.countries)
-        coarse = eigenvector_centrality(agg)
-        for bi, country in enumerate(agg.labels):
-            member_sum = fine[[i for i, c in enumerate(net.countries)
-                               if c == country]].sum()
-            assert coarse[bi] == pytest.approx(member_sum, abs=5e-3)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_per_node_keys_match_first_seen_scans(self, seed):
-        # interleaved keys of mixed types: the same blocks in the same order
-        # as the first-seen scans, and the same sums as the block-pair loop
-        net = build_io_network(shuffled_flow_table(seed))
-        rng = random.Random(seed)
-        pool = rng.sample(["north", "south", 3, (1, "x"), None, "east"], rng.randint(1, 5))
-        keys = [rng.choice(pool) for _ in range(net.n)]
-        got, want = aggregate_nodes(net, keys), oracle_aggregate_nodes(net, keys)
-        assert got.labels == want.labels
-        assert got.sectors == want.sectors
-        assert got.countries == want.countries
-        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got.outputs, want.outputs, rtol=1e-12, atol=0)
-
-    def test_partition_length_checked(self, demo_io_network):
-        with pytest.raises(ConfigError, match="one key per node"):
-            aggregate_nodes(demo_io_network, [0] * (demo_io_network.n - 1))
-
-
 class TestSpectra:
     def test_two_node_pair_eigensystem(self):
         adj = build_topology("complete", 2)
@@ -561,6 +460,16 @@ class TestEigenvectorCentrality:
         net = InteractionNetwork(weights=np.array([[0.7, 0.3], [0.6, 0.4]]))
         pi = eigenvector_centrality(net)
         np.testing.assert_allclose(pi, [2 / 3, 1 / 3], atol=1e-10)
+
+    @pytest.mark.parametrize("weights", [
+        [[1.0, 0.0], [0.5, 0.5]],
+        [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]],
+    ])
+    def test_reducible_matrix_rejected(self, weights):
+        # power iteration leaves about 1e-12 on the node nothing flows into,
+        # so only the pattern of positive weights tells these apart
+        with pytest.raises(Reducible):
+            eigenvector_centrality(InteractionNetwork(np.array(weights)))
 
     def test_sums_to_one_and_positive(self, demo_io_network):
         pi = eigenvector_centrality(demo_io_network)

@@ -9,17 +9,14 @@ from cyclesync.errors import (
     ConfigError,
     DegenerateSeries,
     EntrainmentFailure,
-    PhaseUndefined,
     TooFewPeaks,
 )
 from cyclesync.networks import InteractionNetwork, build_topology, uniform_coupling
 from cyclesync.phase import (
     detect_peaks,
     epsilon_sweep,
-    frequency_fft,
     mean_pairwise_correlation,
     measured_frequency,
-    phase_at,
     phase_coherence,
     phase_series,
     sync_centrality,
@@ -65,6 +62,14 @@ class TestDetectPeaks:
     def test_smooth_window_below_one_rejected(self, smooth_window):
         with pytest.raises(ConfigError, match="smooth_window"):
             detect_peaks(sinusoid(36, 400), smooth_window=smooth_window)
+
+    @pytest.mark.parametrize("min_prominence", [np.nan, np.inf, -1.0])
+    def test_prominence_out_of_range_rejected(self, min_prominence):
+        with pytest.raises(ConfigError, match="min_prominence must be finite and non-negative"):
+            detect_peaks(sinusoid(36, 400), min_prominence=min_prominence)
+
+    def test_zero_prominence_accepted(self):
+        assert detect_peaks(sinusoid(36, 400), min_prominence=0.0).size >= 3
 
     def test_smoothing_suppresses_noise_peaks(self, rng):
         clean = sinusoid(36, 720)
@@ -153,28 +158,6 @@ class TestFindPeaksOracle:
             np.testing.assert_array_equal(detect_peaks(y, smooth_window=smooth_window), want)
 
 
-class TestPhaseAt:
-    def test_reference_interpolation(self):
-        # between peaks at 86 and 120, step 100 sits at 2*pi*14/34
-        peaks = np.array([86, 120, 154])
-        assert phase_at(100, peaks) == pytest.approx(2.58, abs=0.01)
-
-    def test_zero_at_left_peak(self):
-        peaks = np.array([10, 40, 70])
-        assert phase_at(40, peaks) == 0.0
-
-    def test_pi_at_midpoint(self):
-        peaks = np.array([10, 40])
-        assert phase_at(25, peaks) == pytest.approx(np.pi)
-
-    def test_undefined_outside(self):
-        peaks = np.array([10, 40])
-        with pytest.raises(PhaseUndefined):
-            phase_at(5, peaks)
-        with pytest.raises(PhaseUndefined):
-            phase_at(45, peaks)
-
-
 def oracle_phase_fill(size, peaks):
     """The per-interval loop that filled ``phase_series`` phases, kept as reference."""
     phi = np.full(size, np.nan)
@@ -244,7 +227,8 @@ class TestPhaseCoherence:
 
     def test_from_phase_series(self):
         series = [phase_series(sinusoid(36, 400, phase=p)) for p in (0.0, 0.0)]
-        assert phase_coherence(series) == pytest.approx(1.0, abs=1e-6)
+        phi = np.column_stack([s.phi for s in series])
+        assert phase_coherence(phi) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestMeanPairwiseCorrelation:
@@ -275,12 +259,9 @@ class TestMeanPairwiseCorrelation:
 
 
 class TestFrequencyEstimators:
-    def test_fft_matches_peak_estimate_on_sinusoid(self):
-        series = sinusoid(40, 2000)
-        w_pk = measured_frequency(series)
-        w_ft = frequency_fft(series)
-        assert w_ft == pytest.approx(w_pk, rel=0.02)
-        assert w_ft == pytest.approx(2 * np.pi / 40, rel=0.01)
+    def test_peak_estimate_on_sinusoid(self):
+        assert measured_frequency(sinusoid(40, 2000)) == pytest.approx(2 * np.pi / 40,
+                                                                       rel=0.01)
 
 
 def oracle_phase_matrix(ys, peak_kwargs):
