@@ -198,23 +198,25 @@ class FilteredSeries:
 
 @lru_cache(maxsize=64)
 def cf_weight_matrix(n: int, p_low: float, p_high: float) -> np.ndarray:
-    """Filter weights as an (n, n) matrix; every row sums to zero."""
+    """Filter weights as an (n, n) matrix, n >= 2; every row sums to zero.
+
+    Row t weights x[s] by B_|t-s| inside the band and puts the endpoint
+    weight -B0/2 - (B_1 + ... + B_m) on x[0] (m = t - 1 lags) and on x[n-1]
+    (m = n - 2 - t leads); the corners add B0 to theirs.
+    """
     a = 2.0 * np.pi / p_high
     b = 2.0 * np.pi / p_low
     j = np.arange(1, n)
     bj = np.concatenate([[(b - a) / np.pi],
                          (np.sin(b * j) - np.sin(a * j)) / (np.pi * j)])
-    w = np.zeros((n, n))
-    for t in range(n):
-        w[t, t] += bj[0]
-        n_fore = max(n - 2 - t, 0)      # regular leads, endpoint weight on x[n-1]
-        if n_fore > 0:
-            w[t, t + 1:t + 1 + n_fore] += bj[1:n_fore + 1]
-        w[t, n - 1] += -0.5 * bj[0] - bj[1:n_fore + 1].sum()
-        n_back = max(t - 1, 0)          # regular lags, endpoint weight on x[0]
-        if n_back > 0:
-            w[t, t - n_back:t] += bj[1:n_back + 1][::-1]
-        w[t, 0] += -0.5 * bj[0] - bj[1:n_back + 1].sum()
+    t = np.arange(n)
+    w = bj[np.abs(t[:, None] - t)]
+    # one np.sum per prefix: a running cumsum would round differently
+    ends = -0.5 * bj[0] - np.array([bj[1:m + 1].sum() for m in range(n)])
+    w[:, 0] = ends[np.maximum(t - 1, 0)]
+    w[:, -1] = w[::-1, 0]
+    w[0, 0] += bj[0]
+    w[-1, -1] += bj[0]
     w.setflags(write=False)
     return w
 
@@ -381,6 +383,10 @@ class ScenarioSpec:
         for name in self.shock_types:
             if name not in SHOCK_PRESETS:
                 raise ConfigError(f"unknown shock preset {name!r}")
+        for sigma in self.sigma_u_grid:
+            if not 0.0 <= sigma < math.inf:
+                raise ConfigError(f"sigma_u_grid values must be finite and non-negative, "
+                                  f"got {sigma}")
         if self.n_seeds < 1:
             raise ConfigError(f"n_seeds must be at least 1, got {self.n_seeds}")
         if self.stride < 1 or self.retain % self.stride != 0:

@@ -41,10 +41,6 @@ class Disconnected(NumericalError):
     """The network has more than one connected component."""
 
 
-class NonConvergence(NumericalError):
-    """Power iteration failed to converge within the iteration cap."""
-
-
 class Reducible(NumericalError):
     """The stochastic matrix is reducible: some node cannot reach another."""
 

@@ -29,7 +29,6 @@ from .errors import (
     DataError,
     Disconnected,
     MissingFinalDemand,
-    NonConvergence,
     NumericalError,
     Reducible,
     ZeroOutput,
@@ -56,9 +55,6 @@ FINAL_DEMAND = "FinD"
 _ROW_SUM_TOL = 1e-10
 #: largest eigenvalue imaginary part for which the real-part approximation holds
 _MAX_IMAGINARY = 0.2
-#: power-iteration convergence tolerance and iteration cap
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 100000
 
 
 def _node_groups(keys) -> dict:
@@ -193,8 +189,10 @@ class FlowTable:
                     raise DataError(f"{path}:{lineno}: non-finite flow {row[4]!r}")
                 if value < 0:
                     raise DataError(f"{path}:{lineno}: negative flow {value}")
-                records.append(FlowRecord(row[0].strip(), row[1].strip(),
-                                          row[2].strip(), row[3].strip(), value))
+                names = [cell.strip() for cell in row[:4]]
+                if not all(names):
+                    raise DataError(f"{path}:{lineno}: empty {cls.HEADER[names.index('')]}")
+                records.append(FlowRecord(*names, value))
         return cls(records)
 
     def to_csv(self, path):
@@ -444,23 +442,16 @@ def eigenvector_centrality(net: InteractionNetwork) -> np.ndarray:
     """Stationary distribution of the row-stochastic interaction matrix.
 
     Raises :class:`Reducible` unless every node reaches node 0 and is
-    reached from it along positive weights; otherwise power iteration from
-    the uniform vector runs until no entry moves by 1e-12.
+    reached from it along positive weights.  That makes the stationary
+    distribution unique, periodic chains included, so it is solved directly
+    from pi (I - W) = 0 with the first equation replaced by sum(pi) = 1.
     """
     w = net.weights
     links = w > 0
     if not (_reaches_all(links) and _reaches_all(links.T)):
         raise Reducible("not every node reaches every other along positive weights")
-    pi = np.full(net.n, 1.0 / net.n)
-    for _ in range(_POWER_MAX_ITER):
-        nxt = pi @ w
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < _POWER_TOL:
-            pi = nxt
-            break
-        pi = nxt
-    else:
-        raise NonConvergence(
-            f"power iteration did not reach {_POWER_TOL} within {_POWER_MAX_ITER} iterations"
-        )
-    return pi
+    system = np.eye(net.n) - w.T
+    system[0] = 1.0
+    rhs = np.zeros(net.n)
+    rhs[0] = 1.0
+    return np.linalg.solve(system, rhs)

@@ -67,8 +67,8 @@ class ShockConfig:
                 raise ConfigError(f"{name} must lie in [0, 1), got {rho}")
         for name in ("sigma_u", "sigma_v", "sigma_z"):
             sigma = getattr(self, name)
-            if sigma < 0:
-                raise ConfigError(f"{name} must be non-negative, got {sigma}")
+            if not 0.0 <= sigma < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative, got {sigma}")
 
     @property
     def silent(self) -> bool:
@@ -189,8 +189,8 @@ def ar1_path(rho: float, sigma: float, steps: int, rng) -> np.ndarray:
     """AR(1) path with u[0] = 0 and u[t+1] = rho u[t] + N(0, sigma)."""
     if not 0.0 <= rho < 1.0:
         raise ConfigError(f"persistence must lie in [0, 1), got {rho}")
-    if sigma < 0:
-        raise ConfigError(f"innovation s.d. must be non-negative, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ConfigError(f"innovation s.d. must be finite and non-negative, got {sigma}")
     out = np.zeros((steps, 1))
     if sigma == 0.0 or steps < 2:
         return out[:, 0]

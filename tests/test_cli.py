@@ -374,6 +374,23 @@ class TestOtherCommands:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--preset", "cycle-single", "--set", "shocks.sigma_u=nan"],
+         "sigma_u must be finite and non-negative, got nan"),
+        (["scenarios", "--preset", "scenarios-smoke", "--set", "scenarios.sigma_u_grid=0.1,nan"],
+         "sigma_u_grid values must be finite and non-negative, got nan"),
+        (["scenarios", "--preset", "scenarios-smoke", "--set", "scenarios.sigma_u_grid=0.1,0.2,-0.3",
+          "--set", "scenarios.n_seeds=20"],
+         "sigma_u_grid values must be finite and non-negative, got -0.3"),
+    ], ids=["simulate-nan", "scenarios-nan", "scenarios-negative"])
+    def test_bad_shock_sd_rejected_before_simulating(self, argv, message, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "simulate", simulate_nothing)
+        monkeypatch.setattr(empirics, "simulate_batch", simulate_nothing)
+        assert run(argv, tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_sync_centrality_rejects_single_node(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
         code = run(["sync-centrality", "--set", "network.kind=single",

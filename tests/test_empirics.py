@@ -46,6 +46,27 @@ from conftest import oracle_cf_cycle
 # copied verbatim (panel methods as functions of the record list)
 
 
+def oracle_cf_weight_matrix(n, p_low, p_high):
+    """The row loop that the closed-form weight matrix replaced, copied verbatim."""
+    a = 2.0 * np.pi / p_high
+    b = 2.0 * np.pi / p_low
+    j = np.arange(1, n)
+    bj = np.concatenate([[(b - a) / np.pi],
+                         (np.sin(b * j) - np.sin(a * j)) / (np.pi * j)])
+    w = np.zeros((n, n))
+    for t in range(n):
+        w[t, t] += bj[0]
+        n_fore = max(n - 2 - t, 0)      # regular leads, endpoint weight on x[n-1]
+        if n_fore > 0:
+            w[t, t + 1:t + 1 + n_fore] += bj[1:n_fore + 1]
+        w[t, n - 1] += -0.5 * bj[0] - bj[1:n_fore + 1].sum()
+        n_back = max(t - 1, 0)          # regular lags, endpoint weight on x[0]
+        if n_back > 0:
+            w[t, t - n_back:t] += bj[1:n_back + 1][::-1]
+        w[t, 0] += -0.5 * bj[0] - bj[1:n_back + 1].sum()
+    return w
+
+
 def oracle_detrend_column(col, p_low, p_high):
     """CF-filter the longest contiguous observed run; NaN elsewhere."""
     out = np.full(col.size, np.nan)
@@ -290,6 +311,13 @@ class TestCfBandpass:
     def test_weight_rows_sum_to_zero(self):
         w = cf_weight_matrix(57, 2.0, 25.0)
         np.testing.assert_allclose(w.sum(axis=1), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("band", [(2.0, 25.0), (1.5, 8.0), (6.0, 32.0)])
+    def test_weight_matrix_matches_row_loop_bit_for_bit(self, band):
+        for n in [*range(2, 40), 57, 80, 121, 160, 299]:
+            w = cf_weight_matrix(n, *band)
+            assert np.array_equal(w, oracle_cf_weight_matrix(n, *band)), n
+            assert not w.flags.writeable
 
     def test_matches_reference_implementation(self, rng):
         sm = pytest.importorskip("statsmodels.tsa.filters.cf_filter")
@@ -679,6 +707,11 @@ class TestScenarioRun:
     def test_rejects_too_few_seeds(self, n_seeds):
         with pytest.raises(ConfigError, match="n_seeds"):
             ScenarioSpec(n_seeds=n_seeds)
+
+    @pytest.mark.parametrize("grid", [(0.1, np.nan), (0.1, 0.2, -0.3), (np.inf,)])
+    def test_rejects_bad_sigma_u_grid(self, grid):
+        with pytest.raises(ConfigError, match="sigma_u_grid values must be finite and non-neg"):
+            ScenarioSpec(sigma_u_grid=grid)
 
     @pytest.mark.parametrize("stride", [0, 5])
     def test_rejects_stride_not_dividing_retain(self, stride):

@@ -252,13 +252,26 @@ class TestIoNetwork:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_flow_rejected(self, tmp_path, value):
-        # a NaN flow used to pass the negativity check and stall the
-        # centrality power iteration downstream
+        # a NaN flow used to pass the negativity check and reach the
+        # centrality solve downstream
         path = tmp_path / "flows.csv"
         path.write_text(",".join(FlowTable.HEADER) + "\n"
                         "A,X,FinD,X,1.0\n"
                         f"B,X,FinD,X,{value}\n")
         with pytest.raises(DataError, match=r"flows\.csv:3: non-finite flow"):
+            FlowTable.from_csv(path)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_empty_name_rejected(self, tmp_path, field):
+        # an empty source sector used to build a node labelled "|X"
+        cells = ["A", "X", "FinD", "X"]
+        cells[field] = " "
+        path = tmp_path / "flows.csv"
+        path.write_text(",".join(FlowTable.HEADER) + "\n"
+                        "B,X,FinD,X,1.0\n"
+                        + ",".join(cells) + ",2.0\n")
+        with pytest.raises(DataError,
+                           match=rf"flows\.csv:3: empty {FlowTable.HEADER[field]}$"):
             FlowTable.from_csv(path)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -312,8 +325,8 @@ class TestInteractionNetwork:
         [[1.0, 0.0], [np.inf, 0.0]],
     ])
     def test_non_finite_weight_rejected(self, weights):
-        # NaN passed the range and row-sum comparisons and only surfaced as
-        # a power-iteration NonConvergence downstream
+        # NaN passed the range and row-sum comparisons and only surfaced
+        # downstream, in the centrality
         with pytest.raises(ConfigError, match="finite"):
             InteractionNetwork(np.array(weights))
 
@@ -447,6 +460,18 @@ class TestFiedler:
         assert signs[0] == -1 and signs[-1] == 1
 
 
+def oracle_power_iteration(w):
+    """The power iteration that the direct solve replaced: from uniform, to 1e-12."""
+    pi = np.full(len(w), 1.0 / len(w))
+    for _ in range(100000):
+        nxt = pi @ w
+        nxt /= nxt.sum()
+        if np.max(np.abs(nxt - pi)) < 1e-12:
+            return nxt
+        pi = nxt
+    raise AssertionError("power iteration did not converge")
+
+
 class TestEigenvectorCentrality:
     def test_uniform_matrix_gives_uniform_weights(self):
         from cyclesync.networks import InteractionNetwork
@@ -466,8 +491,8 @@ class TestEigenvectorCentrality:
         [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]],
     ])
     def test_reducible_matrix_rejected(self, weights):
-        # power iteration leaves about 1e-12 on the node nothing flows into,
-        # so only the pattern of positive weights tells these apart
+        # a numerical solve may leave a tiny weight on the node nothing flows
+        # into, so only the pattern of positive weights tells these apart
         with pytest.raises(Reducible):
             eigenvector_centrality(InteractionNetwork(np.array(weights)))
 
@@ -485,3 +510,28 @@ class TestEigenvectorCentrality:
         pi_a = eigenvector_centrality(build_io_network(table))
         pi_b = eigenvector_centrality(build_io_network(scaled))
         np.testing.assert_allclose(pi_a, pi_b, atol=1e-10)
+
+    def test_matches_power_iteration_on_demo_network(self, demo_io_network):
+        np.testing.assert_allclose(eigenvector_centrality(demo_io_network),
+                                   oracle_power_iteration(demo_io_network.weights),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_power_iteration_on_random_matrices(self, seed):
+        # a positive diagonal makes the chain aperiodic, a positive
+        # ring i -> i + 1 makes it irreducible, and half the rest is zero
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        raw = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        raw[np.arange(n), np.arange(n)] += 0.1
+        raw[np.arange(n), (np.arange(n) + 1) % n] += 0.1
+        w = raw / raw.sum(axis=1, keepdims=True)
+        pi = eigenvector_centrality(InteractionNetwork(w))
+        np.testing.assert_allclose(pi, oracle_power_iteration(w), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pi @ w, pi, rtol=0, atol=1e-14)
+
+    def test_periodic_star_solved(self):
+        # hub and leaves keep no weight on themselves: the chain has period
+        # 2, where power iteration oscillates, but its stationary vector exists
+        pi = eigenvector_centrality(uniform_coupling(build_topology("star", 4), 1.0))
+        np.testing.assert_allclose(pi, [1 / 2, 1 / 6, 1 / 6, 1 / 6], rtol=0, atol=1e-12)

@@ -69,6 +69,14 @@ class TestAr1Path:
         with pytest.raises(ConfigError):
             ar1_path(0.5, -0.1, 10, rng)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_rejects_non_finite_or_negative_sd(self, sigma):
+        # NaN fails no "< 0" test; it used to simulate and then blow up
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            ar1_path(0.5, sigma, 10, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="sigma_v must be finite and non-negative"):
+            ShockConfig(sigma_v=sigma)
+
 
 @pytest.fixture(scope="module")
 def lfilter():
