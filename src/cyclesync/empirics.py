@@ -282,6 +282,34 @@ def _detrend_columns(arr):
     return out.T
 
 
+def _complete_correlations(x, min_overlap: int) -> np.ndarray:
+    """Pearson correlations of the (T, N) columns of each (..., T, N) matrix
+    with no missing value: one centered product per matrix.
+
+    Entries are NaN, as on the pairwise path, unless both columns vary
+    (max > min and nonzero variance) and T >= ``min_overlap``.  Entry (i, j),
+    i < j, is cov / sd_i / sd_j, mirrored below the diagonal; the reductions
+    run over T in the same order for any leading shape, so a matrix gets the
+    same bits alone or in a stack.
+    """
+    x = np.ascontiguousarray(x)
+    d = x - x.mean(axis=-2, keepdims=True)
+    var = (d * d).sum(axis=-2)
+    sd = np.sqrt(var)
+    corr = np.swapaxes(d, -1, -2) @ d
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr /= sd[..., :, None]
+        corr /= sd[..., None, :]
+    n = x.shape[-1]
+    below, above = np.tril_indices(n, -1)
+    corr[..., below, above] = corr[..., above, below]
+    np.clip(corr, -1, 1, out=corr)
+    ok = (x.max(axis=-2) > x.min(axis=-2)) & (var > 0) & (x.shape[-2] >= min_overlap)
+    corr[~(ok[..., :, None] & ok[..., None, :])] = np.nan
+    corr[..., np.arange(n), np.arange(n)] = 1.0
+    return corr
+
+
 def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10) -> np.ndarray:
     """Pairwise-complete Pearson correlations of (T, N) columns.
 
@@ -290,10 +318,11 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10) ->
     variance), are NaN.  With ``detrend`` the band-pass indicator of each
     column (default 2-25 period band) is correlated instead.
 
-    All pairs i < j are computed together, in blocks of at most
-    ``_PAIR_BLOCK`` pair x time elements: overlap counts, pairwise-complete
-    means, centered cross and auto sums, clipped to [-1, 1] as
-    ``np.corrcoef`` does.
+    Data with no missing value take one centered product
+    (:func:`_complete_correlations`).  Data with gaps compute all pairs
+    i < j together, in blocks of at most ``_PAIR_BLOCK`` pair x time
+    elements: overlap counts, pairwise-complete means, centered cross and
+    auto sums, clipped to [-1, 1] as ``np.corrcoef`` does.
     """
     arr = np.array(data, dtype=float)
     if arr.ndim != 2:
@@ -301,6 +330,8 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10) ->
     if detrend:
         arr = _detrend_columns(arr)
     t, n = arr.shape
+    if t > 0 and np.isfinite(arr).all():
+        return _complete_correlations(arr, min_overlap)
     corr = np.full((n, n), np.nan)
     np.fill_diagonal(corr, 1.0)
     observed = np.isfinite(arr.T)               # (N, T), one row per column
@@ -412,26 +443,49 @@ class ScenarioRow:
     n_seeds: int
 
 
-def _grouped_means(traj, spec):
-    """Grouped correlation means of one simulated seed."""
-    annual = aggregate_series(traj.y, spec.stride)
+def _block_correlations(series, detrend: bool) -> np.ndarray:
+    """(B, N, N) correlations of each run's (T, N) columns in a (B, T, N) block.
 
-    pairs = list(zip(traj.sectors, traj.countries))
-    corr = correlation_matrix(annual, detrend=spec.detrend, min_overlap=_SCENARIO_MIN_OVERLAP)
-    within = grouped_correlations(corr, pairs, "within_country_sectors",
-                                  spec.exclusions)
+    With ``detrend`` all B x N series are band-pass filtered together.  The
+    complete runs are correlated by one stacked centered product; a run with
+    a missing indicator (trend under the floor) takes the pairwise path alone.
+    """
+    b, t, n = series.shape
+    if detrend:
+        series = _detrend_columns(series.transpose(1, 0, 2).reshape(t, b * n))
+        series = series.reshape(t, b, n).transpose(1, 0, 2)
+    complete = np.isfinite(series).all(axis=(1, 2))
+    corr = np.empty((b, n, n))
+    corr[complete] = _complete_correlations(series[complete], _SCENARIO_MIN_OVERLAP)
+    for k in np.flatnonzero(~complete):
+        corr[k] = correlation_matrix(series[k], min_overlap=_SCENARIO_MIN_OVERLAP)
+    return corr
 
-    countries = _node_groups(traj.countries)
-    agg = np.empty((annual.shape[0], len(countries)))
+
+def _grouped_means(trajs, spec):
+    """Grouped correlation means of each simulated run of one block.
+
+    The runs share one network, so its sectors, countries and outputs are
+    read from the first.  Each run's means have the bits it gets alone.
+    """
+    first = trajs[0]
+    annual = np.stack([aggregate_series(traj.y, spec.stride) for traj in trajs])
+    pairs = list(zip(first.sectors, first.countries))
+    countries = _node_groups(first.countries)
+    agg = np.empty(annual.shape[:2] + (len(countries),))
     for j, ids in enumerate(countries.values()):
-        w = traj.outputs[ids]
-        agg[:, j] = annual[:, ids] @ w / w.sum()
-    corr_c = correlation_matrix(agg, detrend=spec.detrend, min_overlap=_SCENARIO_MIN_OVERLAP)
-    across = grouped_correlations(corr_c, list(countries), "across_country_aggregates")
-    return {
-        "within_country_sectors": float(np.mean(list(within.values()))),
-        "across_country_aggregates": float(np.mean(list(across.values()))),
-    }
+        w = first.outputs[ids]
+        agg[:, :, j] = annual[:, :, ids] @ w / w.sum()
+    means = []
+    for corr, corr_c in zip(_block_correlations(annual, spec.detrend),
+                            _block_correlations(agg, spec.detrend)):
+        within = grouped_correlations(corr, pairs, "within_country_sectors", spec.exclusions)
+        across = grouped_correlations(corr_c, list(countries), "across_country_aggregates")
+        means.append({
+            "within_country_sectors": float(np.mean(list(within.values()))),
+            "across_country_aggregates": float(np.mean(list(across.values()))),
+        })
+    return means
 
 
 def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC) -> list:
@@ -460,7 +514,7 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
             raise NumericalError(f"dynamics {dyn!r}, shock type {shock!r}, sigma_u {su}, seed "
                                  f"{seed}: |y| = {exc.value:.3g} exceeded bound {exc.bound:.3g} "
                                  f"at step {exc.step}") from exc
-        means.extend(_grouped_means(traj, spec) for traj in trajs)
+        means.extend(_grouped_means(trajs, spec))
         del trajs  # free the block before the next one is simulated
 
     rows = []

@@ -150,8 +150,8 @@ class FlowRecord:
 class FlowTable:
     """Value flows between sector-country pairs and final demand.
 
-    Names carry no leading or trailing whitespace, so ``from_csv``, which
-    strips every cell, reads back what ``to_csv`` wrote.
+    Names are non-empty and carry no leading or trailing whitespace, so
+    ``from_csv``, which strips every cell, reads back what ``to_csv`` wrote.
     """
 
     records: list
@@ -162,6 +162,8 @@ class FlowTable:
         for k, r in enumerate(self.records):
             for name in self.HEADER[:4]:
                 label = getattr(r, name)
+                if not label:
+                    raise DataError(f"flow record {k} {r}: empty {name}")
                 if label != label.strip():
                     raise DataError(f"flow record {k} {r}: {name} {label!r} has "
                                     "leading or trailing whitespace")

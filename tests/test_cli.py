@@ -444,28 +444,35 @@ class TestOtherCommands:
             assert "measure.min_separation = 5" in out
 
 
+# case -> command line; a case is named after its subcommand unless the
+# subcommand has more than one
 RERUN_CASES = {
-    "simulate": ["--preset", "cycle-single", "--set", "run.steps=600",
+    "simulate": ["simulate", "--preset", "cycle-single", "--set", "run.steps=600",
                  "--set", "run.burn_in=100"],
-    "sweep-epsilon": ["--preset", "entrainment-complete", "--set", "sweep.eps_grid=0.1,0.25",
-                      "--set", "run.steps=1800"],
-    "sync-centrality": ["--set", "network.kind=star", "--set", "network.n=4",
+    "sweep-epsilon": ["sweep-epsilon", "--preset", "entrainment-complete",
+                      "--set", "sweep.eps_grid=0.1,0.25", "--set", "run.steps=1800"],
+    "sync-centrality": ["sync-centrality", "--set", "network.kind=star", "--set", "network.n=4",
                         "--set", "network.eps=0.5", "--set", "centrality.n_draws=4",
                         "--set", "run.steps=1200"],
-    "msf": ["--preset", "msf-default", "--set", "msf.k_grid=0,0.6",
+    "msf": ["msf", "--preset", "msf-default", "--set", "msf.k_grid=0,0.6",
             "--set", "msf.window=8000"],
-    "shock-response": ["--preset", "shock-two-agent"],
-    "scenarios": ["--preset", "scenarios-smoke", "--set", "scenarios.sigma_u_grid=0.1",
-                  "--set", "scenarios.dynamics=cycle"],
+    "shock-response": ["shock-response", "--preset", "shock-two-agent"],
+    "scenarios": ["scenarios", "--preset", "scenarios-smoke",
+                  "--set", "scenarios.sigma_u_grid=0.1", "--set", "scenarios.dynamics=cycle"],
+    # 3 cells x 12 seeds = 36 runs: one full simulate_batch block and a partial one
+    "scenarios-detrended": ["scenarios", "--preset", "scenarios-smoke",
+                            "--set", "scenarios.sigma_u_grid=0.1", "--set", "scenarios.n_seeds=12",
+                            "--set", "scenarios.detrend=true"],
 }
 
 
 class TestResolvedConfig:
-    @pytest.mark.parametrize("experiment", sorted(RERUN_CASES))
-    def test_rerun_from_resolved_config_alone(self, experiment, tmp_path):
+    @pytest.mark.parametrize("case", sorted(RERUN_CASES))
+    def test_rerun_from_resolved_config_alone(self, case, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
-        assert main([experiment, *RERUN_CASES[experiment], "--outdir", str(first)]) == 0
+        assert main([*RERUN_CASES[case], "--outdir", str(first)]) == 0
         resolved = first / "resolved-config.cfg"
+        experiment = RERUN_CASES[case][0]
         assert main([experiment, "--config", str(resolved), "--outdir", str(second)]) == 0
         csvs = sorted(p.name for p in first.glob("*.csv"))
         assert len(csvs) >= 2
@@ -475,7 +482,7 @@ class TestResolvedConfig:
 
     @pytest.mark.parametrize("experiment", ["sweep-epsilon", "sync-centrality"])
     def test_monte_carlo_commands_echo_only_the_run_window(self, experiment, tmp_path):
-        assert run([experiment, *RERUN_CASES[experiment]], tmp_path) == 0
+        assert run(RERUN_CASES[experiment], tmp_path) == 0
         cfg = configparser.ConfigParser()
         cfg.read(tmp_path / "resolved-config.cfg")
         assert list(cfg["run"]) == ["steps", "burn_in", "retain", "seed"]

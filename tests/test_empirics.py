@@ -413,6 +413,15 @@ class TestCorrelationMatrix:
         assert np.isnan(m[0, 1]) and np.isnan(m[1, 2]) and np.isnan(m[0, 2])
         np.testing.assert_array_equal(np.diag(m), 1.0)
 
+    @pytest.mark.parametrize("detrend", [False, True])
+    def test_memory_layout_does_not_change_the_bits(self, rng, detrend):
+        # numpy sums a contiguous axis pairwise and a strided one in order,
+        # so complete columns are reduced in one layout whatever they arrive in
+        data = rng.normal(0, 1, (57, 18)).cumsum(axis=0)
+        np.testing.assert_array_equal(
+            correlation_matrix(np.asfortranarray(data), detrend=detrend, min_overlap=3),
+            correlation_matrix(data, detrend=detrend, min_overlap=3))
+
     def test_constant_on_the_overlap_only(self, rng):
         a = rng.normal(0, 1, 30)
         b = rng.normal(0, 1, 30)
@@ -484,6 +493,26 @@ def ragged_columns(seed, t, n):
     return data
 
 
+def complete_columns(seed, t, n):
+    """(t, n) data with no missing value: noise, exact copies, rescaled
+    copies and constant columns, whose values (multiples of 1/8) keep every
+    mean exact, so the oracle's standard deviation of a constant is 0."""
+    rng = np.random.default_rng(seed)
+    data = np.empty((t, n))
+    for j in range(n):
+        kind = rng.integers(4) if j else rng.integers(2)
+        if kind == 0:
+            data[:, j] = rng.integers(-800, 800) / 8
+        elif kind == 1:
+            data[:, j] = rng.normal(0, 1, t)
+        elif kind == 2:
+            data[:, j] = data[:, rng.integers(j)]
+        else:
+            data[:, j] = rng.choice([-2.5, 0.5, 3.0]) * data[:, rng.integers(j)] \
+                + rng.integers(-8, 8) / 8
+    return data
+
+
 class TestCorrelationParity:
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(2, 60), n=st.integers(1, 12),
            min_overlap=st.integers(2, 15), detrend=st.booleans())
@@ -502,6 +531,22 @@ class TestCorrelationParity:
             assert np.isnan(new[i, j])
             both = np.isfinite(data[:, i]) & np.isfinite(data[:, j])
             assert exactly_constant(data[both, i]) or exactly_constant(data[both, j])
+        kept = ~np.isnan(new)
+        np.testing.assert_allclose(new[kept], old[kept], rtol=0, atol=1e-12)
+        assert np.all(np.abs(new[kept]) <= 1.0)
+
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 60), n=st.integers(1, 12),
+           min_overlap=st.integers(1, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_complete_data_matches_pair_loop(self, seed, t, n, min_overlap):
+        # complete data take the one-product path: same NaN pattern as the
+        # pair loop, values to the same tolerance
+        data = complete_columns(seed, t, n)
+        new = correlation_matrix(data, min_overlap=min_overlap)
+        old = oracle_correlation_matrix(data, min_overlap=min_overlap)
+        np.testing.assert_array_equal(new, new.T)
+        np.testing.assert_array_equal(np.diag(new), 1.0)
+        np.testing.assert_array_equal(np.isnan(new), np.isnan(old))
         kept = ~np.isnan(new)
         np.testing.assert_allclose(new[kept], old[kept], rtol=0, atol=1e-12)
         assert np.all(np.abs(new[kept]) <= 1.0)
@@ -620,7 +665,7 @@ class TestGroupedCorrelations:
             outputs=demo_io_network.outputs[perm])
         spec = ScenarioSpec(stride=4, detrend=bool(seed % 2),
                             exclusions=("MFG",) if seed % 3 == 0 else ())
-        assert _grouped_means(traj, spec) == oracle_grouped_means(traj, spec)
+        assert _grouped_means([traj], spec) == [oracle_grouped_means(traj, spec)]
 
     def test_empty_group_rejected(self):
         m = np.eye(2)
@@ -628,6 +673,35 @@ class TestGroupedCorrelations:
             grouped_correlations(m, [("AtB", "US"), ("C", "US")],
                                  "within_country_sectors",
                                  exclusions=DEFAULT_SECTOR_EXCLUSIONS)
+
+
+class TestScenarioBlocks:
+    @pytest.mark.parametrize("detrend", [False, True])
+    @pytest.mark.parametrize("runs", [1, 7, 32])
+    def test_block_matches_one_run_calls(self, demo_io_network, monkeypatch, runs, detrend):
+        net = demo_io_network
+        rng = np.random.default_rng(runs)
+        block = [SimpleNamespace(
+            y=1.0 + 0.1 * rng.standard_normal((48, net.n)).cumsum(axis=0),
+            sectors=net.sectors, countries=net.countries, outputs=net.outputs)
+            for _ in range(runs)]
+        # a zero series has its trend under the floor, so this run's detrended
+        # indicator is missing and the run takes the pairwise path alone
+        odd = block[runs // 2]
+        odd.y[:, 1] = 0.0
+        spec = ScenarioSpec(stride=4, detrend=detrend)
+        pairwise = []
+
+        def recording(data, **kwargs):
+            pairwise.append(np.shape(data))
+            return correlation_matrix(data, **kwargs)
+
+        monkeypatch.setattr(empirics, "correlation_matrix", recording)
+        got = _grouped_means(block, spec)
+        assert pairwise == ([(12, net.n)] if detrend else [])
+        monkeypatch.undo()
+        assert got == [_grouped_means([traj], spec)[0] for traj in block]
+        assert got[runs // 2] == oracle_grouped_means(odd, spec)
 
 
 @pytest.fixture(scope="module")

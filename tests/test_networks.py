@@ -317,6 +317,16 @@ class TestIoNetwork:
             FlowTable([FlowRecord("B", "X", "FinD", "X", 1.0),
                        FlowRecord(*names, 5.0)])
 
+    @pytest.mark.parametrize("field", range(4))
+    def test_empty_record_name_rejected(self, field):
+        # an empty source sector used to build a node labelled "|X"
+        names = ["A", "X", "FinD", "X"]
+        names[field] = ""
+        with pytest.raises(DataError,
+                           match=rf"flow record 1 .*: empty {FlowTable.HEADER[field]}$"):
+            FlowTable([FlowRecord("B", "X", "FinD", "X", 1.0),
+                       FlowRecord(*names, 2.0)])
+
 
 class TestInteractionNetwork:
     @pytest.mark.parametrize("weights", [

@@ -562,9 +562,9 @@ class TestBatchedCallersParity:
             params = AgentParams.with_steady_state(*empirics.DYNAMICS_PRESETS[cell.dynamics], Q)
             shocks = ShockConfig(sigma_u=cell.sigma_u, **empirics.SHOCK_PRESETS[cell.shock_type])
             # one batch per cell, all its seeds and one shared shock config
-            means = [empirics._grouped_means(traj, spec) for traj in simulate_batch(
+            means = empirics._grouped_means(simulate_batch(
                 demo_io_network, [params] * spec.n_seeds, Q, shocks, cfg,
-                seeds=range(spec.n_seeds))]
+                seeds=range(spec.n_seeds)), spec)
             for row in rows[k:k + 2]:
                 vals = [m[row.group] for m in means]
                 assert row.mean_corr == np.mean(vals)
