@@ -25,7 +25,7 @@ from .errors import (
     TooFewPeaks,
 )
 from .networks import Adjacency, InteractionNetwork, uniform_coupling
-from .simulation import ShockConfig, SimulationConfig, simulate_batch
+from .simulation import ShockConfig, SimulationConfig, _streams, simulate_batch
 
 __all__ = [
     "PhaseSeries",
@@ -385,17 +385,14 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
     uniform = InteractionNetwork(weights=np.full((n, n), 1.0 / n), labels=list(net.labels),
                                  sectors=list(net.sectors), countries=list(net.countries),
                                  outputs=net.outputs.copy())
+    draws = [(key, d) for key in range(n + 1) for d in range(n_draws)]
     runs = []       # (key, draw, network, per-node params); key n is the benchmark
-    for key in range(n + 1):
+    for (key, d), rng in zip(draws, _streams([(cfg.seed, key, d) for key, d in draws])):
         focus = key if key < n else 0
-        others = [i for i in range(n) if i != focus]
-        for d in range(n_draws):
-            rng = np.random.default_rng((cfg.seed, key, d))
-            assignment = np.empty(n)
-            assignment[focus] = focus_value
-            assignment[others] = rng.permutation(rest)
-            runs.append((key, d, net if key < n else uniform,
-                         [agent[a1] for a1 in assignment]))
+        assignment = np.empty(n)
+        assignment[focus] = focus_value
+        assignment[np.arange(n) != focus] = rng.permutation(rest)
+        runs.append((key, d, net if key < n else uniform, [agent[a1] for a1 in assignment]))
 
     sims = np.empty((n + 1, n_draws))
     for lo in range(0, len(runs), _DRAWS_PER_BATCH):

@@ -48,6 +48,17 @@ _INITIAL_SPREAD = 0.1
 #: |y| beyond which a run counts as blown up
 _BLOWUP_BOUND = 1e3
 
+# numpy's SeedSequence hashing and PCG64 seeding, from which _streams states
+# each generator exactly as np.random.default_rng(key) does
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
+
 
 @dataclass(frozen=True)
 class ShockConfig:
@@ -75,6 +86,13 @@ class ShockConfig:
         return self.sigma_u == 0 and self.sigma_v == 0 and self.sigma_z == 0
 
 
+def _check_seed(seed, what: str) -> int:
+    """``seed`` as an int; ConfigError naming ``what`` unless it is a non-negative integer."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0:
+        return int(seed)
+    raise ConfigError(f"{what} must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Run length, retention window and seeding.
@@ -82,6 +100,7 @@ class SimulationConfig:
     The analysis window is the final ``retain`` steps of the ``steps``
     simulated; ``burn_in`` is the discarded prefix and defaults to
     ``steps - retain``.  Given both, they must add up to ``steps``.
+    ``seed`` is a non-negative integer.
     """
 
     steps: int
@@ -114,6 +133,7 @@ class SimulationConfig:
         object.__setattr__(self, "retain", keep)
         if self.initial_mode not in ("perturbed", "fixed_point"):
             raise ConfigError(f"unknown initial mode {self.initial_mode!r}")
+        _check_seed(self.seed, "seed")
 
     def echo(self) -> dict:
         return {**asdict(self), "initial_spread": _INITIAL_SPREAD,
@@ -168,8 +188,85 @@ class TrajectorySet:
                     np.tile(np.arange(self.steps), self.n), self.x.T.ravel(), self.y.T.ravel())
 
 
-def _stream(seed, layer, index) -> np.random.Generator:
-    return np.random.default_rng((seed, layer, index))
+def _key_words(key) -> tuple:
+    """A key's little-endian uint32 entropy words, as ``np.random.SeedSequence`` coerces it."""
+    words = []
+    for value in key:
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    return tuple(words)
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> list:
+    """``SeedSequence(key).generate_state(4, uint64)`` for every row of (K, L) words.
+
+    The uint32 arithmetic runs on uint64 arrays masked to 32 bits; the hash
+    constant depends only on the number of calls, so it is one scalar for
+    all K keys.  Returns four lists of K Python ints: PCG64's seed (high,
+    low) and stream (high, low) words.
+    """
+    k, length = entropy.shape
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(entropy[:, i] if i < length else np.zeros(k, np.uint64))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> _XSHIFT)
+    return [(state[2 * i] | state[2 * i + 1] << 32).tolist() for i in range(_POOL_SIZE)]
+
+
+def _streams(keys):
+    """Yield, in key order, a generator that draws what ``np.random.default_rng(key)`` draws.
+
+    Every key's seed is hashed in one numpy pass per word count, and one
+    reused PCG64 is re-stated for each key in turn, so a yielded generator
+    must be drawn from before the next is taken.
+    """
+    words = [_key_words(key) for key in keys]
+    by_length = {}
+    for i, w in enumerate(words):
+        by_length.setdefault(len(w), []).append(i)
+    states = [None] * len(words)
+    for rows in by_length.values():
+        seed_hi, seed_lo, seq_hi, seq_lo = _pcg64_seeds(
+            np.array([words[i] for i in rows], dtype=np.uint64))
+        for j, i in enumerate(rows):
+            inc = ((seq_hi[j] << 64 | seq_lo[j]) << 1 | 1) & _MASK128
+            seed = seed_hi[j] << 64 | seed_lo[j]
+            states[i] = {"state": ((inc + seed) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+    for state in states:
+        bit_generator.state = {"bit_generator": "PCG64", "state": state,
+                               "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 def _ar1_recursion(paths: np.ndarray, rho) -> np.ndarray:
@@ -208,46 +305,69 @@ def _per_node_params(params, n: int):
                  for name in ("alpha0", "alpha1", "alpha2", "delta"))
 
 
+def _layer_entities(net: InteractionNetwork) -> list:
+    """Per shock layer of ``net``, its grouped nodes, each one's entity and the entity count.
+
+    Entity j of a layer is its j-th distinct group in sorted order (node
+    index, sector or country); nodes of no group are left out.
+    """
+    layers = []
+    for groups in (range(net.n), net.sectors, net.countries):
+        members = _node_groups(groups)
+        members.pop(None, None)
+        entity = np.full(net.n, -1)
+        for j, group in enumerate(sorted(members)):
+            entity[members[group]] = j
+        nodes = np.flatnonzero(entity >= 0)
+        # a plain slice when every node has a group: adding into it is a
+        # fraction of the cost of an indexed update, with the same bits
+        layers.append((nodes if nodes.size < net.n else slice(None), entity[nodes],
+                       len(members)))
+    return layers
+
+
 def _shock_paths(nets, shocks, steps: int, seeds, total) -> None:
     """Add every run's active AR(1) shock layers into the (B, steps, N) sum ``total``.
 
-    Entity j of a layer is its j-th distinct group in sorted order (node
-    index, sector or country); every node of the group receives its path.
-    Each path draws its innovations from its own (seed, layer, entity)
-    stream, and all paths of the batch then step through one recursion.
-    Shocks run from the first step, burn-in included.
+    Every node of a layer's entity receives that entity's path.  Each path
+    draws its innovations from its own (seed, layer, entity) stream, and
+    all paths of the batch then step through one recursion.  Each (run,
+    layer) is added with one gather, idiosyncratic, then sector, then
+    country, so every node's sum is ((0 + u) + v) + z.  Shocks run from
+    the first step, burn-in included.
     """
-    targets, rhos, draws = [], [], []     # per path: (run, nodes), rho, (sigma, stream)
+    entities = {}                     # id(net) -> _layer_entities(net)
+    adds, keys, sigmas, rhos = [], [], [], []     # adds: (run, nodes, path of each node)
     for r, (net, shock, seed) in enumerate(zip(nets, shocks, seeds)):
-        for layer, rho, sigma, groups in (
-                (_LAYER_IDIO, shock.rho_u, shock.sigma_u, range(net.n)),
-                (_LAYER_SECTOR, shock.rho_v, shock.sigma_v, net.sectors),
-                (_LAYER_COUNTRY, shock.rho_z, shock.sigma_z, net.countries)):
+        if id(net) not in entities:
+            entities[id(net)] = _layer_entities(net)
+        for layer, rho, sigma, (nodes, entity, count) in zip(
+                (_LAYER_IDIO, _LAYER_SECTOR, _LAYER_COUNTRY),
+                (shock.rho_u, shock.rho_v, shock.rho_z),
+                (shock.sigma_u, shock.sigma_v, shock.sigma_z), entities[id(net)]):
             if sigma == 0:
                 continue
-            members = _node_groups(groups)
-            members.pop(None, None)
-            for j, group in enumerate(sorted(members)):
-                targets.append((r, members[group]))
-                rhos.append(rho)
-                draws.append((sigma, _stream(seed, layer, j)))
-    paths = np.zeros((steps, len(targets)))
-    for k, (sigma, rng) in enumerate(draws):
-        paths[1:, k] = rng.normal(0.0, sigma, steps - 1)
+            adds.append((r, nodes, len(keys) + entity))
+            keys.extend((seed, layer, j) for j in range(count))
+            sigmas.extend([sigma] * count)
+            rhos.extend([rho] * count)
+    paths = np.zeros((steps, len(keys)))
+    for k, (sigma, gen) in enumerate(zip(sigmas, _streams(keys))):
+        paths[1:, k] = gen.normal(0.0, sigma, steps - 1)
     _ar1_recursion(paths, np.array(rhos))
-    for k, (r, nodes) in enumerate(targets):
-        total[r][:, nodes] += paths[:, k, None]
+    for r, nodes, cols in adds:
+        total[r][:, nodes] += paths[:, cols]
 
 
-def _initial_state(de: np.ndarray, cfg: SimulationConfig, seed: int):
-    """Start at the unit fixed point, optionally perturbed from the seed."""
-    n = de.size
-    x = np.full(n, 1.0) / de
-    y = np.ones(n)
+def _initial_states(de: np.ndarray, cfg: SimulationConfig, seeds) -> tuple:
+    """(B, N) starts at the unit fixed point, optionally perturbed from each run's seed."""
+    x = 1.0 / de
+    y = np.ones(de.shape)
     if cfg.initial_mode == "perturbed":
-        rng = _stream(seed, _LAYER_INIT, 0)
-        x = x * (1.0 + rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, n))
-        y = y * (1.0 + rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, n))
+        n = de.shape[1]
+        for r, rng in enumerate(_streams([(seed, _LAYER_INIT, 0) for seed in seeds])):
+            x[r] *= 1.0 + rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, n)
+            y[r] *= 1.0 + rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, n)
     return x, y
 
 
@@ -293,9 +413,10 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
     sequence of B networks over the same number of nodes; ``shocks`` is
     likewise one :class:`ShockConfig` or one per run.
     ``params_per_run`` holds, per run, what :func:`simulate` accepts as
-    ``params``.  ``seeds`` gives each run's seed (default: ``cfg.seed`` for
-    all); each run draws its own (seed, layer, entity) shock and initial
-    streams, so run b equals ``simulate`` with ``cfg.seed = seeds[b]``.
+    ``params``.  ``seeds`` gives each run's seed, a non-negative integer
+    (default: ``cfg.seed`` for all); each run draws its own (seed, layer,
+    entity) shock and initial streams, so run b equals ``simulate`` with
+    ``cfg.seed = seeds[b]``.
     Returns one :class:`TrajectorySet` per run.  Raises
     :class:`NumericalBlowup` with the index of the first run that blew up.
     """
@@ -305,7 +426,8 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
     b = len(params_per_run)
     if b < 1:
         raise ConfigError("need at least one run")
-    seeds = [cfg.seed] * b if seeds is None else [int(s) for s in seeds]
+    seeds = ([cfg.seed] * b if seeds is None else
+             [_check_seed(s, f"seed of run {r}") for r, s in enumerate(seeds)])
     shocks = ([shocks or ShockConfig()] * b if shocks is None or isinstance(shocks, ShockConfig)
               else list(shocks))
     if isinstance(nets, InteractionNetwork):
@@ -322,8 +444,7 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
     n = nets[0].n
     a0, a1, a2, de = (np.stack(cols) for cols in
                       zip(*(_per_node_params(p, n) for p in params_per_run)))
-    x0, y0 = (np.stack(cols) for cols in
-              zip(*(_initial_state(de[r], cfg, seeds[r]) for r in range(b))))
+    x0, y0 = _initial_states(de, cfg, seeds)
     # a silent run of a mixed batch keeps its row of zeros
     shock_sum = None if all(s.silent for s in shocks) else np.zeros((b, cfg.steps, n))
     if shock_sum is not None:

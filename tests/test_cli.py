@@ -391,6 +391,21 @@ class TestOtherCommands:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv, seed", [
+        (["simulate", "--preset", "cycle-single", "--set", "run.seed=-1"], -1),
+        (["simulate", "--preset", "cycle-single", "--seed", "-3"], -3),
+        (["sweep-epsilon", "--preset", "entrainment-complete", "--seed", "-2"], -2),
+        (["sync-centrality", "--set", "network.kind=star", "--set", "network.eps=0.5",
+          "--seed", "-5"], -5),
+    ], ids=["simulate-set", "simulate-flag", "sweep-epsilon", "sync-centrality"])
+    def test_negative_seed_rejected_before_simulating(self, argv, seed, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(cli, "simulate", simulate_nothing)
+        monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+        assert run(argv, tmp_path) == 2
+        assert f"seed must be a non-negative integer, got {seed}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_sync_centrality_rejects_single_node(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
         code = run(["sync-centrality", "--set", "network.kind=single",

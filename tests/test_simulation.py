@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclesync import empirics, phase
 from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f
@@ -18,6 +20,7 @@ from cyclesync.simulation import (
     simulate_batch,
     _ar1_recursion,
     _shock_paths,
+    _streams,
     write_metadata,
 )
 
@@ -135,6 +138,39 @@ class TestAr1AgainstLfilter:
                             want[r, :, i] += path
         np.testing.assert_array_equal(total, want)
         assert not total[1].any() and not total[3].any()
+
+
+#: stream keys as the package builds them: a seed, then two small parts
+stream_keys = st.lists(st.tuples(
+    st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80 - 1)),
+    st.integers(0, 2**33), st.integers(0, 2**33)), max_size=12)
+
+
+class TestStreams:
+    @given(keys=stream_keys, size=st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_each_stream_draws_what_default_rng_draws(self, keys, size):
+        # every key gets its generator in key order, with numpy's own seeding
+        got = []
+        for gen in _streams(keys):
+            got.append((gen.normal(0.0, 0.3, size), gen.uniform(-0.1, 0.1, size),
+                        gen.permutation(size)))
+        assert len(got) == len(keys)
+        for key, (normal, uniform, permutation) in zip(keys, got):
+            ref = np.random.default_rng(key)
+            np.testing.assert_array_equal(normal, ref.normal(0.0, 0.3, size))
+            np.testing.assert_array_equal(uniform, ref.uniform(-0.1, 0.1, size))
+            np.testing.assert_array_equal(permutation, ref.permutation(size))
+
+    def test_no_keys_give_no_streams(self):
+        assert list(_streams([])) == []
+
+    def test_keys_of_mixed_word_counts_keep_their_order(self):
+        # 0 is one word, 2**32 two, 2**64 three: three hashing groups, one order
+        keys = [(2**64, 0, 0), (0, 0, 0), (2**32, 5, 1), (7, 2**33, 0), (0, 0, 0)]
+        draws = [gen.standard_normal(3) for gen in _streams(keys)]
+        for key, draw in zip(keys, draws):
+            np.testing.assert_array_equal(draw, np.random.default_rng(key).standard_normal(3))
 
 
 def single_net():
@@ -278,6 +314,27 @@ class TestSimulate:
         with pytest.raises(ConfigError) as err:
             SimulationConfig(steps=400, **window)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("seed", [-1, -2**40, 1.5, 2.0, True, "3", None])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig(steps=400, seed=seed)
+        assert str(err.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+    def test_batch_seed_error_names_the_run(self):
+        with pytest.raises(ConfigError) as err:
+            simulate_batch(single_net(), [cycle_params()] * 3, cfg=SimulationConfig(steps=10),
+                           seeds=[0, 4, -1])
+        assert str(err.value) == "seed of run 2 must be a non-negative integer, got -1"
+
+    def test_large_and_numpy_integer_seeds_are_accepted(self):
+        cfg = SimulationConfig(steps=50, seed=2**40)
+        runs = simulate_batch(single_net(), [cycle_params()] * 2, cfg=cfg,
+                              seeds=[np.int64(2**40), 2**40])
+        np.testing.assert_array_equal(runs[0].y, runs[1].y)
+        np.testing.assert_array_equal(runs[0].y, simulate(single_net(), cycle_params(),
+                                                          Q, None, cfg).y)
+        assert runs[0].config["seed"] == 2**40
 
 
 class TestAggregateSeries:
