@@ -2,6 +2,7 @@
 round-trip floats, and a cell holding a comma, a double quote, CR or LF
 quoted as RFC 4180 does (``csv.QUOTE_MINIMAL``)."""
 
+import csv
 import re
 
 import numpy as np
@@ -43,3 +44,27 @@ def write_table(path, header, *columns):
         for lo in range(0, max(map(len, arrays), default=0), _CHUNK_ROWS):
             rows = zip(*(_cells(array, lo) for array in arrays), strict=True)
             fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def read_table(path, header, error):
+    """Yield ``(lineno, cells)`` for each non-blank row of a UTF-8 table under ``header``.
+
+    Raises ``error`` naming the file for a missing or wrong header, bytes
+    that are not UTF-8 (decoded a block at a time, so no line is known), and,
+    with its line, a row without one cell per header name.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or tuple(h.strip() for h in first) != tuple(header):
+                raise error(f"{path}: expected header {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise error(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                    f"{exc.reason})") from None

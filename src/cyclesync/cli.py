@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
+import json
 import os
 import sys
 from importlib import resources
@@ -26,7 +27,7 @@ from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients
 from .errors import ConfigError, DataError, NumericalError
 from .networks import (FlowTable, InteractionNetwork, build_io_network, build_topology,
                        uniform_coupling)
-from .simulation import ShockConfig, SimulationConfig, simulate, write_metadata
+from .simulation import ShockConfig, SimulationConfig, simulate
 
 __all__ = ["main"]
 
@@ -347,6 +348,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_metadata(path, mapping: dict):
+    """Write a JSON metadata sidecar."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(mapping, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -363,7 +371,7 @@ def main(argv=None) -> int:
         with open(args.outdir / "resolved-config.cfg", "w", encoding="utf-8") as fh:
             fh.write(f"# cyclesync {args.experiment}: every key read, defaults filled in\n")
             echo.write(fh)
-        write_metadata(args.outdir / "metadata.json", {
+        _write_metadata(args.outdir / "metadata.json", {
             "experiment": args.experiment,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(), **summary})
     except ConfigError as exc:

@@ -11,7 +11,6 @@ original series minus the cycle, so original = cycle + trend identically.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -19,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._format import write_table
+from ._format import read_table, write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams
 from .errors import (
     ConfigError,
@@ -27,7 +26,6 @@ from .errors import (
     EmptyGroup,
     MalformedRow,
     NumericalBlowup,
-    NumericalError,
     SeriesTooShort,
 )
 from .networks import FINAL_DEMAND, InteractionNetwork, _node_groups
@@ -145,32 +143,21 @@ def load_panel_csv(path) -> PanelSeries:
     header = ("country", "sector", "variable", "year", "value")
     records = []
     seen = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or tuple(h.strip() for h in first) != header:
-            raise MalformedRow(f"{path}: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise MalformedRow(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                year = int(row[3])
-                value = float(row[4])
-            except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(value):
-                raise MalformedRow(f"{path}:{lineno}: non-finite value {row[4]!r}")
-            key = (row[0].strip(), row[1].strip(), row[2].strip(), year)
-            if not any(key[:3]):
-                raise MalformedRow(f"{path}:{lineno}: empty country, sector and variable")
-            if key in seen:
-                raise DuplicateKey(
-                    f"{path}:{lineno}: duplicate of line {seen[key]} for {key}"
-                )
-            seen[key] = lineno
-            records.append(PanelRecord(key[0], key[1], key[2], year, value))
+    for lineno, row in read_table(path, header, MalformedRow):
+        try:
+            year = int(row[3])
+            value = float(row[4])
+        except ValueError as exc:
+            raise MalformedRow(f"{path}:{lineno}: {exc}") from None
+        if not math.isfinite(value):
+            raise MalformedRow(f"{path}:{lineno}: non-finite value {row[4]!r}")
+        key = (row[0].strip(), row[1].strip(), row[2].strip(), year)
+        if not any(key[:3]):
+            raise MalformedRow(f"{path}:{lineno}: empty country, sector and variable")
+        if key in seen:
+            raise DuplicateKey(f"{path}:{lineno}: duplicate of line {seen[key]} for {key}")
+        seen[key] = lineno
+        records.append(PanelRecord(key[0], key[1], key[2], year, value))
 
     panel = PanelSeries(records=records)
     for key, series in panel._index.items():
@@ -511,9 +498,8 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
                 cfg, seeds=seeds)
         except NumericalBlowup as exc:
             dyn, shock, su, seed = block[exc.run]
-            raise NumericalError(f"dynamics {dyn!r}, shock type {shock!r}, sigma_u {su}, seed "
-                                 f"{seed}: |y| = {exc.value:.3g} exceeded bound {exc.bound:.3g} "
-                                 f"at step {exc.step}") from exc
+            raise exc.named(f"dynamics {dyn!r}, shock type {shock!r}, sigma_u {su}, "
+                            f"seed {seed}") from exc
         means.extend(_grouped_means(trajs, spec))
         del trajs  # free the block before the next one is simulated
 

@@ -62,6 +62,11 @@ class NumericalBlowup(NumericalError):
         where = f"at step {step}" if run is None else f"in run {run} at step {step}"
         super().__init__(f"|y| = {value:.3g} exceeded bound {bound:.3g} {where}")
 
+    def named(self, where: str) -> NumericalError:
+        """This failure as a :class:`NumericalError` naming its run as ``where``."""
+        return NumericalError(f"{where}: |y| = {self.value:.3g} exceeded bound "
+                              f"{self.bound:.3g} at step {self.step}")
+
 
 # --- phase analysis ---------------------------------------------------------
 

@@ -30,7 +30,7 @@ _CROSS = {("AAA", "BBB"): 9.0, ("AAA", "CCC"): 6.0, ("BBB", "CCC"): 4.0}
 _CROSS_SECTORS = (("MFG", 1.0), ("TRD", 0.5), ("AGR", 0.25))
 
 
-def demo_flow_table(scale: float = 1.0) -> FlowTable:
+def demo_flow_table() -> FlowTable:
     """Three countries, five sectors, manufacturing-centred balanced flows.
 
     Countries differ in size and in openness, so country blocks are well
@@ -39,7 +39,7 @@ def demo_flow_table(scale: float = 1.0) -> FlowTable:
     """
     records = []
     for country in _COUNTRIES:
-        size = _COUNTRY_SIZE[country] * scale
+        size = _COUNTRY_SIZE[country]
         for (a, b), value in _PAIR.items():
             records.append(FlowRecord(a, country, b, country, value * size))
             records.append(FlowRecord(b, country, a, country, value * size))
@@ -51,8 +51,6 @@ def demo_flow_table(scale: float = 1.0) -> FlowTable:
                                       value * size))
     for (c1, c2), value in _CROSS.items():
         for sector, weight in _CROSS_SECTORS:
-            records.append(FlowRecord(sector, c1, sector, c2,
-                                      value * weight * scale))
-            records.append(FlowRecord(sector, c2, sector, c1,
-                                      value * weight * scale))
+            records.append(FlowRecord(sector, c1, sector, c2, value * weight))
+            records.append(FlowRecord(sector, c2, sector, c1, value * weight))
     return FlowTable(records)

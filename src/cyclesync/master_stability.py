@@ -301,45 +301,35 @@ def time_resolved_volume_rate(orbit: SynchronizedOrbit, coupling: float) -> np.n
     return _volume_rate(orbit.params, orbit.fprime, coupling)
 
 
-def _as_matrix(xi, n):
-    arr = np.asarray(xi, dtype=float)
-    if arr.ndim == 1:
-        if arr.size != 2 * n:
-            raise ConfigError(f"deviation vector must have length {2 * n}")
-        return arr.reshape(n, 2), True
-    if arr.shape[-1] != 2 * n:
-        raise ConfigError(f"deviation series must have {2 * n} columns")
-    return arr.reshape(arr.shape[0], n, 2), False
-
-
 def _check_conditioning(spec: SpectralDecomposition):
     cond = np.linalg.cond(spec.modes)
     if cond > _CONDITION_CAP:
         raise IllConditioned(f"eigenvector condition number {cond:.3g} too large")
 
 
+def _change_basis(matrix, v, spec: SpectralDecomposition) -> np.ndarray:
+    """``matrix`` applied to the x and to the y components of a 2N vector or
+    of each row of a (T, 2N) series; one product for both forms."""
+    _check_conditioning(spec)
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 2 * spec.n:
+        raise ConfigError(f"deviations must be a {2 * spec.n} vector or a "
+                          f"(T, {2 * spec.n}) series, got shape {arr.shape}")
+    return (matrix @ arr.reshape(-1, spec.n, 2)).reshape(arr.shape)
+
+
 def to_eigenbasis(xi, spec: SpectralDecomposition) -> np.ndarray:
     """Map node-basis deviations (interleaved x, y per node) to eigenmodes.
 
     zeta = (Q^-1 kron I_2) xi; works on a single 2N vector or a (T, 2N)
-    series.
+    series, and row t of a series maps exactly as the vector ``xi[t]``.
     """
-    _check_conditioning(spec)
-    mat, single = _as_matrix(xi, spec.n)
-    if single:
-        return (spec.modes_inv @ mat).reshape(-1)
-    out = np.einsum("ij,tjk->tik", spec.modes_inv, mat)
-    return out.reshape(mat.shape[0], -1)
+    return _change_basis(spec.modes_inv, xi, spec)
 
 
 def from_eigenbasis(zeta, spec: SpectralDecomposition) -> np.ndarray:
     """Inverse of :func:`to_eigenbasis`."""
-    _check_conditioning(spec)
-    mat, single = _as_matrix(zeta, spec.n)
-    if single:
-        return (spec.modes @ mat).reshape(-1)
-    out = np.einsum("ij,tjk->tik", spec.modes, mat)
-    return out.reshape(mat.shape[0], -1)
+    return _change_basis(spec.modes, zeta, spec)
 
 
 def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
@@ -358,9 +348,11 @@ def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
     the two disagree by more.
     """
     n = spec.n
-    mat0, single = _as_matrix(xi0, n)
-    if not single:
-        raise ConfigError("initial deviation must be a single 2N vector")
+    mat0 = np.asarray(xi0, dtype=float)
+    if mat0.shape != (2 * n,):
+        raise ConfigError(f"initial deviation must be a single {2 * n} vector, "
+                          f"got shape {mat0.shape}")
+    mat0 = mat0.reshape(n, 2)
     if start + steps > orbit.steps:
         raise ConfigError("orbit too short for the requested window")
     consistency_tol = 1e-4 if spec.max_imag > 1e-12 else 1e-6

@@ -16,14 +16,13 @@ Laplacian (real, inside [0, 2]).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._format import write_table
+from ._format import read_table, write_table
 from .errors import (
     ConfigError,
     DataError,
@@ -171,30 +170,19 @@ class FlowTable:
     @classmethod
     def from_csv(cls, path) -> "FlowTable":
         records = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != cls.HEADER:
-                raise DataError(
-                    f"{path}: expected header {','.join(cls.HEADER)}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != 5:
-                    raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-                try:
-                    value = float(row[4])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad value {row[4]!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}:{lineno}: non-finite flow {row[4]!r}")
-                if value < 0:
-                    raise DataError(f"{path}:{lineno}: negative flow {value}")
-                names = [cell.strip() for cell in row[:4]]
-                if not all(names):
-                    raise DataError(f"{path}:{lineno}: empty {cls.HEADER[names.index('')]}")
-                records.append(FlowRecord(*names, value))
+        for lineno, row in read_table(path, cls.HEADER, DataError):
+            try:
+                value = float(row[4])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad value {row[4]!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite flow {row[4]!r}")
+            if value < 0:
+                raise DataError(f"{path}:{lineno}: negative flow {value}")
+            names = [cell.strip() for cell in row[:4]]
+            if not all(names):
+                raise DataError(f"{path}:{lineno}: empty {cls.HEADER[names.index('')]}")
+            records.append(FlowRecord(*names, value))
         return cls(records)
 
     def to_csv(self, path):

@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     DegenerateSeries,
     EntrainmentFailure,
+    NumericalBlowup,
     TooFewPeaks,
 )
 from .networks import Adjacency, InteractionNetwork, uniform_coupling
@@ -323,9 +324,12 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
     mean_corr = np.empty(eps_grid.size)
     spread = np.empty(eps_grid.size)
     nets = [uniform_coupling(adj, float(eps)) for eps in eps_grid]
-    trajs = simulate_batch(nets, [params] * eps_grid.size, q, shocks, cfg)
+    try:
+        trajs = simulate_batch(nets, [params] * eps_grid.size, q, shocks, cfg)
+    except NumericalBlowup as exc:
+        raise exc.named(f"eps {eps_grid[exc.run]:g}") from exc
     for k, traj in enumerate(trajs):
-        phases = [phase_series(traj.y[:, i], **peak_kwargs) for i in range(adj.n)]
+        phases = _per_node(phase_series, traj, peak_kwargs, f"eps {eps_grid[k]:g}")
         omegas[k] = [p.omega for p in phases]
         coherence[k] = phase_coherence(np.column_stack([p.phi for p in phases]))
         mean_corr[k] = mean_pairwise_correlation(traj.y)
@@ -337,9 +341,19 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
                              entrain_tol=entrain_tol)
 
 
-def _common_frequency(ys, entrain_tol, peak_kwargs, where):
-    omegas = np.array([measured_frequency(ys[:, i], **peak_kwargs)
-                       for i in range(ys.shape[1])])
+def _per_node(measure, traj, peak_kwargs, where) -> list:
+    """``measure`` of each node's y path; a peak failure names ``where`` and the node."""
+    out = []
+    for i, label in enumerate(traj.labels):
+        try:
+            out.append(measure(traj.y[:, i], **peak_kwargs))
+        except TooFewPeaks as exc:
+            raise TooFewPeaks(f"{where}, node {label}: {exc}") from None
+    return out
+
+
+def _common_frequency(traj, entrain_tol, peak_kwargs, where):
+    omegas = np.array(_per_node(measured_frequency, traj, peak_kwargs, where))
     spread = _relative_spread(omegas)
     if spread >= entrain_tol:
         raise EntrainmentFailure(
@@ -394,15 +408,20 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
         assignment[np.arange(n) != focus] = rng.permutation(rest)
         runs.append((key, d, net if key < n else uniform, [agent[a1] for a1 in assignment]))
 
+    def where(key, d):
+        name = f"focus node {net.labels[key]}" if key < n else "uniform benchmark"
+        return f"{name}, draw {d}"
+
     sims = np.empty((n + 1, n_draws))
     for lo in range(0, len(runs), _DRAWS_PER_BATCH):
         block = runs[lo:lo + _DRAWS_PER_BATCH]
-        trajs = simulate_batch([run[2] for run in block], [run[3] for run in block],
-                               q, None, cfg)
+        try:
+            trajs = simulate_batch([run[2] for run in block], [run[3] for run in block],
+                                   q, None, cfg)
+        except NumericalBlowup as exc:
+            raise exc.named(where(*block[exc.run][:2])) from exc
         for (key, d, _, _), traj in zip(block, trajs):
-            name = f"focus node {net.labels[key]}" if key < n else "uniform benchmark"
-            sims[key, d] = _common_frequency(traj.y, entrain_tol, peak_kwargs,
-                                             f"{name}, draw {d}")
+            sims[key, d] = _common_frequency(traj, entrain_tol, peak_kwargs, where(key, d))
         del trajs, traj  # free the block before the next one is simulated
 
     means = sims[:n].mean(axis=1)

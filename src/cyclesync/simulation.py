@@ -14,7 +14,6 @@ another layer's draws and runs are reproducible from the seed alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -33,7 +32,6 @@ __all__ = [
     "simulate",
     "simulate_batch",
     "aggregate_series",
-    "write_metadata",
 ]
 
 _LAYER_IDIO = 0
@@ -477,10 +475,3 @@ def aggregate_series(values, stride: int) -> np.ndarray:
         raise ConfigError(f"stride {stride} must divide series length {t}")
     shape = (t // stride, stride) + arr.shape[1:]
     return arr.reshape(shape).mean(axis=1)
-
-
-def write_metadata(path, mapping: dict):
-    """Write a JSON metadata sidecar."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mapping, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")

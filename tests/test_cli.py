@@ -102,6 +102,15 @@ class TestConfigHandling:
         cfg.write_text(f"[network]\nkind = io\nflows = {flows}\n")
         assert run(["simulate", "--config", str(cfg)], tmp_path) == 4
 
+    def test_non_utf8_flow_table_is_a_data_error(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_bytes(b"source_sector,source_country,dest_sector,dest_country,value\n"
+                          b"A\xe9,X,FinD,X,1.0\n")
+        code = run(["simulate", "--set", "network.kind=io", "--set", f"network.flows={flows}"],
+                   tmp_path)
+        assert code == 4
+        assert f"data error: {flows}: not UTF-8 text (byte 0xe9" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_cycle_preset_outputs(self, tmp_path):
@@ -112,6 +121,16 @@ class TestSimulateCommand:
         meta = json.loads((tmp_path / "metadata.json").read_text())
         period = meta["measured_periods"]["0"]
         assert period == pytest.approx(36, abs=2)
+
+    def test_metadata_sidecar(self, tmp_path):
+        meta_path = tmp_path / "meta.json"
+        cli._write_metadata(meta_path, SimulationConfig(steps=50, seed=0).echo())
+        loaded = json.loads(meta_path.read_text())
+        assert loaded["seed"] == 0
+        assert "normal_method" in loaded
+        # the fixed values are echoed next to the configured ones
+        assert loaded["initial_spread"] == 0.1
+        assert loaded["blowup_bound"] == 1e3
 
     def test_uncoupled_spread_preset(self, tmp_path):
         assert run(["simulate", "--preset", "uncoupled-spread"], tmp_path) == 0
@@ -267,6 +286,24 @@ class TestOtherCommands:
         for part in ("'cycle'", "'idiosyncratic'", "sigma_u 3.0", "seed 2"):
             assert part in err
         assert not (tmp_path / "scenario-results.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sync-centrality", "--set", "network.kind=star", "--set", "network.n=6",
+          "--set", "network.eps=0.5", "--set", "centrality.n_draws=3",
+          "--set", "dynamics.betas=0,1.5,0,0,0"],
+         "numerical error: focus node 5, draw 1: |y| = 1.04e+03 exceeded bound 1e+03 at step 15"),
+        (["sync-centrality", "--set", "network.kind=star", "--set", "network.n=6",
+          "--set", "network.eps=0.5", "--set", "centrality.n_draws=3",
+          "--set", "dynamics.betas=-0.5,0.1,0.2,0.5,0.3"],
+         "numerical error: focus node 0, draw 0, node 0: found 0 peaks, need at least 3"),
+        (["sweep-epsilon", "--preset", "entrainment-complete",
+          "--set", "dynamics.betas=-0.5,0.1,0.2,0.5,0.3"],
+         "numerical error: eps 0: |y| = 1.68e+05 exceeded bound 1e+03 at step 3"),
+    ], ids=["centrality-blowup", "centrality-peaks", "sweep-blowup"])
+    def test_monte_carlo_failure_names_its_run(self, argv, message, tmp_path, capsys):
+        assert run(argv, tmp_path) == 3
+        assert capsys.readouterr().err.strip() == message
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("n_seeds", ["0", "-1"])
     def test_scenarios_rejects_too_few_seeds(self, n_seeds, tmp_path, capsys):

@@ -243,6 +243,12 @@ class TestLoadPanel:
         with pytest.raises(MalformedRow, match=":3"):
             load_panel_csv(path)
 
+    def test_non_utf8_bytes_are_a_malformed_row(self, tmp_path):
+        path = write_panel(tmp_path, [("US", "D", "emp", 1990, 100.0)])
+        path.write_bytes(path.read_bytes() + b"\xffUS,D,emp,1991,1.0\n")
+        with pytest.raises(MalformedRow, match=r"panel\.csv: not UTF-8 text \(byte 0xff"):
+            load_panel_csv(path)
+
     def test_year_gap_flagged(self, tmp_path):
         path = write_panel(tmp_path, [
             ("US", "D", "emp", 1980, 1.0),

@@ -350,3 +350,50 @@ class TestWriteTable:
     def test_two_dimensional_column_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="1-D"):
             write_table(tmp_path / "t.csv", ("a",), np.zeros((2, 2)))
+
+
+class TestReadTable:
+    class Bad(Exception):
+        pass
+
+    def read(self, path, header=("a", "b")):
+        return list(_format.read_table(path, header, self.Bad))
+
+    def test_rows_with_their_line_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(" a , b\n1,2\n\n , \n3,\"x,y\"\n")
+        assert self.read(path) == [(2, ["1", "2"]), (5, ["3", "x,y"])]
+
+    def test_round_trips_the_writer(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cells = np.array(['plain', 'com,ma', 'quo"te', 'line\nbreak'])
+        write_table(path, ("a", "b"), cells, np.arange(4))
+        assert [row for _, row in self.read(path)] == [[c, str(i)] for i, c in enumerate(cells)]
+
+    @pytest.mark.parametrize("text", ["", "a\n1\n", "a,c\n1,2\n"])
+    def test_missing_or_wrong_header(self, text, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(self.Bad, match=r"t\.csv: expected header a,b$"):
+            self.read(path)
+
+    def test_wrong_field_count_names_the_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n3,4,5\n")
+        with pytest.raises(self.Bad, match=r"t\.csv:3: expected 2 fields, got 3$"):
+            self.read(path)
+
+    @pytest.mark.parametrize("rows_before", [0, 3, 5000])
+    def test_undecodable_bytes(self, rows_before, tmp_path):
+        # 5000 rows put the bad byte past the reader's first decoded block
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * rows_before + b"\xe9t\xe9,3\n4,5\n")
+        with pytest.raises(self.Bad, match=r"t\.csv: not UTF-8 text "
+                                           r"\(byte 0xe9: invalid continuation byte\)$"):
+            self.read(path)
+
+    def test_undecodable_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xffa,b\n1,2\n")
+        with pytest.raises(self.Bad, match=r"t\.csv: not UTF-8 text \(byte 0xff"):
+            self.read(path)

@@ -302,6 +302,22 @@ class TestEigenbasisTransform:
         back = from_eigenbasis(to_eigenbasis(xi, two_clique_spec), two_clique_spec)
         np.testing.assert_allclose(back, xi, atol=1e-10)
 
+    @pytest.mark.parametrize("network", ["two_clique_4_2", "demo_io"])
+    def test_series_rows_equal_vector_transform(self, network, demo_io_network):
+        net = (uniform_coupling(build_topology("two_clique", sizes=(4, 2)), 0.3)
+               if network == "two_clique_4_2" else demo_io_network)
+        spec = generalized_laplacian(net)
+        series = np.random.default_rng(7).normal(0, 0.05, (40, 2 * spec.n))
+        for transform in (to_eigenbasis, from_eigenbasis):
+            rows = np.array([transform(row, spec) for row in series])
+            np.testing.assert_array_equal(transform(series, spec), rows)
+
+    @pytest.mark.parametrize("shape", [(10,), (3, 10), (2, 3, 12), ()])
+    def test_wrong_shape_rejected(self, two_clique_spec, shape):
+        for transform in (to_eigenbasis, from_eigenbasis):
+            with pytest.raises(ConfigError, match="12 vector or a"):
+                transform(np.zeros(shape), two_clique_spec)
+
     def test_reference_mode_projection(self, two_clique_spec):
         # y-shock (0.05, 0.03, 0.04, -0.03, -0.06, 0.00): slow-mode content
         # dominates because the cliques are pushed in opposite directions
@@ -337,6 +353,11 @@ class TestPropagateDeviations:
                                         np.zeros(12), steps=100)
         assert np.all(xi == 0)
         assert np.all(zeta == 0)
+
+    @pytest.mark.parametrize("shape", [(10,), (1, 12), (3, 12)])
+    def test_initial_deviation_must_be_one_vector(self, cycle_orbit, two_clique_spec, shape):
+        with pytest.raises(ConfigError, match="single 12 vector"):
+            propagate_deviations(cycle_orbit, two_clique_spec, np.zeros(shape), steps=10)
 
     def test_transverse_mode_decays_parallel_persists(self, cycle_orbit):
         pair = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 0.3))

@@ -250,6 +250,14 @@ class TestIoNetwork:
         with pytest.raises(DataError):
             FlowTable.from_csv(path)
 
+    def test_non_utf8_bytes_are_a_data_error(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(",".join(FlowTable.HEADER).encode() + b"\n"
+                         b"A,X,FinD,X,1.0\n"
+                         b"B\xe9,X,FinD,X,2.0\n")
+        with pytest.raises(DataError, match=r"flows\.csv: not UTF-8 text \(byte 0xe9"):
+            FlowTable.from_csv(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_flow_rejected(self, tmp_path, value):
         # a NaN flow used to pass the negativity check and reach the

@@ -1,7 +1,12 @@
-"""The public surface: the package imports and every exported name resolves."""
+"""The public surface: each module's ``__all__`` is the one list of its public
+names, every listed name is defined where it is listed, and the package
+namespace holds only its submodules and ``__version__``."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
+import types
 
 import pytest
 
@@ -21,3 +26,33 @@ def test_module_exports_resolve(name):
     missing = [export for export in getattr(module, "__all__", ())
                if not hasattr(module, export)]
     assert not missing, f"cyclesync.{name}.__all__ names missing attributes {missing}"
+
+
+def test_package_namespace_holds_only_submodules():
+    for name in MODULES:
+        importlib.import_module(f"cyclesync.{name}")
+    assert isinstance(cyclesync.__version__, str)
+    extra = sorted(key for key, value in vars(cyclesync).items()
+                   if not key.startswith("_")
+                   and not (isinstance(value, types.ModuleType)
+                            and value.__name__ == f"cyclesync.{key}"))
+    assert not extra, f"the package namespace re-exports {extra}"
+
+
+def _defined_names(module) -> set:
+    """Names bound at module level by a def, a class or an assignment."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_are_defined_there(name):
+    module = importlib.import_module(f"cyclesync.{name}")
+    imported = sorted(set(getattr(module, "__all__", ())) - _defined_names(module))
+    assert not imported, f"cyclesync.{name}.__all__ lists names defined elsewhere: {imported}"

@@ -9,6 +9,8 @@ from cyclesync.errors import (
     ConfigError,
     DegenerateSeries,
     EntrainmentFailure,
+    NumericalBlowup,
+    NumericalError,
     TooFewPeaks,
 )
 from cyclesync.networks import InteractionNetwork, build_topology, uniform_coupling
@@ -338,9 +340,42 @@ class TestEpsilonSweep:
         assert lines[0] == "eps,coherence,mean_correlation,entrained,spread"
         assert len(lines) == 6
 
+    def test_blowup_names_its_eps(self, monkeypatch):
+        monkeypatch.setattr(phase, "simulate_batch", blowing_up(run=1))
+        with pytest.raises(NumericalError, match=r"^eps 0\.25: \|y\| = 1\.04e\+03 exceeded "
+                                                 r"bound 1e\+03 at step 15$") as failure:
+            epsilon_sweep(build_topology("complete", 3), agents([-0.1, -0.06, -0.02]),
+                          eps_grid=[0.0, 0.25], cfg=SimulationConfig(steps=1500, burn_in=300))
+        assert type(failure.value) is NumericalError
+        assert isinstance(failure.value.__cause__, NumericalBlowup)
+
+    def test_peak_failure_names_eps_and_node(self, monkeypatch):
+        monkeypatch.setattr(phase, "simulate_batch", flattening(run=1, node=2))
+        with pytest.raises(TooFewPeaks, match=r"^eps 0\.25, node 2: found 0 peaks"):
+            epsilon_sweep(build_topology("complete", 3), agents([-0.1, -0.06, -0.02]),
+                          eps_grid=[0.0, 0.25], cfg=SimulationConfig(steps=1500, burn_in=300))
+
 
 def simulate_nothing(*args, **kwargs):
     raise AssertionError("simulated before rejecting its input")
+
+
+def blowing_up(run):
+    """A ``simulate_batch`` stand-in whose run ``run`` blows up at step 15."""
+    def batch(*args, **kwargs):
+        raise NumericalBlowup(15, 1.04e3, 1e3, run=run)
+    return batch
+
+
+def flattening(run, node):
+    """The real ``simulate_batch``, with the y path of ``node`` in ``run`` held flat."""
+    real = phase.simulate_batch
+
+    def batch(*args, **kwargs):
+        trajs = real(*args, **kwargs)
+        trajs[run].y[:, node] = 0.0
+        return trajs
+    return batch
 
 
 @pytest.mark.parametrize("bad", [{"min_separation": 0}, {"smooth_window": 0}])
@@ -439,6 +474,25 @@ class TestSyncCentrality:
         monkeypatch.setattr(phase, "simulate_batch", detune_uniform_draw_one)
         with pytest.raises(EntrainmentFailure,
                            match=r"uniform benchmark, draw 1: frequency spread \d"):
+            sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=1), n_draws=2)
+
+    @pytest.mark.parametrize("run, where", [(5, "focus node c, draw 1"),
+                                            (8, "uniform benchmark, draw 0")])
+    def test_blowup_names_focus_node_and_draw(self, run, where, monkeypatch):
+        net = InteractionNetwork(weights=uniform_coupling(build_topology("star", 4), 0.5).weights,
+                                 labels=list("abcd"))
+        monkeypatch.setattr(phase, "simulate_batch", blowing_up(run))
+        with pytest.raises(NumericalError, match=rf"^{where}: \|y\| = 1\.04e\+03 exceeded "
+                                                 r"bound 1e\+03 at step 15$") as failure:
+            sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=1), n_draws=2)
+        assert type(failure.value) is NumericalError
+        assert isinstance(failure.value.__cause__, NumericalBlowup)
+
+    def test_peak_failure_names_focus_node_draw_and_node(self, monkeypatch):
+        net = InteractionNetwork(weights=uniform_coupling(build_topology("star", 4), 0.5).weights,
+                                 labels=list("abcd"))
+        monkeypatch.setattr(phase, "simulate_batch", flattening(run=1, node=1))
+        with pytest.raises(TooFewPeaks, match=r"^focus node a, draw 1, node b: found 0 peaks"):
             sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=1), n_draws=2)
 
     def test_block_boundary_inside_a_key(self, monkeypatch):

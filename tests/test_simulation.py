@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +20,6 @@ from cyclesync.simulation import (
     _ar1_recursion,
     _shock_paths,
     _streams,
-    write_metadata,
 )
 
 Q = DEFAULT_QUARTIC
@@ -359,7 +357,7 @@ class TestAggregateSeries:
 
 
 class TestExport:
-    def test_trajectory_csv_and_metadata(self, tmp_path):
+    def test_trajectory_csv(self, tmp_path):
         cfg = SimulationConfig(steps=50, seed=0)
         traj = simulate(single_net(), cycle_params(), Q, None, cfg)
         csv_path = tmp_path / "traj.csv"
@@ -369,15 +367,6 @@ class TestExport:
         assert len(lines) == 1 + 50
         node, step, x, y = lines[1].split(",")
         assert float(y) == traj.y[0, 0]
-
-        meta_path = tmp_path / "meta.json"
-        write_metadata(meta_path, traj.config)
-        loaded = json.loads(meta_path.read_text())
-        assert loaded["seed"] == 0
-        assert "normal_method" in loaded
-        # the fixed values are echoed next to the configured ones
-        assert loaded["initial_spread"] == 0.1
-        assert loaded["blowup_bound"] == 1e3
 
 
 # --- batched kernel against the per-run loop it replaced ---------------------
