@@ -21,12 +21,6 @@ class DataError(CycleSyncError):
     """Malformed, inconsistent or insufficient input data."""
 
 
-# --- dynamics ---------------------------------------------------------------
-
-class NonOscillatory(NumericalError):
-    """Eigenvalues are real; no linear frequency is defined."""
-
-
 # --- networks ---------------------------------------------------------------
 
 class ZeroOutput(DataError):

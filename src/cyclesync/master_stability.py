@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 _MIN_AMPLITUDE = 1e-6
+#: Steps iterated onto the attractor before an orbit is recorded.
+_ORBIT_BURN_IN = 2000
 #: Leading orbit steps on which the period is measured.
 _PERIOD_STEPS = 5000
 _CONDITION_CAP = 1e8
@@ -141,21 +143,21 @@ class ShockResponse:
 
 
 def synchronized_orbit(params: AgentParams, q: QuarticCoefficients = DEFAULT_QUARTIC,
-                       steps: int = 100000, burn_in: int = 2000) -> SynchronizedOrbit:
+                       steps: int = 100000) -> SynchronizedOrbit:
     """Iterate the uncoupled map onto its attractor and cache F' along it.
 
     Starts slightly off the fixed point (the exact fixed point never leaves
-    it).  Raises :class:`NotOscillating` when the retained window has
-    collapsed to a point, and :class:`ConfigError` when an orbit shorter
-    than ``_PERIOD_STEPS`` holds fewer than three peaks.
+    it) and records ``steps`` steps after ``_ORBIT_BURN_IN`` discarded ones.
+    Raises :class:`NotOscillating` when the retained window has collapsed to
+    a point, and :class:`ConfigError` when an orbit shorter than
+    ``_PERIOD_STEPS`` holds fewer than three peaks.
     """
-    if steps < 1 or burn_in < 0:
-        raise ConfigError(f"orbit needs steps >= 1 and burn_in >= 0, "
-                          f"got steps {steps}, burn_in {burn_in}")
+    if steps < 1:
+        raise ConfigError(f"orbit needs steps >= 1, got {steps}")
     x, y = 1.0 / params.delta, 1.05
     a0, a1, a2, de = params.alpha0, params.alpha1, params.alpha2, params.delta
     # Python floats: at N = 1 a numpy step costs far more than the arithmetic
-    for _ in range(burn_in):
+    for _ in range(_ORBIT_BURN_IN):
         x, y = _map_step(x, y, y, a0, a1, a2, de, q)
     xs = np.empty(steps)
     ys = np.empty(steps)

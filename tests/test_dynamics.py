@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,17 +5,15 @@ from cyclesync.dynamics import (
     DEFAULT_QUARTIC,
     AgentParams,
     QuarticCoefficients,
-    StabilityClass,
-    check_uniqueness,
-    classify_stability,
     eval_f,
     eval_f_prime,
-    jacobian_at,
-    linear_frequency,
     single_agent_step,
     steady_state_alpha0,
 )
-from cyclesync.errors import ConfigError, NonOscillatory
+from cyclesync.empirics import DYNAMICS_PRESETS
+from cyclesync.errors import ConfigError
+from cyclesync.networks import InteractionNetwork
+from cyclesync.simulation import SimulationConfig, simulate
 
 Q = DEFAULT_QUARTIC
 
@@ -79,127 +75,20 @@ class TestSteadyState:
             assert abs(y - 1.0) < 1e-12
 
 
-class TestUniqueness:
-    def test_cycle_parameters_unique(self):
-        assert check_uniqueness(params(-0.04, 0.4, 0.1), Q)   # 1.0 > 0.8
-
-    def test_lower_adjustment_cost_unique(self):
-        assert check_uniqueness(params(-0.04, 0.3, 0.1), Q)   # 1.1 > 0.8
-
-    def test_boundary_is_strict(self):
-        # 1 - a1/delta - a2 == F'(1) exactly: strict inequality fails
-        q_flat = QuarticCoefficients(0.0, 1.0, 0.0, 0.0, 0.0)   # F'(1) = 1
-        p = AgentParams(alpha0=1.0, alpha1=-0.08, alpha2=0.8, delta=0.1)
-        assert 1.0 - p.alpha1 / p.delta - p.alpha2 == pytest.approx(1.0)
-        assert not check_uniqueness(p, q_flat)
-
-
-class TestJacobian:
-    def test_cycle_scenario(self):
-        j = jacobian_at(params(-0.04, 0.4, 0.1), 0.8)
-        assert j.trace == pytest.approx(2.1)
-        assert j.det == pytest.approx(1.12)
-        assert j.complex_pair
-        assert j.modulus > 1
-
-    def test_node_scenario(self):
-        j = jacobian_at(params(-0.11, 0.4, 0.5), 0.8)
-        assert j.trace == pytest.approx(1.7)
-        assert j.det == pytest.approx(0.71)
-        assert not j.complex_pair
-        assert j.modulus < 1
-
-    def test_stable_focus_point(self):
-        # zero slope of F at the steady state with mild dislike parameters
-        j = jacobian_at(params(-0.1, 0.4, 0.1), 0.0)
-        assert j.trace == pytest.approx(1.3)
-        assert j.det == pytest.approx(0.46)
-        assert j.complex_pair
-        assert j.modulus < 1
-
-    def test_eigenvalue_identities(self):
-        for a1, a2, de, fp in ((-0.04, 0.4, 0.1, 0.8), (-0.11, 0.4, 0.5, 0.8),
-                               (-0.1, 0.4, 0.1, 0.0), (-0.1, 0.4, 0.1, -1.0)):
-            j = jacobian_at(params(a1, a2, de), fp)
-            l1, l2 = j.eigenvalues
-            assert abs((l1 + l2) - j.trace) < 1e-12
-            assert abs((l1 * l2) - j.det) < 1e-12
-
-
-class TestStabilityClass:
-    def test_substitutability_gives_stable_node(self):
-        j = jacobian_at(params(-0.1, 0.4, 0.1), -1.0)
-        assert classify_stability(j) == StabilityClass.STABLE_NODE
-
-    def test_cycle_scenario_is_limit_cycle(self):
-        j = jacobian_at(params(-0.04, 0.4, 0.1), 0.8)
-        assert classify_stability(j) == StabilityClass.LIMIT_CYCLE
-
-    def test_node_scenario_is_stable_node(self):
-        j = jacobian_at(params(-0.11, 0.4, 0.5), 0.8)
-        assert classify_stability(j) == StabilityClass.STABLE_NODE
-
-    def test_neutral_slope_gives_stable_focus(self):
-        j = jacobian_at(params(-0.1, 0.4, 0.1), 0.0)
-        assert classify_stability(j) == StabilityClass.STABLE_FOCUS
-
-    def test_boundary_tie_is_unstable_other(self):
-        from cyclesync.dynamics import JacobianSummary
-        j = JacobianSummary(trace=1.5, det=1.0, m=1.0 - 0.5625,
-                            eigenvalues=(0.75 + 0.66j, 0.75 - 0.66j), modulus=1.0)
-        assert classify_stability(j) == StabilityClass.UNSTABLE_OTHER
-
-    def test_classification_stable_under_tiny_perturbations(self):
-        rng = np.random.default_rng(7)
-        base = jacobian_at(params(-0.04, 0.4, 0.1), 0.8)
-        ref = classify_stability(base)
-        for _ in range(100):
-            dt, dd = rng.uniform(-1e-13, 1e-13, 2)
-            from cyclesync.dynamics import JacobianSummary
-            t, d = base.trace + dt, base.det + dd
-            j = JacobianSummary(trace=t, det=d, m=d - (t / 2) ** 2,
-                                eigenvalues=base.eigenvalues, modulus=base.modulus)
-            assert classify_stability(j) == ref
-
-
-class TestLinearFrequency:
-    def test_cycle_scenario_value(self):
-        j = jacobian_at(params(-0.04, 0.4, 0.1), 0.8)
-        assert linear_frequency(j) == pytest.approx(
-            math.atan(math.sqrt(0.0175) / 1.05), abs=1e-12)
-        assert linear_frequency(j) == pytest.approx(0.1253, abs=5e-4)
-
-    def test_raises_for_real_eigenvalues(self):
-        j = jacobian_at(params(-0.11, 0.4, 0.5), 0.8)
-        with pytest.raises(NonOscillatory):
-            linear_frequency(j)
-
-    def test_frequency_rises_as_alpha1_falls(self):
-        psis = []
-        for a1 in np.linspace(-0.1, -0.03, 8):
-            j = jacobian_at(params(a1, 0.4, 0.1), 0.8)
-            psis.append(linear_frequency(j))
-        # decreasing alpha1 (stronger dislike) raises the frequency
-        assert all(a > b for a, b in zip(psis, psis[1:]))
-
-    def test_frequency_falls_as_alpha2_rises(self):
-        # valid where alpha2 > 1 - delta - F'(1) = 0.1
-        psis = []
-        for a2 in np.linspace(0.3, 0.6, 7):
-            j = jacobian_at(params(-0.1, a2, 0.1), 0.8)
-            psis.append(linear_frequency(j))
-        assert all(a > b for a, b in zip(psis, psis[1:]))
-
-    def test_partial_derivative_signs_by_finite_differences(self):
-        h = 1e-6
-        for a1 in (-0.09, -0.06, -0.04):
-            for a2 in (0.35, 0.4, 0.45):
-                def psi(a1v, a2v):
-                    return linear_frequency(jacobian_at(params(a1v, a2v, 0.1), 0.8))
-                d1 = (psi(a1 + h, a2) - psi(a1 - h, a2)) / (2 * h)
-                d2 = (psi(a1, a2 + h) - psi(a1, a2 - h)) / (2 * h)
-                assert d1 < 0
-                assert d2 < 0
+class TestPresetBehaviour:
+    # One uncoupled agent without shocks, observed over its last 1000 steps.
+    # The unit fixed point of "cycle" (determinant 1.12) and of "focus"
+    # (1.03) is unstable, and both settle on a limit cycle, of amplitude
+    # about 1.06 and 0.51; "node" (0.71, real eigenvalues) settles back on it.
+    @pytest.mark.parametrize("name", sorted(DYNAMICS_PRESETS))
+    def test_uncoupled_amplitude(self, name):
+        traj = simulate(InteractionNetwork(weights=np.eye(1)), params(*DYNAMICS_PRESETS[name]),
+                        Q, None, SimulationConfig(steps=4000, retain=1000, seed=0))
+        amplitude = float(np.ptp(traj.y[:, 0]))
+        if name == "node":
+            assert amplitude < 1e-9
+        else:
+            assert amplitude > 0.3
 
 
 class TestAgentParams:

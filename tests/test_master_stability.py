@@ -42,7 +42,7 @@ Q = DEFAULT_QUARTIC
 @pytest.fixture(scope="module")
 def cycle_orbit():
     params = AgentParams.with_steady_state(-0.04, 0.4, 0.1, Q)
-    return synchronized_orbit(params, Q, steps=30000, burn_in=2000)
+    return synchronized_orbit(params, Q, steps=30000)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """The public surface: each module's ``__all__`` is the one list of its public
-names, every listed name is defined where it is listed, and the package
-namespace holds only its submodules and ``__version__``."""
+names, every listed name is defined where it is listed, the package
+namespace holds only its submodules and ``__version__``, and every error
+class is raised or subclassed somewhere in the package."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import types
 import pytest
 
 import cyclesync
+from cyclesync import errors
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cyclesync.__path__)
                  if not m.name.startswith("_"))
@@ -56,3 +58,27 @@ def test_module_exports_are_defined_there(name):
     module = importlib.import_module(f"cyclesync.{name}")
     imported = sorted(set(getattr(module, "__all__", ())) - _defined_names(module))
     assert not imported, f"cyclesync.{name}.__all__ lists names defined elsewhere: {imported}"
+
+
+def _raised_or_subclassed() -> set:
+    """Names raised as ``raise Name(...)`` or listed as a base class anywhere in the package."""
+    names = set()
+    for info in pkgutil.iter_modules(cyclesync.__path__):
+        module = importlib.import_module(f"cyclesync.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                exprs = [node.exc.func]
+            elif isinstance(node, ast.ClassDef):
+                exprs = node.bases
+            else:
+                continue
+            names.update(e.id if isinstance(e, ast.Name) else e.attr for e in exprs
+                         if isinstance(e, (ast.Name, ast.Attribute)))
+    return names
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    classes = [name for name, value in vars(errors).items()
+               if inspect.isclass(value) and value.__module__ == errors.__name__]
+    dead = sorted(set(classes) - _raised_or_subclassed())
+    assert classes and not dead, f"cyclesync.errors classes nothing raises or subclasses: {dead}"
