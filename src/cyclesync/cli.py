@@ -16,6 +16,7 @@ import datetime
 import json
 import os
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -203,8 +204,8 @@ def cmd_simulate(cfg: dict, args) -> dict:
     dynamics = cfg["dynamics"]
     run = SimulationConfig(**cfg["run"])
     phase._check_peak_options(run.retain, **cfg["measure"])
-    traj = simulate(net, _agent_params(dynamics, net.n), dynamics["betas"],
-                    ShockConfig(**cfg["shocks"]), run)
+    shocks = ShockConfig(**cfg["shocks"])
+    traj = simulate(net, _agent_params(dynamics, net.n), dynamics["betas"], shocks, run)
     periods, failures = {}, {}
     for i, label in enumerate(traj.labels):
         try:
@@ -216,7 +217,8 @@ def cmd_simulate(cfg: dict, args) -> dict:
     write_table(args.outdir / "figure-simulate.csv", _FIGURE,
                 np.tile(np.arange(traj.steps, dtype=float), traj.n), traj.y.T.ravel(),
                 np.repeat(np.array(traj.labels, dtype=object), traj.steps))
-    return {"measured_periods": periods, "period_failures": failures, "config_echo": traj.config}
+    return {"measured_periods": periods, "period_failures": failures,
+            "config_echo": {**run.echo(), "shocks": asdict(shocks)}}
 
 
 def cmd_sweep_epsilon(cfg: dict, args) -> dict:
@@ -249,7 +251,7 @@ def cmd_sync_centrality(cfg: dict, args) -> dict:
     write_table(args.outdir / "figure-sync-centrality.csv", _FIGURE,
                 np.arange(result.scores.size, dtype=float), result.scores, result.labels)
     return {"benchmark_frequency": result.benchmark_frequency,
-            "mode": result.mode, "n_draws": result.n_draws}
+            "mode": cfg["centrality"]["mode"], "n_draws": cfg["centrality"]["n_draws"]}
 
 
 def cmd_msf(cfg: dict, args) -> dict:

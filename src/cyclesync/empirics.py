@@ -170,17 +170,15 @@ def load_panel_csv(path) -> PanelSeries:
 
 @dataclass
 class FilteredSeries:
-    """Band-pass decomposition: original = cycle + trend at every point.
+    """Band-pass decomposition: the series equals cycle + trend at every point.
 
     ``indicator`` is cycle/trend, masked (NaN) where |trend| falls below
     1e-6 of the series scale.
     """
 
-    original: np.ndarray
     cycle: np.ndarray
     trend: np.ndarray
     indicator: np.ndarray
-    band: tuple
 
 
 @lru_cache(maxsize=64)
@@ -245,8 +243,7 @@ def cf_bandpass(series, p_low: float = 2.0, p_high: float = 25.0, *,
     if np.any(~np.isfinite(original)):
         raise ConfigError("series must be finite (split on gaps before filtering)")
     cycle, trend, indicator = _cf_filter(original[None, :], p_low, p_high, drift)
-    return FilteredSeries(original=original, cycle=cycle[0], trend=trend[0],
-                          indicator=indicator[0], band=(p_low, p_high))
+    return FilteredSeries(cycle=cycle[0], trend=trend[0], indicator=indicator[0])
 
 
 def _detrend_columns(arr):
@@ -449,19 +446,17 @@ def _block_correlations(series, detrend: bool) -> np.ndarray:
     return corr
 
 
-def _grouped_means(trajs, spec):
-    """Grouped correlation means of each simulated run of one block.
+def _grouped_means(net: InteractionNetwork, trajs, spec):
+    """Grouped correlation means of each run of one block simulated on ``net``.
 
-    The runs share one network, so its sectors, countries and outputs are
-    read from the first.  Each run's means have the bits it gets alone.
+    Each run's means have the bits it gets alone.
     """
-    first = trajs[0]
     annual = np.stack([aggregate_series(traj.y, spec.stride) for traj in trajs])
-    pairs = list(zip(first.sectors, first.countries))
-    countries = _node_groups(first.countries)
+    pairs = list(zip(net.sectors, net.countries))
+    countries = _node_groups(net.countries)
     agg = np.empty(annual.shape[:2] + (len(countries),))
     for j, ids in enumerate(countries.values()):
-        w = first.outputs[ids]
+        w = net.outputs[ids]
         agg[:, :, j] = annual[:, :, ids] @ w / w.sum()
     means = []
     for corr, corr_c in zip(_block_correlations(annual, spec.detrend),
@@ -500,7 +495,7 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
             dyn, shock, su, seed = block[exc.run]
             raise exc.named(f"dynamics {dyn!r}, shock type {shock!r}, sigma_u {su}, "
                             f"seed {seed}") from exc
-        means.extend(_grouped_means(trajs, spec))
+        means.extend(_grouped_means(net, trajs, spec))
         del trajs  # free the block before the next one is simulated
 
     rows = []

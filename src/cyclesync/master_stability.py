@@ -88,7 +88,6 @@ class SynchronizedOrbit:
     y: np.ndarray
     fprime: np.ndarray
     params: AgentParams
-    q: QuarticCoefficients
     period: float
 
     @property
@@ -100,14 +99,12 @@ class SynchronizedOrbit:
 class LyapunovEstimate:
     """Time-averaged exponents for one effective coupling K.
 
-    ``volume_rate`` is the per-step log |det M_t| series over the averaging
-    window; its mean equals mu1 + mu2.
+    mu1 + mu2 is the mean of :func:`time_resolved_volume_rate` over the
+    averaging window.
     """
 
     mu1: float
     mu2: float
-    volume_rate: np.ndarray
-    coupling: float
 
 
 @dataclass
@@ -177,7 +174,7 @@ def synchronized_orbit(params: AgentParams, q: QuarticCoefficients = DEFAULT_QUA
         raise ConfigError(f"orbit of {steps} steps too short for three peaks ({exc})") from None
     period = float(np.mean(np.diff(peaks)))
     return SynchronizedOrbit(x=xs, y=ys, fprime=eval_f_prime(q, ys),
-                             params=params, q=q, period=period)
+                             params=params, period=period)
 
 
 def _volume_rate(params: AgentParams, fprime: np.ndarray, k) -> np.ndarray:
@@ -278,9 +275,7 @@ def mode_lyapunov(orbit: SynchronizedOrbit, coupling: float,
     """
     window = _averaging_window(orbit, burn_in, window)
     (mu1,), (mu2,) = _tangent_exponents(orbit, [coupling], burn_in, window)
-    vol = _volume_rate(orbit.params, orbit.fprime[burn_in:burn_in + window], coupling)
-    return LyapunovEstimate(mu1=float(mu1), mu2=float(mu2),
-                            volume_rate=vol, coupling=coupling)
+    return LyapunovEstimate(mu1=float(mu1), mu2=float(mu2))
 
 
 def master_stability_function(orbit: SynchronizedOrbit, k_grid,
@@ -468,7 +463,8 @@ def shock_response_compare(net: InteractionNetwork, params: AgentParams,
         rise = np.diff(orbit.y[period:2 * period + 1])
         tau = period + int(np.argmax(rise))
     if tau + horizon + 1 > orbit.steps:
-        raise ConfigError("orbit too short for the requested horizon")
+        # the map is deterministic: a longer orbit starts with this one's bits
+        orbit = synchronized_orbit(params, q, steps=tau + horizon + 1)
 
     spec = generalized_laplacian(net)
 

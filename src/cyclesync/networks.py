@@ -229,11 +229,8 @@ def build_topology(kind: str, n: int = None, *, sizes=None, bridge=None) -> Adja
             raise ConfigError("each clique needs at least 2 nodes")
         total = s1 + s2
         m = np.zeros((total, total))
-        for block in (range(s1), range(s1, total)):
-            for i in block:
-                for j in block:
-                    if i != j:
-                        m[i, j] = 1
+        m[:s1, :s1] = m[s1:, s1:] = 1
+        np.fill_diagonal(m, 0)
         if bridge is None:
             bridge = (s1 - 1, s1)
         if len(bridge) != 2:
@@ -385,10 +382,10 @@ def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
         if q_real[pivot, col] < 0:
             q_real[:, col] = -q_real[:, col]
 
-    lam_sorted = np.sort(lam_real) if symmetric else lam_real
-    if net.n > 1 and lam_sorted[1] < 1e-10:
+    # ascending on both paths: eigh sorts, and eig's values were sorted above
+    if net.n > 1 and lam_real[1] < 1e-10:
         raise Disconnected(
-            f"second eigenvalue {lam_sorted[1]:.3g} vanishes: network disconnected"
+            f"second eigenvalue {lam_real[1]:.3g} vanishes: network disconnected"
         )
     q_inv = q_real.T if symmetric else np.linalg.inv(q_real)
     return SpectralDecomposition(matrix=b, eigenvalues=lam_real,

@@ -12,7 +12,7 @@ assignments to the other nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class EntrainmentResult:
     mean_correlation: np.ndarray
     entrained: np.ndarray       # bool (n_eps,)
     spread: np.ndarray
-    entrain_tol: float
 
     def transition_epsilon(self):
         """Smallest grid epsilon at which entrainment holds, or None."""
@@ -88,9 +87,7 @@ class SyncCentralityResult:
     stderr: np.ndarray
     benchmark_frequency: float
     mean_frequencies: np.ndarray
-    n_draws: int
-    mode: str
-    labels: list = field(default_factory=list)
+    labels: list
 
     def to_csv(self, path):
         write_table(path, ("node", "score", "stderr"), self.labels, self.scores, self.stderr)
@@ -337,8 +334,7 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
     entrained = spread < entrain_tol
     return EntrainmentResult(eps_grid=eps_grid, omegas=omegas,
                              coherence=coherence, mean_correlation=mean_corr,
-                             entrained=entrained, spread=spread,
-                             entrain_tol=entrain_tol)
+                             entrained=entrained, spread=spread)
 
 
 def _per_node(measure, traj, peak_kwargs, where) -> list:
@@ -396,9 +392,7 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
     rest = np.delete(alpha1_grid, -1 if mode == "L" else 0)
 
     agent = {a1: AgentParams.with_steady_state(a1, alpha2, delta, q) for a1 in alpha1_grid}
-    uniform = InteractionNetwork(weights=np.full((n, n), 1.0 / n), labels=list(net.labels),
-                                 sectors=list(net.sectors), countries=list(net.countries),
-                                 outputs=net.outputs.copy())
+    uniform = InteractionNetwork(weights=np.full((n, n), 1.0 / n), labels=list(net.labels))
     draws = [(key, d) for key in range(n + 1) for d in range(n_draws)]
     runs = []       # (key, draw, network, per-node params); key n is the benchmark
     for (key, d), rng in zip(draws, _streams([(cfg.seed, key, d) for key, d in draws])):
@@ -437,5 +431,4 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
     scores = shifted / total
     return SyncCentralityResult(scores=scores, raw_differences=raw,
                                 stderr=stderr, benchmark_frequency=benchmark,
-                                mean_frequencies=means, n_draws=n_draws,
-                                mode=mode, labels=list(net.labels))
+                                mean_frequencies=means, labels=list(net.labels))

@@ -15,7 +15,7 @@ another layer's draws and runs are reproducible from the seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -144,20 +144,15 @@ class TrajectorySet:
 
     ``y`` (output, shocks included) is a (retain, N) array; ``x_start`` is
     the (N,) stock at the first retained step and ``delta`` the per-node
-    depreciation, from which :attr:`x` replays the stocks.  ``labels``,
-    ``sectors``, ``countries`` and ``outputs`` are the network's per-node
-    labels, groups and gross outputs; ``config`` is the run's echoed
-    :class:`SimulationConfig`, seed and shock settings.
+    depreciation, from which :attr:`x` replays the stocks.  ``labels`` are
+    the network's node labels; its groups and outputs are read from the
+    network itself.
     """
 
     y: np.ndarray
     x_start: np.ndarray
     delta: np.ndarray
     labels: list
-    sectors: list
-    countries: list
-    outputs: np.ndarray
-    config: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -449,10 +444,7 @@ def simulate_batch(nets, params_per_run, q: QuarticCoefficients = DEFAULT_QUARTI
         _shock_paths(nets, shocks, cfg.steps, seeds, shock_sum)
     x_start, ys = _iterate(w, a0, a1, a2, de, x0, y0, q, cfg.steps, cfg.retain,
                            _BLOWUP_BOUND, shock_sum)
-    return [TrajectorySet(ys[r], x_start[r], de[r], labels=list(net.labels),
-                          sectors=list(net.sectors), countries=list(net.countries),
-                          outputs=net.outputs.copy(),
-                          config={**cfg.echo(), "seed": seeds[r], "shocks": asdict(shocks[r])})
+    return [TrajectorySet(ys[r], x_start[r], de[r], labels=list(net.labels))
             for r, net in enumerate(nets)]
 
 

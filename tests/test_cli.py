@@ -1,5 +1,6 @@
 import configparser
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from cyclesync import cli, empirics, phase
 from cyclesync.dynamics import DEFAULT_QUARTIC
 from cyclesync.cli import main
 from cyclesync.networks import build_topology, uniform_coupling
-from cyclesync.simulation import SimulationConfig
+from cyclesync.simulation import ShockConfig, SimulationConfig
 
 
 def run(args, tmp_path):
@@ -131,6 +132,15 @@ class TestSimulateCommand:
         # the fixed values are echoed next to the configured ones
         assert loaded["initial_spread"] == 0.1
         assert loaded["blowup_bound"] == 1e3
+
+    def test_config_echo_is_the_run_and_shock_config(self, tmp_path):
+        assert run(["simulate", "--preset", "cycle-single", "--set", "run.steps=600",
+                    "--set", "run.burn_in=100", "--set", "shocks.sigma_u=0.02",
+                    "--seed", "5"], tmp_path) == 0
+        echo = json.loads((tmp_path / "metadata.json").read_text())["config_echo"]
+        want = SimulationConfig(steps=600, burn_in=100, seed=5).echo()
+        assert echo == {**want, "shocks": dataclasses.asdict(ShockConfig(sigma_u=0.02))}
+        assert {"initial_spread", "blowup_bound", "normal_method"} <= set(echo)
 
     def test_uncoupled_spread_preset(self, tmp_path):
         assert run(["simulate", "--preset", "uncoupled-spread"], tmp_path) == 0
@@ -256,6 +266,17 @@ class TestOtherCommands:
         lines = (tmp_path / "sync-centrality.csv").read_text().strip().splitlines()
         assert lines[0] == "node,score,stderr"
         assert len(lines) == 5
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert (meta["mode"], meta["n_draws"]) == ("L", 4)
+
+    def test_shock_response_horizon_beyond_the_first_orbit(self, tmp_path):
+        # a 136-step cycle: 29 periods outrun the 4000-step orbit first iterated
+        assert run(["shock-response", "--set", "dynamics.alpha1=-0.012",
+                    "--set", "dynamics.alpha2=0.3",
+                    "--set", "shock_response.horizon_periods=29"], tmp_path) == 0
+        rows = (tmp_path / "shock-response.csv").read_text().strip().splitlines()[1:]
+        # node and mode basis, 10 nodes, the shocked step and 29 periods after it
+        assert len(rows) == 2 * 10 * (1 + 29 * 136)
 
     def test_scenarios_smoke_preset(self, tmp_path):
         code = run(["scenarios", "--preset", "scenarios-smoke",
@@ -531,6 +552,10 @@ class TestResolvedConfig:
         for name in csvs:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
         assert (second / "resolved-config.cfg").read_text() == resolved.read_text()
+        metas = [json.loads((out / "metadata.json").read_text()) for out in (first, second)]
+        for meta in metas:
+            del meta["timestamp"]
+        assert metas[0] == metas[1]
 
     @pytest.mark.parametrize("experiment", ["sweep-epsilon", "sync-centrality"])
     def test_monte_carlo_commands_echo_only_the_run_window(self, experiment, tmp_path):

@@ -34,7 +34,7 @@ from cyclesync.errors import (
     NumericalError,
     SeriesTooShort,
 )
-from cyclesync.networks import FINAL_DEMAND
+from cyclesync.networks import FINAL_DEMAND, InteractionNetwork
 from cyclesync.simulation import ShockConfig, SimulationConfig, aggregate_series, simulate
 
 from conftest import oracle_cf_cycle
@@ -177,22 +177,22 @@ def oracle_grouped_correlations(matrix, groups, grouping: str = "within_country_
     return result
 
 
-def oracle_grouped_means(traj, spec, correlate=correlation_matrix):
+def oracle_grouped_means(net, traj, spec, correlate=correlation_matrix):
     annual = aggregate_series(traj.y, spec.stride)
 
-    pairs = list(zip(traj.sectors, traj.countries))
+    pairs = list(zip(net.sectors, net.countries))
     corr = correlate(annual, detrend=spec.detrend, min_overlap=3)
     within = oracle_grouped_correlations(corr, pairs, "within_country_sectors",
                                          spec.exclusions)
 
     countries = []
-    for c in traj.countries:
+    for c in net.countries:
         if c not in countries:
             countries.append(c)
     agg = np.empty((annual.shape[0], len(countries)))
     for j, country in enumerate(countries):
-        ids = [i for i, c in enumerate(traj.countries) if c == country]
-        w = traj.outputs[ids]
+        ids = [i for i, c in enumerate(net.countries) if c == country]
+        w = net.outputs[ids]
         agg[:, j] = annual[:, ids] @ w / w.sum()
     corr_c = correlate(agg, detrend=spec.detrend, min_overlap=3)
     across = oracle_grouped_correlations(corr_c, countries, "across_country_aggregates")
@@ -312,7 +312,7 @@ class TestCfBandpass:
     def test_decomposition_identity(self, rng):
         x = np.cumsum(rng.normal(0, 1, 57))
         f = cf_bandpass(x)
-        np.testing.assert_allclose(f.original, f.cycle + f.trend, atol=1e-12)
+        np.testing.assert_allclose(x, f.cycle + f.trend, atol=1e-12)
 
     def test_weight_rows_sum_to_zero(self):
         w = cf_weight_matrix(57, 2.0, 25.0)
@@ -664,14 +664,15 @@ class TestGroupedCorrelations:
         # the demo network's nodes shuffled, so countries interleave
         rng = np.random.default_rng(seed)
         perm = rng.permutation(demo_io_network.n)
+        net = InteractionNetwork(weights=np.eye(demo_io_network.n),
+                                 sectors=[demo_io_network.sectors[i] for i in perm],
+                                 countries=[demo_io_network.countries[i] for i in perm],
+                                 outputs=demo_io_network.outputs[perm])
         traj = SimpleNamespace(
-            y=1.0 + 0.1 * rng.standard_normal((48, demo_io_network.n)).cumsum(axis=0),
-            sectors=[demo_io_network.sectors[i] for i in perm],
-            countries=[demo_io_network.countries[i] for i in perm],
-            outputs=demo_io_network.outputs[perm])
+            y=1.0 + 0.1 * rng.standard_normal((48, demo_io_network.n)).cumsum(axis=0))
         spec = ScenarioSpec(stride=4, detrend=bool(seed % 2),
                             exclusions=("MFG",) if seed % 3 == 0 else ())
-        assert _grouped_means([traj], spec) == [oracle_grouped_means(traj, spec)]
+        assert _grouped_means(net, [traj], spec) == [oracle_grouped_means(net, traj, spec)]
 
     def test_empty_group_rejected(self):
         m = np.eye(2)
@@ -687,10 +688,8 @@ class TestScenarioBlocks:
     def test_block_matches_one_run_calls(self, demo_io_network, monkeypatch, runs, detrend):
         net = demo_io_network
         rng = np.random.default_rng(runs)
-        block = [SimpleNamespace(
-            y=1.0 + 0.1 * rng.standard_normal((48, net.n)).cumsum(axis=0),
-            sectors=net.sectors, countries=net.countries, outputs=net.outputs)
-            for _ in range(runs)]
+        block = [SimpleNamespace(y=1.0 + 0.1 * rng.standard_normal((48, net.n)).cumsum(axis=0))
+                 for _ in range(runs)]
         # a zero series has its trend under the floor, so this run's detrended
         # indicator is missing and the run takes the pairwise path alone
         odd = block[runs // 2]
@@ -703,11 +702,11 @@ class TestScenarioBlocks:
             return correlation_matrix(data, **kwargs)
 
         monkeypatch.setattr(empirics, "correlation_matrix", recording)
-        got = _grouped_means(block, spec)
+        got = _grouped_means(net, block, spec)
         assert pairwise == ([(12, net.n)] if detrend else [])
         monkeypatch.undo()
-        assert got == [_grouped_means([traj], spec)[0] for traj in block]
-        assert got[runs // 2] == oracle_grouped_means(odd, spec)
+        assert got == [_grouped_means(net, [traj], spec)[0] for traj in block]
+        assert got[runs // 2] == oracle_grouped_means(net, odd, spec)
 
 
 @pytest.fixture(scope="module")
@@ -758,7 +757,7 @@ class TestScenarioRun:
                                                      spec.sigma_u_grid):
             params = AgentParams.with_steady_state(*DYNAMICS_PRESETS[dyn], DEFAULT_QUARTIC)
             means = [oracle_grouped_means(
-                simulate(demo_io_network, params, DEFAULT_QUARTIC,
+                demo_io_network, simulate(demo_io_network, params, DEFAULT_QUARTIC,
                          ShockConfig(sigma_u=sigma_u, **SHOCK_PRESETS[shock]),
                          SimulationConfig(steps=spec.steps, retain=spec.retain, seed=seed)),
                 spec, oracle_correlation_matrix) for seed in range(spec.n_seeds)]

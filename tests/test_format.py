@@ -159,23 +159,20 @@ def labels(n):
 def trajectory(rows, n):
     # the stocks replay from x_start through y, so the special values sit in y
     return TrajectorySet(y=floats(rows, n, shift=4), x_start=floats(n, shift=3),
-                         delta=np.full(n, 0.1), labels=labels(n), sectors=[None] * n,
-                         countries=[None] * n, outputs=np.ones(n))
+                         delta=np.full(n, 0.1), labels=labels(n))
 
 
 def entrainment(rows, n):
     return EntrainmentResult(eps_grid=floats(rows), omegas=floats(rows, n, shift=1),
                              coherence=floats(rows, shift=2),
                              mean_correlation=floats(rows, shift=3),
-                             entrained=np.arange(rows) % 3 == 1, spread=floats(rows, shift=5),
-                             entrain_tol=0.01)
+                             entrained=np.arange(rows) % 3 == 1, spread=floats(rows, shift=5))
 
 
 def centrality(rows, n):
     return SyncCentralityResult(scores=floats(rows), raw_differences=floats(rows, shift=1),
                                 stderr=floats(rows, shift=2), benchmark_frequency=0.17,
-                                mean_frequencies=floats(rows, shift=3), n_draws=3, mode="L",
-                                labels=labels(rows))
+                                mean_frequencies=floats(rows, shift=3), labels=labels(rows))
 
 
 def msf_curve(rows, n):

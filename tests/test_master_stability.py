@@ -108,8 +108,6 @@ def oracle_mode_lyapunov(orbit, coupling, burn_in=1000, window=None):
     v2x, v2y = 0.0, 1.0
     s1 = 0.0
     s2 = 0.0
-    det = (1 - p.delta) * (p.alpha2 + (1 - k) * orbit.fprime) - p.alpha1
-    vol = np.log(np.abs(det))[burn_in:burn_in + window]
     for t in range(burn_in + window):
         jyy = a2 + (1.0 - k) * fp[t]
         w1x = one_minus_de * v1x + v1y
@@ -130,8 +128,14 @@ def oracle_mode_lyapunov(orbit, coupling, burn_in=1000, window=None):
         if t >= burn_in:
             s1 += math.log(r11)
             s2 += math.log(r22)
-    return LyapunovEstimate(mu1=s1 / window, mu2=s2 / window,
-                            volume_rate=vol, coupling=coupling)
+    return LyapunovEstimate(mu1=s1 / window, mu2=s2 / window)
+
+
+def oracle_volume_rate(orbit, coupling, burn_in, window):
+    """log |det M_t| over the window, det M_t = (1 - delta) J_yy(t) - alpha1."""
+    p = orbit.params
+    det = (1 - p.delta) * (p.alpha2 + (1 - coupling) * orbit.fprime) - p.alpha1
+    return np.log(np.abs(det))[burn_in:burn_in + window]
 
 
 PARITY_GRID = (0.0, 0.35, 1.0, 1.7, 2.0)
@@ -152,18 +156,23 @@ class TestBlockedParity:
         est = mode_lyapunov(cycle_orbit, PARITY_GRID[1], burn_in=burn_in, window=window)
         assert est.mu1 == pytest.approx(ref[1].mu1, rel=0, abs=1e-10)
         assert est.mu2 == pytest.approx(ref[1].mu2, rel=0, abs=1e-10)
-        np.testing.assert_array_equal(est.volume_rate, ref[1].volume_rate)
+        for k in PARITY_GRID:
+            np.testing.assert_array_equal(
+                time_resolved_volume_rate(cycle_orbit, k)[burn_in:burn_in + window],
+                oracle_volume_rate(cycle_orbit, k, burn_in, window))
 
     def test_default_window_is_rest_of_orbit(self, cycle_orbit):
         est = mode_lyapunov(cycle_orbit, 0.6, burn_in=25000)
         ref = oracle_mode_lyapunov(cycle_orbit, 0.6, burn_in=25000)
-        assert est.volume_rate.size == cycle_orbit.steps - 25000
         assert est.mu1 == pytest.approx(ref.mu1, rel=0, abs=1e-10)
+        rest = time_resolved_volume_rate(cycle_orbit, 0.6)[25000:]
+        assert est.mu1 + est.mu2 == pytest.approx(rest.mean(), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("k", PARITY_GRID)
     def test_exponents_sum_to_volume_rate(self, cycle_orbit, k):
         est = mode_lyapunov(cycle_orbit, k, burn_in=1001, window=9000)
-        assert est.mu1 + est.mu2 == pytest.approx(est.volume_rate.mean(), rel=0, abs=1e-12)
+        volume = time_resolved_volume_rate(cycle_orbit, k)[1001:1001 + 9000]
+        assert est.mu1 + est.mu2 == pytest.approx(volume.mean(), rel=0, abs=1e-12)
 
 
 def _nilpotent_orbit(k, steps=2000):
@@ -171,7 +180,7 @@ def _nilpotent_orbit(k, steps=2000):
     params = SimpleNamespace(alpha0=0.0, alpha1=0.0, alpha2=0.4, delta=1.0)
     y = np.ones(steps)
     return SynchronizedOrbit(x=y, y=y, fprime=np.full(steps, -0.4 / (1 - k)),
-                             params=params, q=Q, period=36.0)
+                             params=params, period=36.0)
 
 
 class TestDegenerateTangent:
@@ -230,8 +239,8 @@ class TestModeLyapunov:
         for k in (0.0, 0.3, 0.9, 1.7):
             est = mode_lyapunov(cycle_orbit, k, burn_in=1000, window=15000)
             assert est.mu1 >= est.mu2
-            assert est.mu1 + est.mu2 == pytest.approx(est.volume_rate.mean(),
-                                                      abs=1e-6)
+            volume = time_resolved_volume_rate(cycle_orbit, k)[1000:1000 + 15000]
+            assert est.mu1 + est.mu2 == pytest.approx(volume.mean(), abs=1e-6)
 
     def test_rejects_negative_coupling(self, cycle_orbit):
         with pytest.raises(ConfigError):
@@ -511,6 +520,22 @@ class TestShockResponseCompare:
     def test_rejects_bad_window_or_tau(self, pair_net, params, options, key):
         with pytest.raises(ConfigError, match=key):
             shock_response_compare(pair_net, params, Q, shock=[0.1, 0.0], **options)
+
+    def test_horizon_beyond_the_first_orbit_extends_it(self, pair_net):
+        # a 136-step cycle: 29 periods after the shock outrun the first
+        # 4000-step orbit, which is then iterated again at the needed length
+        slow = AgentParams.with_steady_state(-0.012, 0.3, 0.1, Q)
+        resp = shock_response_compare(pair_net, slow, Q, shock=[0.1, 0.0],
+                                      horizon_periods=29)
+        first = synchronized_orbit(slow, Q, steps=4000)
+        period = int(round(first.period))
+        assert period == 136
+        horizon = 29 * period
+        assert resp.nonlinear_y.shape == (horizon, 2)
+        longer = synchronized_orbit(slow, Q, steps=resp.tau + horizon + 1)
+        np.testing.assert_array_equal(longer.y[:first.steps], first.y)
+        np.testing.assert_array_equal(resp.orbit_y,
+                                      longer.y[resp.tau + 1:resp.tau + 1 + horizon])
 
     def test_csv_export(self, pair_net, params, tmp_path):
         resp = shock_response_compare(pair_net, params, Q, shock=[0.1, 0.0],

@@ -1,13 +1,16 @@
 """The public surface: each module's ``__all__`` is the one list of its public
 names, every listed name is defined where it is listed, the package
-namespace holds only its submodules and ``__version__``, and every error
-class is raised or subclassed somewhere in the package."""
+namespace holds only its submodules and ``__version__``, every error class
+is raised or subclassed somewhere in the package, and every name that the
+benchmark tracer wraps still resolves."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +85,25 @@ def test_every_error_class_is_raised_or_subclassed():
                if inspect.isclass(value) and value.__module__ == errors.__name__]
     dead = sorted(set(classes) - _raised_or_subclassed())
     assert classes and not dead, f"cyclesync.errors classes nothing raises or subclasses: {dead}"
+
+
+def _tracer_targets() -> list:
+    """Every "module:attr[.method]" that bench/tracer.py wraps, read from its TARGETS."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [target for targets, _ in tracer.TARGETS.values() for target in targets]
+
+
+@pytest.mark.parametrize("target", _tracer_targets())
+def test_traced_name_resolves(target):
+    module_name, attr = target.split(":")
+    owner = importlib.import_module(module_name)
+    *cls_names, name = attr.split(".")
+    for cls_name in cls_names:
+        owner = getattr(owner, cls_name, None)
+        assert owner is not None, f"{target}: {module_name} has no {cls_name}"
+    # the tracer reads methods off the class dict and functions off the module
+    found = owner.__dict__.get(name) if cls_names else getattr(owner, name, None)
+    assert callable(found) or isinstance(found, classmethod), f"{target} does not resolve"

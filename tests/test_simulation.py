@@ -332,7 +332,6 @@ class TestSimulate:
         np.testing.assert_array_equal(runs[0].y, runs[1].y)
         np.testing.assert_array_equal(runs[0].y, simulate(single_net(), cycle_params(),
                                                           Q, None, cfg).y)
-        assert runs[0].config["seed"] == 2**40
 
 
 class TestAggregateSeries:
@@ -434,9 +433,7 @@ def oracle_simulate(net, params, q=Q, shocks=None, cfg=None):
         if t >= keep_from:
             xs[t - keep_from] = x
             ys[t - keep_from] = y
-    return SimpleNamespace(
-        x=xs, y=ys, labels=list(net.labels), sectors=list(net.sectors),
-        countries=list(net.countries), outputs=net.outputs.copy())
+    return SimpleNamespace(x=xs, y=ys, labels=list(net.labels))
 
 
 def oracle_batch(nets, params_per_run, q=Q, shocks=None, cfg=None, seeds=None):
@@ -495,7 +492,6 @@ class TestBatchParity:
             for name in ("x", "y"):
                 np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                            rtol=0, atol=TOL, err_msg=name)
-            assert got.config["seed"] == seed
 
     def test_single_run_simulate_is_exact(self):
         cfg = SimulationConfig(steps=500, retain=200, seed=21)
@@ -517,7 +513,6 @@ class TestBatchParity:
             for name in ("x", "y"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                               err_msg=name)
-            assert got.config == want.config
 
     def test_rejects_wrong_number_of_shock_configs(self):
         cfg = SimulationConfig(steps=10)
@@ -608,7 +603,7 @@ class TestBatchedCallersParity:
             params = AgentParams.with_steady_state(*empirics.DYNAMICS_PRESETS[cell.dynamics], Q)
             shocks = ShockConfig(sigma_u=cell.sigma_u, **empirics.SHOCK_PRESETS[cell.shock_type])
             # one batch per cell, all its seeds and one shared shock config
-            means = empirics._grouped_means(simulate_batch(
+            means = empirics._grouped_means(demo_io_network, simulate_batch(
                 demo_io_network, [params] * spec.n_seeds, Q, shocks, cfg,
                 seeds=range(spec.n_seeds)), spec)
             for row in rows[k:k + 2]:
