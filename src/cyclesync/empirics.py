@@ -108,17 +108,24 @@ class PanelSeries:
 
     Records are indexed by (country, sector, variable) in first-seen order
     when the panel is built, so ``keys`` and ``series`` cost O(rows) for
-    the whole panel.
+    the whole panel.  ``gaps`` is derived from the records in the same
+    order: the missing years inside each series' span, for series with any.
     """
 
     records: list
-    gaps: dict = field(default_factory=dict)   # (country, sector, variable) -> missing years
+    gaps: dict = field(init=False)   # (country, sector, variable) -> missing years
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {}
         for r in self.records:
             self._index.setdefault((r.country, r.sector, r.variable), []).append(r)
+        self.gaps = {}
+        for key, series in self._index.items():
+            years = {r.year for r in series}
+            missing = sorted(set(range(min(years), max(years) + 1)) - years)
+            if missing:
+                self.gaps[key] = missing
 
     def series(self, country, sector, variable):
         """Return (years, values) sorted by year for one series."""
@@ -159,13 +166,7 @@ def load_panel_csv(path) -> PanelSeries:
         seen[key] = lineno
         records.append(PanelRecord(key[0], key[1], key[2], year, value))
 
-    panel = PanelSeries(records=records)
-    for key, series in panel._index.items():
-        years = {r.year for r in series}
-        missing = sorted(set(range(min(years), max(years) + 1)) - years)
-        if missing:
-            panel.gaps[key] = missing
-    return panel
+    return PanelSeries(records=records)
 
 
 @dataclass

@@ -47,11 +47,10 @@ from .errors import (
 )
 from .networks import InteractionNetwork, SpectralDecomposition, generalized_laplacian
 from .phase import detect_peaks
-from .simulation import _iterate
+from .simulation import _iterate, _per_node_params
 
 __all__ = [
     "SynchronizedOrbit",
-    "LyapunovEstimate",
     "MasterStabilityCurve",
     "ShockResponse",
     "synchronized_orbit",
@@ -93,18 +92,6 @@ class SynchronizedOrbit:
     @property
     def steps(self) -> int:
         return self.y.size
-
-
-@dataclass
-class LyapunovEstimate:
-    """Time-averaged exponents for one effective coupling K.
-
-    mu1 + mu2 is the mean of :func:`time_resolved_volume_rate` over the
-    averaging window.
-    """
-
-    mu1: float
-    mu2: float
 
 
 @dataclass
@@ -265,17 +252,9 @@ def _tangent_exponents(orbit: SynchronizedOrbit, k_grid, burn_in: int, window: i
 
 
 def mode_lyapunov(orbit: SynchronizedOrbit, coupling: float,
-                  burn_in: int = 1000, window: int = None) -> LyapunovEstimate:
-    """Lyapunov exponents of one eigenmode: the one-K case of the MSF.
-
-    A tangent vector is pushed through M_t = J(s_t) - K F'(y_s) H; mu1 is
-    its mean log growth over the ``window`` steps after ``burn_in`` and
-    mu2 = mean log |det M_t| - mu1.  Raises :class:`DegenerateTangent`
-    when the tangent vanishes, overflows or turns NaN.
-    """
-    window = _averaging_window(orbit, burn_in, window)
-    (mu1,), (mu2,) = _tangent_exponents(orbit, [coupling], burn_in, window)
-    return LyapunovEstimate(mu1=float(mu1), mu2=float(mu2))
+                  burn_in: int = 1000, window: int = None) -> MasterStabilityCurve:
+    """The master stability function at the one coupling K of an eigenmode."""
+    return master_stability_function(orbit, [coupling], burn_in, window)
 
 
 def master_stability_function(orbit: SynchronizedOrbit, k_grid,
@@ -283,7 +262,8 @@ def master_stability_function(orbit: SynchronizedOrbit, k_grid,
                               window: int = None) -> MasterStabilityCurve:
     """Largest (and second) Lyapunov exponent over a grid of couplings.
 
-    The whole grid is propagated in one blocked tangent pass.
+    The whole grid is propagated in one blocked tangent pass.  Raises
+    :class:`DegenerateTangent` when a tangent vanishes, overflows or turns NaN.
     """
     window = _averaging_window(orbit, burn_in, window)
     k_grid = np.asarray(k_grid, dtype=float)
@@ -298,16 +278,12 @@ def time_resolved_volume_rate(orbit: SynchronizedOrbit, coupling: float) -> np.n
     return _volume_rate(orbit.params, orbit.fprime, coupling)
 
 
-def _check_conditioning(spec: SpectralDecomposition):
-    cond = np.linalg.cond(spec.modes)
-    if cond > _CONDITION_CAP:
-        raise IllConditioned(f"eigenvector condition number {cond:.3g} too large")
-
-
 def _change_basis(matrix, v, spec: SpectralDecomposition) -> np.ndarray:
     """``matrix`` applied to the x and to the y components of a 2N vector or
     of each row of a (T, 2N) series; one product for both forms."""
-    _check_conditioning(spec)
+    cond = np.linalg.cond(spec.modes)
+    if cond > _CONDITION_CAP:
+        raise IllConditioned(f"eigenvector condition number {cond:.3g} too large")
     arr = np.asarray(v, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] != 2 * spec.n:
         raise ConfigError(f"deviations must be a {2 * spec.n} vector or a "
@@ -390,15 +366,6 @@ def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
     return xi.reshape(steps + 1, -1), zeta.reshape(steps + 1, -1)
 
 
-def _nonlinear_paths(net, params, q, x0, y0, steps):
-    """y paths of the coupled map from (x0, y0), homogeneous agents, no shocks."""
-    coeffs = [np.full((1, net.n), c) for c in
-              (params.alpha0, params.alpha1, params.alpha2, params.delta)]
-    _, ys = _iterate(net.weights, *coeffs, x0[None], y0[None], q, steps, steps,
-                     np.inf)
-    return ys[0]
-
-
 def _cross_correlation_lag(perturbed, reference, t0, t1, max_lag):
     """Signed lag maximizing corr(perturbed[t0:t1], reference shifted by lag).
 
@@ -406,8 +373,6 @@ def _cross_correlation_lag(perturbed, reference, t0, t1, max_lag):
     that arrive ``lag`` steps later.  Integer argmax refined to sub-step by
     parabolic interpolation.
     """
-    if t0 - max_lag < 0 or t1 + max_lag > reference.size:
-        raise ConfigError("comparison window too close to the series edges")
     a = perturbed[t0:t1]
     cors = {}
     best_lag, best = 0, -2.0
@@ -456,7 +421,7 @@ def shock_response_compare(net: InteractionNetwork, params: AgentParams,
     period_guess = 40
     orbit = synchronized_orbit(params, q,
                                steps=max(4000, 2 * horizon_periods * period_guess))
-    period = max(int(round(orbit.period)), 2)
+    period = int(round(orbit.period))
     window = window_periods * period
     horizon = horizon_periods * period
     if tau is None:
@@ -468,10 +433,11 @@ def shock_response_compare(net: InteractionNetwork, params: AgentParams,
 
     spec = generalized_laplacian(net)
 
-    # state at tau with the shock applied to y only
-    x0 = np.full(n, orbit.x[tau])
-    y0 = np.full(n, orbit.y[tau]) + shock
-    nonlinear_y = _nonlinear_paths(net, params, q, x0, y0, horizon)
+    # nonlinear paths from the state at tau with the shock applied to y only
+    x0 = np.full((1, n), orbit.x[tau])
+    y0 = np.full((1, n), orbit.y[tau]) + shock
+    coeffs = [c[None] for c in _per_node_params(params, n)]
+    nonlinear_y = _iterate(net.weights, *coeffs, x0, y0, q, horizon, horizon, np.inf)[1][0]
 
     # deviation at tau evolves first through J(s_tau): start = tau
     xi0 = np.zeros((n, 2))

@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     DataError,
     Disconnected,
+    IllConditioned,
     MissingFinalDemand,
     NumericalError,
     Reducible,
@@ -341,7 +342,8 @@ def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
     invariant plane, keeping the mode matrix real and invertible; the real
     parts of the eigenvalues are used downstream and the largest imaginary
     magnitude is recorded.  Imaginary parts beyond 0.2 abort rather than
-    silently degrade the real-part approximation.
+    silently degrade the real-part approximation, and a singular mode
+    matrix raises :class:`IllConditioned`.
     """
     b = np.eye(net.n) - net.weights
     symmetric = np.allclose(b, b.T, atol=1e-13)
@@ -387,7 +389,11 @@ def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
         raise Disconnected(
             f"second eigenvalue {lam_real[1]:.3g} vanishes: network disconnected"
         )
-    q_inv = q_real.T if symmetric else np.linalg.inv(q_real)
+    try:
+        q_inv = q_real.T if symmetric else np.linalg.inv(q_real)
+    except np.linalg.LinAlgError:
+        raise IllConditioned("eigenvector matrix is singular: the modes do not "
+                             "span the node space") from None
     return SpectralDecomposition(matrix=b, eigenvalues=lam_real,
                                  modes=q_real, modes_inv=q_inv,
                                  max_imag=max_imag)

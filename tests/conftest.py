@@ -5,7 +5,13 @@ import pytest
 
 from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams
 from cyclesync.fixtures import demo_flow_table
-from cyclesync.networks import build_io_network, build_topology
+from cyclesync.networks import (
+    FINAL_DEMAND,
+    FlowRecord,
+    FlowTable,
+    build_io_network,
+    build_topology,
+)
 
 
 def oracle_cf_cycle(x, p_low, p_high, drift):
@@ -57,9 +63,70 @@ def demo_io_network():
     return build_io_network(demo_flow_table())
 
 
+def paper_flow_table(seed: int) -> FlowTable:
+    """Seeded synthetic flow table at the paper's dimension, 27 sectors x 17 countries.
+
+    Within each country, scaled by a size drawn from [0.5, 1.5], every
+    sector trades with itself and its neighbour in a chain and with about
+    half of the others, at values spread over two decades.  Countries are
+    joined in a ring and to two random partners each, by three small flows
+    between random sectors per link.  Flows are symmetric, and final demand
+    takes 30% of each sector's output.
+    """
+    rng = np.random.default_rng(seed)
+    n_countries, n_sectors = 17, 27
+    countries = [f"C{i:02d}" for i in range(n_countries)]
+    sectors = [f"S{i:02d}" for i in range(n_sectors)]
+    flows = {}
+
+    def add(a, b, value):
+        flows[a + b] = flows.get(a + b, 0.0) + value
+        if a != b:
+            flows[b + a] = flows.get(b + a, 0.0) + value
+
+    for c in countries:
+        size = rng.uniform(0.5, 1.5)
+        for i in range(n_sectors):
+            for j in range(i, n_sectors):
+                if j <= i + 1 or rng.random() < 0.5:
+                    add((sectors[i], c), (sectors[j], c), size * 10 ** rng.uniform(0.0, 2.0))
+    links = {(k, (k + 1) % n_countries) for k in range(n_countries)}
+    for k in range(n_countries):
+        links |= {tuple(sorted((k, int(m)))) for m in rng.choice(n_countries, 2) if m != k}
+    for k, m in sorted(links):
+        for _ in range(3):
+            add((sectors[rng.integers(n_sectors)], countries[k]),
+                (sectors[rng.integers(n_sectors)], countries[m]), 10 ** rng.uniform(0.5, 1.5))
+    output = {}
+    for (s, c, _, _), value in flows.items():
+        output[(s, c)] = output.get((s, c), 0.0) + value
+    records = [FlowRecord(*key, value) for key, value in flows.items()]
+    records += [FlowRecord(s, c, FINAL_DEMAND, c, 0.3 / 0.7 * total)
+                for (s, c), total in output.items()]
+    return FlowTable(records)
+
+
+@pytest.fixture(scope="session")
+def paper_io_network():
+    return build_io_network(paper_flow_table(seed=0))
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def singular_modes(monkeypatch):
+    """``np.linalg.eig`` with its second eigenvector replaced by the first."""
+    eig = np.linalg.eig
+
+    def duplicated(matrix):
+        lam, q = eig(matrix)
+        q[:, 1] = q[:, 0]
+        return lam, q
+
+    monkeypatch.setattr(np.linalg, "eig", duplicated)
 
 
 def pytest_runtest_logreport(report):

@@ -230,6 +230,27 @@ def test_criterion_10_endogenous_comovement_dominance(demo_io_network):
         assert r.mean_corr > 0.99
 
 
+def test_criterion_10_within_country_dominance_at_paper_scale(paper_io_network):
+    # 27 sectors x 17 countries plus final demand: 476 nodes.  Over 30 table
+    # seeds at 3 run seeds the closest cell (country shocks, cycle against
+    # focus) kept a margin of 0.039-0.042 over the pooled s.d.  The
+    # across-country half is not pinned here: the aggregates of 17 countries
+    # joined by 3 flows per link correlate near zero under every dynamics,
+    # with s.d. up to 0.25, and the rule failed on 8 of the 30 tables.
+    assert paper_io_network.n == 17 * 28
+    spec = ScenarioSpec(dynamics=("cycle", "focus", "node"),
+                        shock_types=("idiosyncratic", "country", "sector"),
+                        sigma_u_grid=(0.1,), n_seeds=3)
+    rows = scenario_run(paper_io_network, spec)
+    table = {(r.dynamics, r.shock_type, r.group): r for r in rows}
+    for shock in spec.shock_types:
+        cyc = table[("cycle", shock, "within_country_sectors")]
+        for other in ("focus", "node"):
+            oth = table[(other, shock, "within_country_sectors")]
+            pooled = np.sqrt(cyc.sd_corr ** 2 + oth.sd_corr ** 2)
+            assert cyc.mean_corr >= oth.mean_corr - pooled, (shock, other)
+
+
 class TestCriterion11PropertySuites:
     def _random_connected_adjacency(self, rng):
         n = int(rng.integers(3, 12))

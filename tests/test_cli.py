@@ -326,6 +326,14 @@ class TestOtherCommands:
         assert capsys.readouterr().err.strip() == message
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_singular_mode_matrix_exits_numerical(self, tmp_path, capsys, singular_modes):
+        code = run(["shock-response", "--set", "network.kind=star", "--set", "network.n=6",
+                    "--set", "network.eps=0.5"], tmp_path)
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical error: eigenvector matrix is singular")
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("n_seeds", ["0", "-1"])
     def test_scenarios_rejects_too_few_seeds(self, n_seeds, tmp_path, capsys):
         code = run(["scenarios", "--preset", "scenarios-smoke",

@@ -16,6 +16,8 @@ from cyclesync.empirics import (
     SHOCK_PRESETS,
     _detrend_columns,
     _grouped_means,
+    PanelRecord,
+    PanelSeries,
     ScenarioSpec,
     cf_bandpass,
     cf_weight_matrix,
@@ -256,6 +258,17 @@ class TestLoadPanel:
         ])
         panel = load_panel_csv(path)
         assert panel.gaps == {("US", "D", "emp"): [1981]}
+
+    def test_panel_built_from_records_flags_gaps(self):
+        records = [PanelRecord("US", "D", "emp", 1980, 1.0),
+                   PanelRecord("DE", "F", "va", 1990, 2.0),
+                   PanelRecord("US", "D", "emp", 1983, 1.2),
+                   PanelRecord("DE", "F", "va", 1992, 2.1),
+                   PanelRecord("JP", "D", "emp", 2000, 0.5)]
+        panel = PanelSeries(records)
+        assert panel.gaps == {("US", "D", "emp"): [1981, 1982], ("DE", "F", "va"): [1991]}
+        assert list(panel.gaps) == [("US", "D", "emp"), ("DE", "F", "va")]
+        assert panel.gaps == oracle_gaps(records)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_reports_line(self, tmp_path, value):

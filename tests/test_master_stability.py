@@ -18,7 +18,6 @@ from cyclesync.errors import (
 from cyclesync.master_stability import (
     _BLOCK,
     _CHUNK,
-    LyapunovEstimate,
     SynchronizedOrbit,
     from_eigenbasis,
     master_stability_function,
@@ -86,7 +85,8 @@ class TestSynchronizedOrbit:
 def oracle_mode_lyapunov(orbit, coupling, burn_in=1000, window=None):
     """Per-step Gram-Schmidt QR propagation of a 2-frame (Benettin et al.).
 
-    The scalar reference the blocked tangent pass replaced.
+    The scalar reference the blocked tangent pass replaced; returns a
+    record with the two exponents ``mu1`` and ``mu2``.
     """
     if coupling < 0:
         raise ConfigError(f"effective coupling must be non-negative, got {coupling}")
@@ -128,7 +128,7 @@ def oracle_mode_lyapunov(orbit, coupling, burn_in=1000, window=None):
         if t >= burn_in:
             s1 += math.log(r11)
             s2 += math.log(r22)
-    return LyapunovEstimate(mu1=s1 / window, mu2=s2 / window)
+    return SimpleNamespace(mu1=s1 / window, mu2=s2 / window)
 
 
 def oracle_volume_rate(orbit, coupling, burn_in, window):
@@ -153,9 +153,16 @@ class TestBlockedParity:
                                           burn_in=burn_in, window=window)
         np.testing.assert_allclose(curve.mu1, [r.mu1 for r in ref], rtol=0, atol=1e-10)
         np.testing.assert_allclose(curve.mu2, [r.mu2 for r in ref], rtol=0, atol=1e-10)
+        # the one-K curve is the exponent pair of a single eigenmode
+        for k, r in zip(PARITY_GRID, ref):
+            one = master_stability_function(cycle_orbit, [k], burn_in=burn_in, window=window)
+            assert one.mu1[0] == pytest.approx(r.mu1, rel=0, abs=1e-10)
+            assert one.mu2[0] == pytest.approx(r.mu2, rel=0, abs=1e-10)
         est = mode_lyapunov(cycle_orbit, PARITY_GRID[1], burn_in=burn_in, window=window)
-        assert est.mu1 == pytest.approx(ref[1].mu1, rel=0, abs=1e-10)
-        assert est.mu2 == pytest.approx(ref[1].mu2, rel=0, abs=1e-10)
+        one = master_stability_function(cycle_orbit, [PARITY_GRID[1]], burn_in, window)
+        np.testing.assert_array_equal(est.k_grid, one.k_grid)
+        np.testing.assert_array_equal(est.mu1, one.mu1)
+        np.testing.assert_array_equal(est.mu2, one.mu2)
         for k in PARITY_GRID:
             np.testing.assert_array_equal(
                 time_resolved_volume_rate(cycle_orbit, k)[burn_in:burn_in + window],
@@ -164,15 +171,15 @@ class TestBlockedParity:
     def test_default_window_is_rest_of_orbit(self, cycle_orbit):
         est = mode_lyapunov(cycle_orbit, 0.6, burn_in=25000)
         ref = oracle_mode_lyapunov(cycle_orbit, 0.6, burn_in=25000)
-        assert est.mu1 == pytest.approx(ref.mu1, rel=0, abs=1e-10)
+        assert est.mu1[0] == pytest.approx(ref.mu1, rel=0, abs=1e-10)
         rest = time_resolved_volume_rate(cycle_orbit, 0.6)[25000:]
-        assert est.mu1 + est.mu2 == pytest.approx(rest.mean(), rel=0, abs=1e-12)
+        assert est.mu1[0] + est.mu2[0] == pytest.approx(rest.mean(), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("k", PARITY_GRID)
     def test_exponents_sum_to_volume_rate(self, cycle_orbit, k):
         est = mode_lyapunov(cycle_orbit, k, burn_in=1001, window=9000)
         volume = time_resolved_volume_rate(cycle_orbit, k)[1001:1001 + 9000]
-        assert est.mu1 + est.mu2 == pytest.approx(volume.mean(), rel=0, abs=1e-12)
+        assert est.mu1[0] + est.mu2[0] == pytest.approx(volume.mean(), rel=0, abs=1e-12)
 
 
 def _nilpotent_orbit(k, steps=2000):
@@ -228,19 +235,19 @@ class TestAveragingWindow:
 class TestModeLyapunov:
     def test_zero_coupling_neutral_direction(self, cycle_orbit):
         est = mode_lyapunov(cycle_orbit, 0.0, burn_in=1000, window=25000)
-        assert abs(est.mu1) < 1e-3
+        assert abs(est.mu1[0]) < 1e-3
 
     def test_two_agent_transverse_mode_decays(self, cycle_orbit):
         # two coupled agents at eps = 0.3: transverse eigenvalue 0.6
         est = mode_lyapunov(cycle_orbit, 0.6, burn_in=1000, window=20000)
-        assert est.mu1 < 0
+        assert est.mu1[0] < 0
 
     def test_exponent_ordering_and_volume_identity(self, cycle_orbit):
         for k in (0.0, 0.3, 0.9, 1.7):
             est = mode_lyapunov(cycle_orbit, k, burn_in=1000, window=15000)
-            assert est.mu1 >= est.mu2
+            assert est.mu1[0] >= est.mu2[0]
             volume = time_resolved_volume_rate(cycle_orbit, k)[1000:1000 + 15000]
-            assert est.mu1 + est.mu2 == pytest.approx(volume.mean(), abs=1e-6)
+            assert est.mu1[0] + est.mu2[0] == pytest.approx(volume.mean(), abs=1e-6)
 
     def test_rejects_negative_coupling(self, cycle_orbit):
         with pytest.raises(ConfigError):
@@ -520,6 +527,16 @@ class TestShockResponseCompare:
     def test_rejects_bad_window_or_tau(self, pair_net, params, options, key):
         with pytest.raises(ConfigError, match=key):
             shock_response_compare(pair_net, params, Q, shock=[0.1, 0.0], **options)
+
+    def test_shortest_window_gives_finite_shift(self, pair_net, params):
+        # one period of comparison window and two of horizon: the lag search
+        # reaches back into the first period and forward to the horizon's end
+        resp = shock_response_compare(pair_net, params, Q, shock=[0.1, 0.0], tau=200,
+                                      window_periods=1, horizon_periods=2)
+        period = int(round(synchronized_orbit(params, Q, steps=4000).period))
+        assert resp.nonlinear_y.shape == (2 * period, 2)
+        assert math.isfinite(resp.phase_shift)
+        assert math.isfinite(resp.rmse)
 
     def test_horizon_beyond_the_first_orbit_extends_it(self, pair_net):
         # a 136-step cycle: 29 periods after the shock outrun the first

@@ -8,6 +8,7 @@ from cyclesync.errors import (
     ConfigError,
     DataError,
     Disconnected,
+    IllConditioned,
     MissingFinalDemand,
     Reducible,
     ZeroOutput,
@@ -412,6 +413,12 @@ class TestSpectra:
         m[2, 3] = m[3, 2] = 1
         with pytest.raises(Disconnected):
             generalized_laplacian(uniform_coupling(Adjacency(m), 1.0))
+
+    def test_singular_mode_matrix_rejected(self, singular_modes):
+        # star-6 couples non-symmetrically, so its modes come from eig
+        net = uniform_coupling(build_topology("star", 6), 0.5)
+        with pytest.raises(IllConditioned, match="singular"):
+            generalized_laplacian(net)
 
     def test_two_clique_mode_pattern(self, two_clique_adj):
         spec = generalized_laplacian(uniform_coupling(two_clique_adj, 1.0))
