@@ -102,17 +102,13 @@ def steady_state_alpha0(alpha1, alpha2, delta,
     return 1.0 - alpha1 / delta - alpha2 - eval_f(q, 1.0)
 
 
-def _map_step(x, y, ybar, a0, a1, a2, delta, q: QuarticCoefficients):
-    """The map formula, elementwise on floats or arrays: (x[t+1], y[t+1]).
-
-    Every iteration of the map goes through here, so all of them share one
-    floating-point evaluation order.
-    """
-    return (1.0 - delta) * x + y, a0 + a1 * x + a2 * y + eval_f(q, ybar)
-
-
 def single_agent_step(x, y, ybar, params: AgentParams,
                       q: QuarticCoefficients = DEFAULT_QUARTIC):
-    """One step of the map for one agent given its interaction term ``ybar``."""
-    return _map_step(x, y, ybar, params.alpha0, params.alpha1, params.alpha2,
-                     params.delta, q)
+    """One step of the map for one agent given its interaction term ``ybar``.
+
+    The reference formula: the coupled kernel and the synchronized orbit
+    evaluate it in the same floating-point order, and tests pin both to it
+    bit for bit.
+    """
+    return ((1.0 - params.delta) * x + y,
+            params.alpha0 + params.alpha1 * x + params.alpha2 * y + eval_f(q, ybar))

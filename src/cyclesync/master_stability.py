@@ -34,7 +34,6 @@ from .dynamics import (
     DEFAULT_QUARTIC,
     AgentParams,
     QuarticCoefficients,
-    _map_step,
     eval_f_prime,
 )
 from .errors import (
@@ -138,17 +137,20 @@ def synchronized_orbit(params: AgentParams, q: QuarticCoefficients = DEFAULT_QUA
     """
     if steps < 1:
         raise ConfigError(f"orbit needs steps >= 1, got {steps}")
-    x, y = 1.0 / params.delta, 1.05
-    a0, a1, a2, de = params.alpha0, params.alpha1, params.alpha2, params.delta
-    # Python floats: at N = 1 a numpy step costs far more than the arithmetic
-    for _ in range(_ORBIT_BURN_IN):
-        x, y = _map_step(x, y, y, a0, a1, a2, de, q)
-    xs = np.empty(steps)
-    ys = np.empty(steps)
-    for t in range(steps):
-        x, y = _map_step(x, y, y, a0, a1, a2, de, q)
+    a0, a1, a2, de = (float(v) for v in (params.alpha0, params.alpha1, params.alpha2,
+                                         params.delta))
+    x, y, one_minus_de = 1.0 / de, 1.05, 1.0 - de
+    b0, b1, b2, b3, b4 = map(float, q.as_tuple())
+    xs = np.empty(_ORBIT_BURN_IN + steps)
+    ys = np.empty(_ORBIT_BURN_IN + steps)
+    # Python floats: at N = 1 a numpy step costs far more than the arithmetic.
+    # single_agent_step with ybar = y, in the same floating-point order
+    for t in range(_ORBIT_BURN_IN + steps):
+        x, y = one_minus_de * x + y, a0 + a1 * x + a2 * y + (b0 + y * (b1 + y * (b2 + y * (
+            b3 + y * b4))))
         xs[t] = x
         ys[t] = y
+    xs, ys = xs[_ORBIT_BURN_IN:], ys[_ORBIT_BURN_IN:]
     if ys.max() - ys.min() < _MIN_AMPLITUDE:
         raise NotOscillating(
             f"orbit amplitude {ys.max() - ys.min():.3g} below {_MIN_AMPLITUDE}"
@@ -278,12 +280,18 @@ def time_resolved_volume_rate(orbit: SynchronizedOrbit, coupling: float) -> np.n
     return _volume_rate(orbit.params, orbit.fprime, coupling)
 
 
-def _change_basis(matrix, v, spec: SpectralDecomposition) -> np.ndarray:
-    """``matrix`` applied to the x and to the y components of a 2N vector or
-    of each row of a (T, 2N) series; one product for both forms."""
+def _check_conditioning(spec: SpectralDecomposition):
+    """Raise :class:`IllConditioned` when the mode matrix is too close to singular
+    for the eigenbasis to carry meaning."""
     cond = np.linalg.cond(spec.modes)
     if cond > _CONDITION_CAP:
         raise IllConditioned(f"eigenvector condition number {cond:.3g} too large")
+
+
+def _change_basis(matrix, v, spec: SpectralDecomposition) -> np.ndarray:
+    """``matrix`` applied to the x and to the y components of a 2N vector or
+    of each row of a (T, 2N) series; one product for both forms."""
+    _check_conditioning(spec)
     arr = np.asarray(v, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] != 2 * spec.n:
         raise ConfigError(f"deviations must be a {2 * spec.n} vector or a "
@@ -318,8 +326,10 @@ def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
     The consistency tolerance is 1e-6, widened to 1e-4 for noticeably
     complex spectra (``spec.max_imag > 1e-12``, directed networks) because
     imaginary parts are discarded.  Raises :class:`ConsistencyBreach` when
-    the two disagree by more.
+    the two disagree by more, and :class:`IllConditioned` when the mode
+    matrix's condition number exceeds ``_CONDITION_CAP``.
     """
+    _check_conditioning(spec)
     n = spec.n
     mat0 = np.asarray(xi0, dtype=float)
     if mat0.shape != (2 * n,):

@@ -45,6 +45,9 @@ __all__ = [
 #: runs simulated together by :func:`sync_centrality`; bounds the retained
 #: paths held at once while keeping the per-step overhead amortized
 _DRAWS_PER_BATCH = 100
+#: paths the drivers pass to the block peak finder at once; bounds the
+#: finder's temporaries, which grow with the block
+_SERIES_PER_BLOCK = 32
 
 
 @dataclass
@@ -114,18 +117,6 @@ def _check_peak_options(length: int, min_separation: int = 5, min_prominence: fl
         raise ConfigError(f"smooth_window {smooth_window} exceeds the series length {length}")
 
 
-def _local_maxima(x: np.ndarray) -> np.ndarray:
-    """Midpoints of the plateaus with strictly lower neighbours on both sides.
-
-    A plateau that touches either end of the series is not a maximum.
-    """
-    d = x[1:] - x[:-1]
-    steps = np.flatnonzero(d)
-    rising = d[steps] > 0
-    turn = np.flatnonzero(rising[:-1] > rising[1:])
-    return (steps[turn] + steps[turn + 1] + 1) // 2
-
-
 def _keep_by_distance(maxima: np.ndarray, heights: np.ndarray, distance: int) -> np.ndarray:
     """Visit the maxima highest first and drop neighbours closer than ``distance``."""
     pos = maxima.tolist()
@@ -144,70 +135,120 @@ def _keep_by_distance(maxima: np.ndarray, heights: np.ndarray, distance: int) ->
     return np.array(keep)
 
 
-def _basin_floors(heights: list, valleys: list) -> list:
-    """Lowest valley between each maximum and the nearest strictly higher one before it.
-
-    ``valleys[i]`` is the minimum between maximum i and its predecessor (or
-    the series start).  One pass with a stack of the maxima not yet
-    overtopped, each carrying its own floor.
-    """
-    floors = []
-    stack_h, stack_v = [math.inf], [None]
-    for h, v in zip(heights, valleys):
-        while stack_h[-1] <= h:
-            stack_h.pop()
-            w = stack_v.pop()
-            if w < v:
-                v = w
-        stack_h.append(h)
-        stack_v.append(v)
-        floors.append(v)
-    return floors
-
-
-def _interquartile_range(x: np.ndarray) -> float:
-    """``q75 - q25`` of ``np.percentile(x, [75, 25])``, without its overhead.
+def _interquartile_range(x: np.ndarray):
+    """``q75 - q25`` of ``np.percentile(x, [75, 25], axis=-1)``, without its overhead.
 
     numpy's default ("linear") quantile blends the sorted values k and k + 1
     around the virtual index v = (n - 1) q with weight t = v - k, from
     whichever end is nearer, as its ``_lerp`` does; so the values agree
-    exactly.
+    exactly.  One value per series along the last axis.
     """
-    ordered = np.sort(x)
+    ordered = np.sort(x, axis=-1)
     q = []
-    for v in ((x.size - 1) * 0.75, (x.size - 1) * 0.25):
+    for v in ((x.shape[-1] - 1) * 0.75, (x.shape[-1] - 1) * 0.25):
         k = math.floor(v)
-        a, b, t = float(ordered[k]), float(ordered[k + 1]), v - k
+        a, b, t = ordered[..., k], ordered[..., k + 1], v - k
         q.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return q[0] - q[1]
 
 
-def _find_peaks(x: np.ndarray, distance: float, prominence: float) -> np.ndarray:
-    """``scipy.signal.find_peaks(x, distance=, prominence=)[0]`` for finite ``x``.
+def _basins_pass(heights, valleys, rows, edges, threshold, side: int) -> np.ndarray:
+    """Whether each maximum clears ``threshold`` over its base on one ``side`` (-1 or 1).
 
-    A peak's prominence is its height over the higher of its two base
-    minima, each taken out to the first strictly higher point on that side
-    (or the series end).  Nothing between that point and the nearest
-    strictly higher local maximum is lower than the base, so each base is
-    the minimum over a run of the valleys between consecutive maxima.
+    ``heights`` are all maxima of a block, row after row, and ``rows`` their
+    rows; ``valleys`` holds, per row, the minima before its first maximum,
+    between consecutive ones and after its last, so the valleys beside
+    maximum g are ``valleys[g + rows[g]]`` and ``valleys[g + rows[g] + 1]``.
+    The base on a side is the lowest valley out to the nearest strictly
+    higher maximum of the row (or the row's end), ``edges`` holding each
+    row's outermost maximum on that side.  Deeper valleys only raise the
+    prominence, so the adjacent valley decides most maxima; the rest walk
+    outwards one maximum at a time, all together, until they clear the
+    threshold or reach their base.
     """
-    maxima = _local_maxima(x)
-    if maxima.size == 0:
-        return maxima
-    heights = x[maxima]
-    keep = None
+    shift = rows + (side > 0)
+    floor = valleys[np.arange(heights.size) + shift]
+    passed = heights - floor >= threshold
+    g = np.flatnonzero(~passed)
+    h, th, edge, shift, floor = heights[g], threshold[g], edges[rows[g]], shift[g], floor[g]
+    j = g + side
+    while g.size:
+        live = ((edge - j) * side >= 0) & (heights[np.clip(j, 0, heights.size - 1)] <= h)
+        g, h, th, edge, shift, floor, j = (a[live] for a in (g, h, th, edge, shift, floor, j))
+        floor = np.minimum(floor, valleys[j + shift])
+        done = h - floor >= th
+        passed[g[done]] = True
+        g, h, th, edge, shift, floor = (a[~done] for a in (g, h, th, edge, shift, floor))
+        j = j[~done] + side
+    return passed
+
+
+def _block_peaks(block: np.ndarray, distance: float, prominence) -> tuple:
+    """``scipy.signal.find_peaks(row, distance=, prominence=)[0]`` for every row.
+
+    ``block`` is an (S, T) array of finite series and ``prominence`` one
+    threshold per row.  Returns ``(counts, cols)``: the number of peaks of
+    each row and their columns, row after row.
+
+    Maxima are the midpoints of plateaus with strictly lower neighbours on
+    both sides; a plateau that touches either end of its row is not one.  A
+    peak's prominence is its height over the higher of its two base minima,
+    each taken out to the first strictly higher point on that side (or the
+    row end).  Nothing between that point and the nearest strictly higher
+    local maximum is lower than the base, so each base is the minimum over a
+    run of the valleys between consecutive maxima.  The highest-first
+    distance rule runs only on rows with maxima closer than ``distance``.
+    """
+    s, t = block.shape
+    flat = block.ravel()
+    # for finite values the sign of each step is the comparison of its ends
+    up = block[:, 1:] > block[:, :-1]
+    steps = np.flatnonzero(up | (block[:, 1:] < block[:, :-1]))    # flat in (S, T - 1)
+    rising = up.ravel()[steps]
+    turn = np.flatnonzero(rising[:-1] > rising[1:])
+    rows, first = np.divmod(steps[turn], t - 1)
+    last = steps[turn + 1] - rows * (t - 1)
+    same = last < t - 1                              # both steps in one row
+    rows, cols = rows[same], (first[same] + last[same] + 1) // 2
+    heights = flat[rows * t + cols]
+    counts = np.bincount(rows, minlength=s)
+    ends = np.cumsum(counts)
+    valleys = np.minimum.reduceat(flat, np.sort(np.concatenate([rows * t + cols,
+                                                                np.arange(s) * t])))
+    threshold = np.asarray(prominence, dtype=float)[rows]
+    ok = _basins_pass(heights, valleys, rows, ends - counts, threshold, -1)
+    ok &= _basins_pass(heights, valleys, rows, ends - 1, threshold, 1)
     distance = math.ceil(distance)
-    if maxima.size > 1 and (maxima[1:] - maxima[:-1]).min() < distance:
-        keep = _keep_by_distance(maxima, heights, distance)
-    valleys = np.minimum.reduceat(x, np.append(0, maxima)).tolist()
-    h = heights.tolist()
-    left = _basin_floors(h, valleys[:-1])
-    right = _basin_floors(h[::-1], valleys[:0:-1])
-    right.reverse()
-    ok = heights - np.maximum(left, right) >= prominence
-    if keep is not None:
-        ok &= keep
-    return maxima[ok]
+    close = np.flatnonzero((cols[1:] - cols[:-1] < distance) & (rows[1:] == rows[:-1]))
+    for r in dict.fromkeys(rows[close].tolist()):
+        lo, hi = ends[r] - counts[r], ends[r]
+        ok[lo:hi] &= _keep_by_distance(cols[lo:hi], heights[lo:hi], distance)
+    return np.bincount(rows[ok], minlength=s), cols[ok]
+
+
+def _find_peaks(x: np.ndarray, distance: float, prominence: float) -> np.ndarray:
+    """``scipy.signal.find_peaks(x, distance=, prominence=)[0]`` for finite ``x``:
+    :func:`_block_peaks` on the block of one row."""
+    return _block_peaks(x[None], distance, [prominence])[1]
+
+
+def _series_peaks(block: np.ndarray, min_separation: int = 5, min_prominence: float = None,
+                  smooth_window: int = 1) -> tuple:
+    """:func:`detect_peaks`' selection on every row of an (S, T) block of finite series.
+
+    Returns :func:`_block_peaks`' ``(counts, cols)``.  Raises
+    :class:`TooFewPeaks` when the rows are too short for ``min_separation``.
+    """
+    if block.shape[1] <= 2 * min_separation:
+        raise TooFewPeaks(
+            f"series of length {block.shape[1]} too short for separation {min_separation}"
+        )
+    if smooth_window > 1:
+        block = np.array([_smooth(row, smooth_window) for row in block])
+    if min_prominence is None:
+        min_prominence = 0.1 * _interquartile_range(block)
+    return _block_peaks(block, min_separation,
+                        np.maximum(np.broadcast_to(min_prominence, block.shape[:1]), 1e-300))
 
 
 def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
@@ -230,17 +271,30 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
     finite = np.isfinite(series)
     if not finite.all():
         raise DegenerateSeries(f"series value at index {int(np.argmin(finite))} is not finite")
-    if series.size <= 2 * min_separation:
-        raise TooFewPeaks(
-            f"series of length {series.size} too short for separation {min_separation}"
-        )
-    smoothed = _smooth(series, smooth_window)
-    if min_prominence is None:
-        min_prominence = 0.1 * _interquartile_range(smoothed)
-    peaks = _find_peaks(smoothed, min_separation, max(min_prominence, 1e-300))
+    _, peaks = _series_peaks(series[None], min_separation, min_prominence, smooth_window)
     if peaks.size < 3:
         raise TooFewPeaks(f"found {peaks.size} peaks, need at least 3")
     return peaks
+
+
+def _frequency(first, last, count):
+    """2*pi / mean inter-peak spacing from the first and last of ``count`` peaks.
+
+    The spacings are integers, so their mean is exactly the span over
+    ``count - 1``; works elementwise on arrays.
+    """
+    return 2.0 * np.pi / ((last - first) / (count - 1))
+
+
+def _phase(size: int, peaks: np.ndarray) -> np.ndarray:
+    """Phase of each of ``size`` steps, NaN outside the first to last peak."""
+    phi = np.full(size, np.nan)
+    t = np.arange(peaks[0], peaks[-1])
+    right = np.searchsorted(peaks, t, side="right")
+    a, b = peaks[right - 1], peaks[right]
+    phi[peaks[0]:peaks[-1]] = 2.0 * np.pi * (t - a) / (b - a)
+    phi[peaks[-1]] = 0.0
+    return phi
 
 
 def phase_series(series, min_separation: int = 5, min_prominence: float = None,
@@ -248,20 +302,14 @@ def phase_series(series, min_separation: int = 5, min_prominence: float = None,
     """Phase at every step between the first and last peak, plus mean frequency."""
     series = np.asarray(series, dtype=float)
     peaks = detect_peaks(series, min_separation, min_prominence, smooth_window)
-    phi = np.full(series.size, np.nan)
-    t = np.arange(peaks[0], peaks[-1])
-    right = np.searchsorted(peaks, t, side="right")
-    a, b = peaks[right - 1], peaks[right]
-    phi[peaks[0]:peaks[-1]] = 2.0 * np.pi * (t - a) / (b - a)
-    phi[peaks[-1]] = 0.0
-    omega = 2.0 * np.pi / float(np.mean(np.diff(peaks)))
-    return PhaseSeries(peaks=peaks, phi=phi, omega=omega)
+    return PhaseSeries(peaks=peaks, phi=_phase(series.size, peaks),
+                       omega=float(_frequency(peaks[0], peaks[-1], peaks.size)))
 
 
 def measured_frequency(series, **peak_kwargs) -> float:
     """Angular frequency 2*pi / mean inter-peak spacing."""
     peaks = detect_peaks(series, **peak_kwargs)
-    return 2.0 * np.pi / float(np.mean(np.diff(peaks)))
+    return float(_frequency(peaks[0], peaks[-1], peaks.size))
 
 
 def phase_coherence(phases) -> float:
@@ -316,7 +364,6 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
     _check_peak_options(cfg.retain, **peak_kwargs)
     eps_grid = np.asarray(eps_grid, dtype=float)
 
-    omegas = np.empty((eps_grid.size, adj.n))
     coherence = np.empty(eps_grid.size)
     mean_corr = np.empty(eps_grid.size)
     spread = np.empty(eps_grid.size)
@@ -325,10 +372,12 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
         trajs = simulate_batch(nets, [params] * eps_grid.size, q, shocks, cfg)
     except NumericalBlowup as exc:
         raise exc.named(f"eps {eps_grid[exc.run]:g}") from exc
+    counts, cols, ends = _peak_table(trajs, peak_kwargs, f"eps {eps_grid[0]:g}")
+    omegas = _frequencies(counts, cols, ends)
     for k, traj in enumerate(trajs):
-        phases = _per_node(phase_series, traj, peak_kwargs, f"eps {eps_grid[k]:g}")
-        omegas[k] = [p.omega for p in phases]
-        coherence[k] = phase_coherence(np.column_stack([p.phi for p in phases]))
+        _check_peak_counts(counts[k], traj.labels, f"eps {eps_grid[k]:g}")
+        coherence[k] = phase_coherence(np.column_stack(
+            [_phase(traj.y.shape[0], cols[e - c:e]) for c, e in zip(counts[k], ends[k])]))
         mean_corr[k] = mean_pairwise_correlation(traj.y)
         spread[k] = _relative_spread(omegas[k])
     entrained = spread < entrain_tol
@@ -337,25 +386,44 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
                              entrained=entrained, spread=spread)
 
 
-def _per_node(measure, traj, peak_kwargs, where) -> list:
-    """``measure`` of each node's y path; a peak failure names ``where`` and the node."""
-    out = []
-    for i, label in enumerate(traj.labels):
+def _peak_table(trajs, peak_kwargs, where) -> tuple:
+    """Peaks of every node's y path in every run, ``_SERIES_PER_BLOCK`` paths at a time.
+
+    Returns ``(counts, cols, ends)``: each path's peak count as an (R, N)
+    array, all peak columns in (run, node) order, and where each path's
+    columns end in ``cols``.  Paths too short for the separation raise
+    :class:`TooFewPeaks` naming ``where``, the first run, and its first node.
+    """
+    paths = [(traj.y, i) for traj in trajs for i in range(traj.y.shape[1])]
+    counts, cols = [], []
+    for lo in range(0, len(paths), _SERIES_PER_BLOCK):
+        block = np.stack([y[:, i] for y, i in paths[lo:lo + _SERIES_PER_BLOCK]])
         try:
-            out.append(measure(traj.y[:, i], **peak_kwargs))
+            block_counts, block_cols = _series_peaks(block, **peak_kwargs)
         except TooFewPeaks as exc:
-            raise TooFewPeaks(f"{where}, node {label}: {exc}") from None
+            raise TooFewPeaks(f"{where}, node {trajs[0].labels[0]}: {exc}") from None
+        counts.append(block_counts)
+        cols.append(block_cols)
+    counts = np.concatenate(counts).reshape(len(trajs), -1)
+    return counts, np.concatenate(cols), np.cumsum(counts).reshape(counts.shape)
+
+
+def _frequencies(counts, cols, ends) -> np.ndarray:
+    """Each path's frequency from a peak table; NaN where it has fewer than three peaks."""
+    out = np.full(counts.shape, np.nan)
+    ok = counts >= 3
+    count, end = counts[ok], ends[ok]
+    out[ok] = _frequency(cols[end - count], cols[end - 1], count)
     return out
 
 
-def _common_frequency(traj, entrain_tol, peak_kwargs, where):
-    omegas = np.array(_per_node(measured_frequency, traj, peak_kwargs, where))
-    spread = _relative_spread(omegas)
-    if spread >= entrain_tol:
-        raise EntrainmentFailure(
-            f"{where}: frequency spread {spread:.4f} exceeds tolerance {entrain_tol}"
-        )
-    return float(omegas.mean())
+def _check_peak_counts(counts, labels, where):
+    """Raise :class:`TooFewPeaks` naming ``where`` and the first node of a run
+    with fewer than three peaks."""
+    short = np.flatnonzero(counts < 3)
+    if short.size:
+        i = short[0]
+        raise TooFewPeaks(f"{where}, node {labels[i]}: found {counts[i]} peaks, need at least 3")
 
 
 def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int = 1000,
@@ -414,8 +482,15 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
                                    q, None, cfg)
         except NumericalBlowup as exc:
             raise exc.named(where(*block[exc.run][:2])) from exc
-        for (key, d, _, _), traj in zip(block, trajs):
-            sims[key, d] = _common_frequency(traj, entrain_tol, peak_kwargs, where(key, d))
+        counts, cols, ends = _peak_table(trajs, peak_kwargs, where(*block[0][:2]))
+        for (key, d, _, _), traj, n_peaks, omegas in zip(block, trajs, counts,
+                                                         _frequencies(counts, cols, ends)):
+            _check_peak_counts(n_peaks, traj.labels, where(key, d))
+            spread = _relative_spread(omegas)
+            if spread >= entrain_tol:
+                raise EntrainmentFailure(f"{where(key, d)}: frequency spread {spread:.4f} "
+                                         f"exceeds tolerance {entrain_tol}")
+            sims[key, d] = float(omegas.mean())
         del trajs, traj  # free the block before the next one is simulated
 
     means = sims[:n].mean(axis=1)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._format import write_table
-from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients, _map_step
+from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients
 from .errors import ConfigError, NumericalBlowup
 from .networks import InteractionNetwork, _node_groups
 
@@ -45,6 +45,8 @@ _NORMAL_METHOD = "numpy-pcg64-ziggurat"
 _INITIAL_SPREAD = 0.1
 #: |y| beyond which a run counts as blown up
 _BLOWUP_BOUND = 1e3
+#: steps of the step loop between two blow-up checks
+_CHECK_EVERY = 64
 
 # numpy's SeedSequence hashing and PCG64 seeding, from which _streams states
 # each generator exactly as np.random.default_rng(key) does
@@ -375,26 +377,63 @@ def _iterate(w, a0, a1, a2, de, x, y, q: QuarticCoefficients, steps: int,
     from which :attr:`TrajectorySet.x` replays the stocks.  Every run's
     coupling term is its own matrix-vector product, so a batch reproduces
     separate runs bit for bit.  Raises :class:`NumericalBlowup` naming the
-    first run whose |y| is not finite or exceeds ``bound``.
+    first step, and the first run at that step, whose |y| is not finite or
+    exceeds ``bound``.
+
+    Each step evaluates :func:`dynamics.single_agent_step`'s formula in the
+    same floating-point order, in place in preallocated buffers.  Outputs
+    go to a ring of ``_CHECK_EVERY`` steps, checked for blow-up once per
+    lap and then copied into the retained window.
     """
     keep_from = steps - retain
-    ys = np.empty((y.shape[0], retain, y.shape[1]))
+    b, n = y.shape
+    ys = np.empty((b, retain, n))
+    ring = np.empty((_CHECK_EVERY, b, n))
+    slots, slots3 = list(ring), list(ring[:, :, :, None])
+    x = np.array(x, dtype=float)
+    y3 = y[:, :, None]
+    ybar3 = np.empty((b, n, 1))
+    ybar, f, tmp = ybar3[:, :, 0], np.empty((b, n)), np.empty((b, n))
+    one_minus_de = 1.0 - de
+    b0, b1, b2, b3, b4 = q.as_tuple()
     x_start = None
-    for t in range(steps):
-        ybar = np.matmul(w, y[:, :, None])[:, :, 0]
-        x, y = _map_step(x, y, ybar, a0, a1, a2, de, q)
-        if shock_sum is not None:
-            y += shock_sum[:, t]
-        peak = float(np.abs(y).max())
-        if not math.isfinite(peak) or peak > bound:
-            bad = ~(np.isfinite(y) & (np.abs(y) <= bound)).all(axis=1)
-            run = int(np.argmax(bad))
-            raise NumericalBlowup(step=t, value=float(np.max(np.abs(y[run]))),
-                                  bound=bound, run=run)
-        if t == keep_from:
-            x_start = x
-        if t >= keep_from:
-            ys[:, t - keep_from] = y
+    # a run that blows up keeps iterating to the end of the lap
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, steps, _CHECK_EVERY):
+            hi = min(lo + _CHECK_EVERY, steps)
+            for t in range(lo, hi):
+                out = slots[t - lo]
+                np.matmul(w, y3, out=ybar3)
+                np.multiply(ybar, b4, out=f)
+                f += b3
+                f *= ybar
+                f += b2
+                f *= ybar
+                f += b1
+                f *= ybar
+                f += b0
+                np.multiply(a1, x, out=out)
+                out += a0
+                np.multiply(a2, y, out=tmp)
+                out += tmp
+                out += f
+                x *= one_minus_de
+                x += y
+                if shock_sum is not None:
+                    out += shock_sum[:, t]
+                y, y3 = out, slots3[t - lo]
+                if t == keep_from:
+                    x_start = x.copy()
+            lap = ring[:hi - lo]
+            peak = max(float(lap.max()), -float(lap.min()))
+            if not math.isfinite(peak) or peak > bound:
+                bad = ~(np.isfinite(lap) & (np.abs(lap) <= bound)).all(axis=2)
+                step, run = np.argwhere(bad)[0].tolist()
+                raise NumericalBlowup(step=lo + step, value=float(np.max(np.abs(lap[step, run]))),
+                                      bound=bound, run=run)
+            first = max(lo, keep_from)
+            if first < hi:
+                ys[:, first - keep_from:hi - keep_from] = lap[first - lo:].swapaxes(0, 1)
     return x_start, ys
 
 

@@ -129,6 +129,22 @@ def singular_modes(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", duplicated)
 
 
+@pytest.fixture
+def near_singular_modes(monkeypatch):
+    """``np.linalg.eig`` with an eigenvector of a repeated eigenvalue tilted to
+    within 1e-10 of another: still eigenvectors, but a nearly singular basis."""
+    eig = np.linalg.eig
+
+    def tilted(matrix):
+        lam, q = eig(matrix)
+        i, j = next((i, j) for i in range(lam.size) for j in range(i + 1, lam.size)
+                    if abs(lam[i] - lam[j]) < 1e-9)
+        q[:, j] = q[:, i] + 1e-10 * q[:, j]
+        return lam, q
+
+    monkeypatch.setattr(np.linalg, "eig", tilted)
+
+
 def pytest_runtest_logreport(report):
     # one visible pass/fail line per acceptance criterion
     if report.when == "call" and "test_acceptance" in report.nodeid:

@@ -334,6 +334,15 @@ class TestOtherCommands:
             "numerical error: eigenvector matrix is singular")
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_ill_conditioned_mode_matrix_exits_numerical(self, tmp_path, capsys,
+                                                         near_singular_modes):
+        code = run(["shock-response", "--set", "network.kind=star", "--set", "network.n=6",
+                    "--set", "network.eps=0.5"], tmp_path)
+        assert code == 3
+        assert re.fullmatch(r"numerical error: eigenvector condition number \S+ too large\n",
+                            capsys.readouterr().err)
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("n_seeds", ["0", "-1"])
     def test_scenarios_rejects_too_few_seeds(self, n_seeds, tmp_path, capsys):
         code = run(["scenarios", "--preset", "scenarios-smoke",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cyclesync import master_stability
-from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f_prime
+from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f_prime, single_agent_step
 from cyclesync.errors import (
     ConfigError,
     ConsistencyBreach,
@@ -18,6 +18,7 @@ from cyclesync.errors import (
 from cyclesync.master_stability import (
     _BLOCK,
     _CHUNK,
+    _ORBIT_BURN_IN,
     SynchronizedOrbit,
     from_eigenbasis,
     master_stability_function,
@@ -49,6 +50,13 @@ def two_clique_spec(two_clique_adj):
     return generalized_laplacian(uniform_coupling(two_clique_adj, 0.3))
 
 
+def near_singular_spec():
+    """Two modes with columns (1, 1) and (1, 1 + 1e-10): condition number about 4e10."""
+    modes = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+    return SpectralDecomposition(matrix=np.zeros((2, 2)), eigenvalues=np.zeros(2),
+                                 modes=modes, modes_inv=np.linalg.inv(modes), max_imag=0.0)
+
+
 class TestSynchronizedOrbit:
     def test_cycle_period_about_36(self, cycle_orbit):
         assert cycle_orbit.period == pytest.approx(36, abs=2)
@@ -72,6 +80,19 @@ class TestSynchronizedOrbit:
         params = AgentParams.with_steady_state(-0.04, 0.4, 0.1, Q)
         with pytest.raises(TooFewPeaks):
             synchronized_orbit(params, Q, steps=master_stability._PERIOD_STEPS)
+
+    def test_steps_equal_single_agent_step(self):
+        # the orbit's float loop is the reference formula with ybar = y
+        params = AgentParams.with_steady_state(-0.04, 0.4, 0.1, Q)
+        orbit = synchronized_orbit(params, Q, steps=5000)
+        x, y = 1.0 / params.delta, 1.05
+        xs, ys = [], []
+        for _ in range(_ORBIT_BURN_IN + 5000):
+            x, y = single_agent_step(x, y, y, params, Q)
+            xs.append(x)
+            ys.append(y)
+        np.testing.assert_array_equal(orbit.x, xs[_ORBIT_BURN_IN:])
+        np.testing.assert_array_equal(orbit.y, ys[_ORBIT_BURN_IN:])
 
     def test_orbit_mean_near_steady_state(self, cycle_orbit):
         period = int(round(cycle_orbit.period))
@@ -345,14 +366,15 @@ class TestEigenbasisTransform:
         assert abs(zeta_y[2]) == pytest.approx(0.00, abs=0.005)
 
     def test_near_singular_modes_rejected(self):
-        # columns (1, 1) and (1, 1 + 1e-10): condition number about 4e10
-        modes = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
-        spec = SpectralDecomposition(matrix=np.zeros((2, 2)), eigenvalues=np.zeros(2),
-                                     modes=modes, modes_inv=np.linalg.inv(modes),
-                                     max_imag=0.0)
+        spec = near_singular_spec()
         for transform in (to_eigenbasis, from_eigenbasis):
             with pytest.raises(IllConditioned, match="condition number"):
                 transform(np.zeros(4), spec)
+
+    def test_propagation_rejects_near_singular_modes(self, cycle_orbit):
+        # a zero deviation stays consistent in any basis: only the check can fail
+        with pytest.raises(IllConditioned, match="condition number 4.*e\\+10 too large"):
+            propagate_deviations(cycle_orbit, near_singular_spec(), np.zeros(4), 5)
 
     def test_equal_shocks_have_no_transverse_content(self):
         pair = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 0.3))

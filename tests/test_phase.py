@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -160,6 +162,112 @@ class TestFindPeaksOracle:
             np.testing.assert_array_equal(detect_peaks(y, smooth_window=smooth_window), want)
 
 
+def oracle_find_peaks(x, distance, prominence):
+    """The per-series finder the block finder replaced, kept as reference.
+
+    Plateau midpoints, the highest-first distance rule, then each maximum's
+    bases as the lowest valleys out to the nearest strictly higher maximum,
+    found by one stack pass per side.
+    """
+    d = x[1:] - x[:-1]
+    steps = np.flatnonzero(d)
+    rising = d[steps] > 0
+    turn = np.flatnonzero(rising[:-1] > rising[1:])
+    maxima = (steps[turn] + steps[turn + 1] + 1) // 2
+    if maxima.size == 0:
+        return maxima
+    heights = x[maxima]
+    keep = None
+    distance = math.ceil(distance)
+    if maxima.size > 1 and (maxima[1:] - maxima[:-1]).min() < distance:
+        keep = phase._keep_by_distance(maxima, heights, distance)
+
+    def basin_floors(heights, valleys):
+        floors = []
+        stack_h, stack_v = [math.inf], [None]
+        for h, v in zip(heights, valleys):
+            while stack_h[-1] <= h:
+                stack_h.pop()
+                v = min(v, stack_v.pop())
+            stack_h.append(h)
+            stack_v.append(v)
+            floors.append(v)
+        return floors
+
+    valleys = np.minimum.reduceat(x, np.append(0, maxima)).tolist()
+    h = heights.tolist()
+    left = basin_floors(h, valleys[:-1])
+    right = basin_floors(h[::-1], valleys[:0:-1])[::-1]
+    ok = heights - np.maximum(left, right) >= prominence
+    if keep is not None:
+        ok &= keep
+    return maxima[ok]
+
+
+ROW_KINDS = ("plateaus", "flat_ends", "twins", "noisy", "no_maximum", "crowded")
+
+
+@st.composite
+def peak_blocks(draw):
+    """(S, T) blocks whose rows mix the shapes the block finder special-cases.
+
+    S runs past a 32-row chunk; every row is one of ``ROW_KINDS``: stepped
+    plateaus, plateaus running into both ends, equal twin maxima, noisy
+    cycles, monotone or constant rows, and maxima closer than the distance.
+    """
+    s = draw(st.integers(1, 40))
+    t = draw(st.integers(3, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=s, max_size=s)):
+        if kind == "plateaus":
+            row = rng.integers(0, rng.integers(1, 6), t).astype(float)
+        elif kind == "flat_ends":
+            row = rng.integers(0, 4, t).astype(float)
+            edge = rng.integers(1, t // 2 + 1)
+            row[:edge], row[t - edge:] = row.max() + 1, row.max() + 1
+        elif kind == "twins":
+            row = np.tile([0.0, 2.0, 1.0, 2.0], t // 4 + 1)[:t]
+        elif kind == "noisy":
+            row = (sinusoid(rng.uniform(4, 40), t, phase=rng.uniform(0, 6))
+                   + rng.normal(0, rng.choice([0.0, 0.05, 0.5]), t))
+        elif kind == "no_maximum":
+            row = rng.choice([np.ones(t), np.arange(t, dtype=float), -np.arange(t, 0.0, -1)])
+        else:
+            row = sinusoid(rng.uniform(2, 4), t) + rng.normal(0, 0.1, t)
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestBlockPeaks:
+    """The block finder, row by row, against the retired finder and scipy."""
+
+    @given(block=peak_blocks(), distance=st.integers(1, 7),
+           prominence=st.sampled_from([1e-300, 0.01, 0.5, 1.0, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_oracle(self, block, distance, prominence):
+        thresholds = prominence * np.arange(1, block.shape[0] + 1) / block.shape[0]
+        counts, cols = phase._block_peaks(block, distance, thresholds)
+        assert counts.shape == (block.shape[0],) and counts.sum() == cols.size
+        for row, got, th in zip(block, np.split(cols, np.cumsum(counts)[:-1]), thresholds):
+            np.testing.assert_array_equal(got, oracle_find_peaks(row, distance, th))
+
+    @given(block=peak_blocks(), distance=st.integers(1, 7),
+           prominence=st.sampled_from([1e-300, 0.01, 0.5, 1.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_scipy(self, find_peaks, block, distance, prominence):
+        counts, cols = phase._block_peaks(block, distance, np.full(block.shape[0], prominence))
+        for row, got in zip(block, np.split(cols, np.cumsum(counts)[:-1])):
+            np.testing.assert_array_equal(got, find_peaks(row, distance=distance,
+                                                          prominence=prominence)[0])
+
+    @given(block=peak_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_block_interquartile_range_uses_numpy_percentiles(self, block):
+        q75, q25 = np.percentile(block, [75, 25], axis=1)
+        np.testing.assert_array_equal(phase._interquartile_range(block), q75 - q25)
+
+
 def oracle_phase_fill(size, peaks):
     """The per-interval loop that filled ``phase_series`` phases, kept as reference."""
     phi = np.full(size, np.nan)
@@ -302,27 +410,27 @@ class TestEpsilonSweep:
         assert entrained == pytest.approx(uncoupled_mean, rel=0.10)
 
     def test_one_peak_pass_per_series(self, monkeypatch):
-        # frequencies and coherence come from one peak detection per node and
-        # epsilon, and equal the old frequency pass plus phase-matrix pass
-        trajs, calls = [], []
-        batch, peaks = phase.simulate_batch, phase.detect_peaks
+        # frequencies and coherence come from one block peak pass over every
+        # node and epsilon, and equal the old frequency pass plus phase-matrix pass
+        trajs, blocks = [], []
+        batch, block_peaks = phase.simulate_batch, phase._block_peaks
 
         def recording_batch(*args, **kwargs):
             trajs.extend(batch(*args, **kwargs))
             return trajs
 
-        def counting_peaks(*args, **kwargs):
-            calls.append(args)
-            return peaks(*args, **kwargs)
+        def counting_block_peaks(block, *args):
+            blocks.append(block.shape)
+            return block_peaks(block, *args)
 
         monkeypatch.setattr(phase, "simulate_batch", recording_batch)
-        monkeypatch.setattr(phase, "detect_peaks", counting_peaks)
+        monkeypatch.setattr(phase, "_block_peaks", counting_block_peaks)
         peak_kwargs = {"min_separation": 4, "smooth_window": 3}
         result = epsilon_sweep(build_topology("complete", 4),
                                agents([-0.1, -0.07, -0.04, -0.02]), eps_grid=[0.0, 0.3],
                                cfg=SimulationConfig(steps=1500, burn_in=300, seed=3),
                                peak_kwargs=peak_kwargs)
-        assert len(calls) == 2 * 4
+        assert blocks == [(2 * 4, 1200)]
         for k, traj in enumerate(trajs):
             np.testing.assert_array_equal(
                 result.omegas[k], [measured_frequency(traj.y[:, i], **peak_kwargs)
@@ -514,6 +622,34 @@ class TestSyncCentrality:
         for name in ("scores", "raw_differences", "stderr", "mean_frequencies"):
             np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
         assert split.benchmark_frequency == whole.benchmark_frequency
+
+    def test_blocks_equal_per_run_measured_frequency(self, monkeypatch):
+        # 3 draws x 6 keys = 18 runs in simulation blocks of 10 and 8; the
+        # 50 paths of the first block split into peak blocks of 32 and 18,
+        # mid-run
+        net = uniform_coupling(build_topology("star", 5), 0.5)
+        cfg = SimulationConfig(steps=1500, burn_in=400, seed=5)
+        real, trajs = phase.simulate_batch, []
+
+        def recording_batch(*args, **kwargs):
+            trajs.extend(real(*args, **kwargs))
+            return trajs[-len(args[1]):]
+
+        monkeypatch.setattr(phase, "simulate_batch", recording_batch)
+        monkeypatch.setattr(phase, "_DRAWS_PER_BATCH", 10)
+        result = sync_centrality(net, cfg, n_draws=3)
+        assert len(trajs) == 18 and 10 * net.n > phase._SERIES_PER_BLOCK
+        sims = np.array([np.mean([measured_frequency(traj.y[:, i]) for i in range(net.n)])
+                         for traj in trajs]).reshape(net.n + 1, 3)
+        np.testing.assert_array_equal(result.mean_frequencies, sims[:net.n].mean(axis=1))
+        assert result.benchmark_frequency == sims[net.n].mean()
+
+    def test_chain_entrainment_failure_keeps_its_spread(self):
+        # the command-line defaults on a 6-node chain: draw 0 of node 0 fails
+        net = uniform_coupling(build_topology("chain", 6), 0.5)
+        with pytest.raises(EntrainmentFailure, match=r"^focus node 0, draw 0: frequency spread "
+                                                     r"0\.3208 exceeds tolerance 0\.05$"):
+            sync_centrality(net, SimulationConfig(steps=2000), n_draws=100)
 
     def test_csv_export(self, tmp_path):
         n = 4

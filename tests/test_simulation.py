@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclesync import empirics, phase
-from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f
+from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f, single_agent_step
 from cyclesync.errors import ConfigError, NumericalBlowup
 from cyclesync.networks import InteractionNetwork, build_topology, uniform_coupling
 from cyclesync.simulation import (
@@ -18,6 +19,10 @@ from cyclesync.simulation import (
     simulate,
     simulate_batch,
     _ar1_recursion,
+    _CHECK_EVERY,
+    _initial_states,
+    _iterate,
+    _per_node_params,
     _shock_paths,
     _streams,
 )
@@ -535,6 +540,89 @@ class TestBatchParity:
         with pytest.raises(ConfigError):
             simulate_batch(single_net(), [cycle_params()] * 2, Q, None, cfg,
                            seeds=[1])
+
+
+def oracle_iterate(w, a0, a1, a2, de, x, y, q, steps, retain, bound, shock_sum=None):
+    """The allocating loop the in-place kernel replaced, stepping with
+    ``single_agent_step`` and checking for blow-up after every step."""
+    coeffs = SimpleNamespace(alpha0=a0, alpha1=a1, alpha2=a2, delta=de)
+    keep_from = steps - retain
+    ys = np.empty((y.shape[0], retain, y.shape[1]))
+    x_start = None
+    for t in range(steps):
+        ybar = np.matmul(w, y[:, :, None])[:, :, 0]
+        x, y = single_agent_step(x, y, ybar, coeffs, q)
+        if shock_sum is not None:
+            y += shock_sum[:, t]
+        bad = ~(np.isfinite(y) & (np.abs(y) <= bound)).all(axis=1)
+        if bad.any():
+            run = int(np.argmax(bad))
+            raise NumericalBlowup(step=t, value=float(np.max(np.abs(y[run]))), bound=bound,
+                                  run=run)
+        if t == keep_from:
+            x_start = x
+        if t >= keep_from:
+            ys[:, t - keep_from] = y
+    return x_start, ys
+
+
+def kernel_inputs(b, n, per_run_weights):
+    """Coupling, per-node coefficients and perturbed starts of ``b`` runs on ``n`` nodes."""
+    eps = np.linspace(0.1, 0.5, b)
+    nets = [uniform_coupling(build_topology("complete", n), e) if n > 1 else single_net()
+            for e in eps]
+    w = np.stack([net.weights for net in nets]) if per_run_weights else nets[0].weights
+    coeffs = [np.stack(c) for c in zip(*(_per_node_params(hetero_params(n, shift), n)
+                                         for shift in np.linspace(-0.005, 0.005, b)))]
+    x, y = _initial_states(coeffs[3], SimulationConfig(steps=1), range(b))
+    return (w, *coeffs, x, y)
+
+
+class TestStepKernel:
+    """The in-place kernel against the per-step loop, bit for bit."""
+
+    @pytest.mark.parametrize("b, n, per_run_weights", [(1, 1, False), (3, 5, True),
+                                                       (4, 6, False)])
+    @pytest.mark.parametrize("steps, retain", [(1, 1), (63, 63), (64, 1), (129, 65),
+                                               (200, 137), (300, 236)])
+    def test_matches_per_step_loop(self, b, n, per_run_weights, steps, retain):
+        args = kernel_inputs(b, n, per_run_weights)
+        starts = [a.copy() for a in args[-2:]]
+        shocks = np.random.default_rng(1).normal(0.0, 0.02, (b, steps, n))
+        for shock_sum in (None, shocks):
+            got = _iterate(*args, Q, steps, retain, 1e3, shock_sum)
+            want = oracle_iterate(*args, Q, steps, retain, 1e3, shock_sum)
+            for name, g, w in zip(("x_start", "ys"), got, want):
+                np.testing.assert_array_equal(g, w, strict=True, err_msg=name)
+        for start, arg in zip(starts, args[-2:]):
+            np.testing.assert_array_equal(arg, start)
+
+    @pytest.mark.parametrize("step, retain", [(0, 10), (63, 10), (64, 10), (0, 200),
+                                              (63, 200), (64, 200), (199, 10), (199, 200)],
+                             ids=lambda v: str(v))
+    @pytest.mark.parametrize("spikes", [((2, 0), (1, 1)), ((2, 0), (0, 0))],
+                             ids=["later-run-first", "same-step"])
+    @pytest.mark.parametrize("size", [5e3, np.inf])
+    def test_blowup_matches_per_step_loop(self, step, retain, spikes, size):
+        # each (run, delay) spike lands at step + delay: the first step wins,
+        # then the first run at that step; later laps blow up to inf and NaN
+        assert _CHECK_EVERY == 64
+        steps = 200
+        args = kernel_inputs(3, 4, True)
+        shocks = np.zeros((3, steps, 4))
+        for run, delay in spikes:
+            if step + delay < steps:
+                shocks[run, step + delay, 1 + run] = size
+        with pytest.raises(NumericalBlowup) as want:
+            oracle_iterate(*args, Q, steps, retain, 1e3, shocks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBlowup) as got:
+                _iterate(*args, Q, steps, retain, 1e3, shocks)
+        assert got.value.step == want.value.step == step
+        assert got.value.run == want.value.run
+        assert got.value.value == want.value.value
+        assert str(got.value) == str(want.value)
 
 
 class TestBatchedCallersParity:
