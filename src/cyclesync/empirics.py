@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -110,6 +111,8 @@ class PanelSeries:
     when the panel is built, so ``keys`` and ``series`` cost O(rows) for
     the whole panel.  ``gaps`` is derived from the records in the same
     order: the missing years inside each series' span, for series with any.
+    Two records for one (country, sector, variable, year) raise
+    :class:`DuplicateKey`.
     """
 
     records: list
@@ -123,6 +126,9 @@ class PanelSeries:
         self.gaps = {}
         for key, series in self._index.items():
             years = {r.year for r in series}
+            if len(years) < len(series):
+                year = next(y for y, c in Counter(r.year for r in series).items() if c > 1)
+                raise DuplicateKey(f"two records for {key + (year,)}")
             missing = sorted(set(range(min(years), max(years) + 1)) - years)
             if missing:
                 self.gaps[key] = missing

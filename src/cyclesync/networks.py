@@ -330,6 +330,24 @@ def build_io_network(flows: FlowTable) -> InteractionNetwork:
                               outputs=outputs)
 
 
+def _reversible_centrality(net: InteractionNetwork):
+    """The stationary distribution pi when W is reversible with respect to it,
+    else None.
+
+    W is reversible when its support is symmetric, it is irreducible and the
+    flows pi_i W_ij satisfy detailed balance pi_i W_ij = pi_j W_ji to 1e-12
+    relative to the largest flow.
+    """
+    links = net.weights > 0
+    if not np.array_equal(links, links.T) or not _reaches_all(links):
+        return None
+    pi = eigenvector_centrality(net)
+    flows = pi[:, None] * net.weights
+    if np.max(np.abs(flows - flows.T)) > 1e-12 * np.max(flows):
+        return None
+    return pi
+
+
 def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
     """Spectral decomposition of the coupling operator B = I - W.
 
@@ -337,19 +355,33 @@ def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
     gives B = eps * (I - A/k): the spectrum of the degree-normalized
     Laplacian scaled by eps, with the constant vector in the kernel.
 
-    Directed networks may have complex conjugate eigenvalue pairs.  Each
-    pair is represented by the two real columns (Re v, Im v) spanning its
-    invariant plane, keeping the mode matrix real and invertible; the real
-    parts of the eigenvalues are used downstream and the largest imaginary
-    magnitude is recorded.  Imaginary parts beyond 0.2 abort rather than
-    silently degrade the real-part approximation, and a singular mode
-    matrix raises :class:`IllConditioned`.
+    A symmetric B is decomposed with ``eigh``.  So is a reversible W, one
+    in detailed balance with its stationary distribution pi (uniform
+    coupling on any undirected graph, IO tables with symmetric flows):
+    with D = diag(pi), S = D^(1/2) B D^(-1/2) is symmetric, the modes are
+    the columns of D^(-1/2) U for S's eigenvectors U, and their inverse is
+    U^T D^(1/2) in closed form.  This keeps the basis well conditioned
+    where an eigenvalue repeats.
+
+    Other directed networks may have complex conjugate eigenvalue pairs.
+    Each pair is represented by the two real columns (Re v, Im v) spanning
+    its invariant plane, keeping the mode matrix real and invertible; the
+    real parts of the eigenvalues are used downstream and the largest
+    imaginary magnitude is recorded.  Imaginary parts beyond 0.2 abort
+    rather than silently degrade the real-part approximation, and a
+    singular mode matrix raises :class:`IllConditioned`.
     """
     b = np.eye(net.n) - net.weights
     symmetric = np.allclose(b, b.T, atol=1e-13)
+    pi = None if symmetric else _reversible_centrality(net)
+    max_imag = 0.0
     if symmetric:
         lam_real, q_real = np.linalg.eigh(b)
-        max_imag = 0.0
+    elif pi is not None:
+        root = np.sqrt(pi)
+        s = root[:, None] * b / root
+        lam_real, u = np.linalg.eigh(0.5 * (s + s.T))
+        q_real = u / root[:, None]
     else:
         lam, q = np.linalg.eig(b)
         order = np.argsort(lam.real, kind="stable")
@@ -379,21 +411,25 @@ def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
         raise NumericalError("a real eigenvector basis column collapsed")
     q_real = q_real / norms
     # deterministic sign: largest-magnitude component positive
-    for col in range(q_real.shape[1]):
-        pivot = np.argmax(np.abs(q_real[:, col]))
-        if q_real[pivot, col] < 0:
-            q_real[:, col] = -q_real[:, col]
+    pivots = np.argmax(np.abs(q_real), axis=0)
+    signs = np.where(q_real[pivots, np.arange(net.n)] < 0, -1.0, 1.0)
+    q_real = q_real * signs
 
-    # ascending on both paths: eigh sorts, and eig's values were sorted above
+    # ascending on every path: eigh sorts, and eig's values were sorted above
     if net.n > 1 and lam_real[1] < 1e-10:
         raise Disconnected(
             f"second eigenvalue {lam_real[1]:.3g} vanishes: network disconnected"
         )
-    try:
-        q_inv = q_real.T if symmetric else np.linalg.inv(q_real)
-    except np.linalg.LinAlgError:
-        raise IllConditioned("eigenvector matrix is singular: the modes do not "
-                             "span the node space") from None
+    if symmetric:
+        q_inv = q_real.T
+    elif pi is not None:
+        q_inv = (u.T * root) * (norms * signs)[:, None]
+    else:
+        try:
+            q_inv = np.linalg.inv(q_real)
+        except np.linalg.LinAlgError:
+            raise IllConditioned("eigenvector matrix is singular: the modes do not "
+                                 "span the node space") from None
     return SpectralDecomposition(matrix=b, eigenvalues=lam_real,
                                  modes=q_real, modes_inv=q_inv,
                                  max_imag=max_imag)

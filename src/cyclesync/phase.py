@@ -226,12 +226,6 @@ def _block_peaks(block: np.ndarray, distance: float, prominence) -> tuple:
     return np.bincount(rows[ok], minlength=s), cols[ok]
 
 
-def _find_peaks(x: np.ndarray, distance: float, prominence: float) -> np.ndarray:
-    """``scipy.signal.find_peaks(x, distance=, prominence=)[0]`` for finite ``x``:
-    :func:`_block_peaks` on the block of one row."""
-    return _block_peaks(x[None], distance, [prominence])[1]
-
-
 def _series_peaks(block: np.ndarray, min_separation: int = 5, min_prominence: float = None,
                   smooth_window: int = 1) -> tuple:
     """:func:`detect_peaks`' selection on every row of an (S, T) block of finite series.

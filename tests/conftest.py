@@ -106,6 +106,24 @@ def paper_flow_table(seed: int) -> FlowTable:
     return FlowTable(records)
 
 
+def hub_flow_table() -> FlowTable:
+    """One country: a hub sector trading evenly with four identical leaf sectors.
+
+    The leaves repeat the eigenvalue 0.8 of I - W three times.  Final demand
+    takes different shares of hub and leaf output, so W is not reversible
+    (its detailed-balance gap is 0.14 of the largest flow) and its modes come
+    from ``np.linalg.eig``; the spectrum is real.
+    """
+    records = [FlowRecord("HUB", "X", "HUB", "X", 2.0),
+               FlowRecord("HUB", "X", FINAL_DEMAND, "X", 6.0)]
+    for leaf in ("L1", "L2", "L3", "L4"):
+        records += [FlowRecord(leaf, "X", leaf, "X", 1.0),
+                    FlowRecord(leaf, "X", "HUB", "X", 3.0),
+                    FlowRecord("HUB", "X", leaf, "X", 3.0),
+                    FlowRecord(leaf, "X", FINAL_DEMAND, "X", 1.0)]
+    return FlowTable(records)
+
+
 @pytest.fixture(scope="session")
 def paper_io_network():
     return build_io_network(paper_flow_table(seed=0))

@@ -18,9 +18,20 @@ from cyclesync.cli import main
 from cyclesync.networks import build_topology, uniform_coupling
 from cyclesync.simulation import ShockConfig, SimulationConfig
 
+from conftest import hub_flow_table
+
 
 def run(args, tmp_path):
     return main(args + ["--outdir", str(tmp_path)])
+
+
+def hub_network(tmp_path):
+    """``--set`` options for the hub flow table, written below ``tmp_path``;
+    the network is not reversible, so its modes come from eig."""
+    flows = tmp_path / "input" / "flows.csv"
+    flows.parent.mkdir()
+    hub_flow_table().to_csv(flows)
+    return ["--set", "network.kind=io", "--set", f"network.flows={flows}"]
 
 
 def simulate_nothing(*args, **kwargs):
@@ -327,8 +338,7 @@ class TestOtherCommands:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_singular_mode_matrix_exits_numerical(self, tmp_path, capsys, singular_modes):
-        code = run(["shock-response", "--set", "network.kind=star", "--set", "network.n=6",
-                    "--set", "network.eps=0.5"], tmp_path)
+        code = run(["shock-response", *hub_network(tmp_path)], tmp_path)
         assert code == 3
         assert capsys.readouterr().err.startswith(
             "numerical error: eigenvector matrix is singular")
@@ -336,8 +346,7 @@ class TestOtherCommands:
 
     def test_ill_conditioned_mode_matrix_exits_numerical(self, tmp_path, capsys,
                                                          near_singular_modes):
-        code = run(["shock-response", "--set", "network.kind=star", "--set", "network.n=6",
-                    "--set", "network.eps=0.5"], tmp_path)
+        code = run(["shock-response", *hub_network(tmp_path)], tmp_path)
         assert code == 3
         assert re.fullmatch(r"numerical error: eigenvector condition number \S+ too large\n",
                             capsys.readouterr().err)

@@ -270,6 +270,14 @@ class TestLoadPanel:
         assert list(panel.gaps) == [("US", "D", "emp"), ("DE", "F", "va")]
         assert panel.gaps == oracle_gaps(records)
 
+    def test_panel_built_from_records_rejects_duplicate_year(self):
+        records = [PanelRecord("JP", "D", "emp", 1999, 0.4),
+                   PanelRecord("US", "D", "emp", 2000, 1.0),
+                   PanelRecord("US", "D", "emp", 2001, 1.1),
+                   PanelRecord("US", "D", "emp", 2000, 1.2)]
+        with pytest.raises(DuplicateKey, match=r"\('US', 'D', 'emp', 2000\)"):
+            PanelSeries(records)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_reports_line(self, tmp_path, value):
         path = write_panel(tmp_path, [

@@ -27,6 +27,8 @@ from cyclesync.networks import (
     uniform_coupling,
 )
 
+from conftest import hub_flow_table
+
 
 # --------------------------------------------------------------------------
 # oracle: the first-seen list scans that the shared grouping helper
@@ -415,10 +417,35 @@ class TestSpectra:
             generalized_laplacian(uniform_coupling(Adjacency(m), 1.0))
 
     def test_singular_mode_matrix_rejected(self, singular_modes):
-        # star-6 couples non-symmetrically, so its modes come from eig
-        net = uniform_coupling(build_topology("star", 6), 0.5)
+        # the hub network is not reversible, so its modes come from eig
         with pytest.raises(IllConditioned, match="singular"):
-            generalized_laplacian(net)
+            generalized_laplacian(build_io_network(hub_flow_table()))
+
+    def test_repeated_eigenvalues_keep_reversible_modes_conditioned(self):
+        # random connected graphs with three to five twin leaves on one node:
+        # the twins repeat the eigenvalue eps, where eig may return nearly
+        # parallel eigenvectors.  Uniform coupling on an undirected graph is
+        # reversible, and its modes D^(-1/2) U, columns normalized, have a
+        # condition number of at most pi_max / pi_min.
+        from cyclesync.networks import Adjacency
+        rng = np.random.default_rng(12345)
+        for _ in range(300):
+            n, twins = int(rng.integers(3, 10)), int(rng.integers(3, 6))
+            m = np.zeros((n + twins, n + twins))
+            core = np.triu(rng.random((n, n)) < 0.4, 1)
+            m[:n, :n] = core + core.T
+            idx = np.arange(n - 1)
+            m[idx, idx + 1] = m[idx + 1, idx] = 1
+            hub = int(rng.integers(n))
+            m[hub, n:] = m[n:, hub] = 1
+            net = uniform_coupling(Adjacency(m), float(rng.uniform(0.02, 1.0)))
+            spec = generalized_laplacian(net)
+            assert np.min(np.diff(spec.eigenvalues)) < 1e-9
+            pi = eigenvector_centrality(net)
+            assert np.linalg.cond(spec.modes) <= pi.max() / pi.min() * (1 + 1e-9)
+            np.testing.assert_allclose(spec.modes @ spec.modes_inv, np.eye(net.n), atol=1e-12)
+            recon = spec.modes @ np.diag(spec.eigenvalues) @ spec.modes_inv
+            np.testing.assert_allclose(recon, spec.matrix, atol=1e-12)
 
     def test_two_clique_mode_pattern(self, two_clique_adj):
         spec = generalized_laplacian(uniform_coupling(two_clique_adj, 1.0))

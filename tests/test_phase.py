@@ -136,7 +136,8 @@ class TestFindPeaksOracle:
     @example(x=np.array([0.0, 3, 0, 3, 0, 3, 0, 1, 0]), distance=3, prominence=1.0)
     def test_stepped_series(self, find_peaks, x, distance, prominence):
         want = find_peaks(x, distance=distance, prominence=prominence)[0]
-        np.testing.assert_array_equal(phase._find_peaks(x, distance, prominence), want)
+        np.testing.assert_array_equal(phase._block_peaks(x[None], distance, [prominence])[1],
+                                      want)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 2000),
            noise=st.sampled_from([0.0, 0.05, 0.5, 5.0]), distance=st.integers(1, 7),
@@ -146,7 +147,8 @@ class TestFindPeaksOracle:
         rng = np.random.default_rng(seed)
         x = sinusoid(rng.uniform(4, 80), n, phase=rng.uniform(0, 6)) + rng.normal(0, noise, n)
         want = find_peaks(x, distance=distance, prominence=prominence)[0]
-        np.testing.assert_array_equal(phase._find_peaks(x, distance, prominence), want)
+        np.testing.assert_array_equal(phase._block_peaks(x[None], distance, [prominence])[1],
+                                      want)
 
     @pytest.mark.parametrize("smooth_window", [1, 5])
     def test_detect_peaks_on_simulated_paths(self, find_peaks, smooth_window):
