@@ -302,7 +302,8 @@ def cmd_scenarios(cfg: dict, args) -> dict:
     write_table(args.outdir / "figure-scenarios.csv", _FIGURE, [r.sigma_u for r in rows],
                 [r.mean_corr for r in rows],
                 [f"{r.dynamics}/{r.shock_type}/{r.group}" for r in rows])
-    return {"cells": len(rows), "n_seeds": spec.n_seeds}
+    # two rows per cell, one per grouping
+    return {"cells": len(rows) // 2, "n_seeds": spec.n_seeds}
 
 
 #: the [run] keys of the experiments that pass only a run window and seed on

@@ -484,8 +484,18 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
     sigma_u, grouping), with the mean and standard deviation over seeds.
     Every (cell, seed) run of the grid is simulated in grid order, in
     blocks of ``_RUNS_PER_BATCH`` runs.  A run that blows up raises
-    :class:`NumericalError` naming its cell and seed.
+    :class:`NumericalError` naming its cell and seed.  A network whose
+    groups hold no sector pair or no other country raises
+    :class:`ConfigError` before anything is simulated.
     """
+    countries = list(_node_groups(net.countries))
+    try:
+        grouped_correlations(np.zeros((net.n, net.n)), list(zip(net.sectors, net.countries)),
+                             "within_country_sectors", spec.exclusions)
+        grouped_correlations(np.zeros((len(countries),) * 2), countries,
+                             "across_country_aggregates")
+    except EmptyGroup as exc:
+        raise ConfigError(str(exc)) from None
     cells = list(itertools.product(spec.dynamics, spec.shock_types, map(float, spec.sigma_u_grid)))
     runs = [(*cell, seed) for cell in cells for seed in range(spec.n_seeds)]
     cfg = SimulationConfig(steps=spec.steps, retain=spec.retain)

@@ -339,9 +339,12 @@ def _reversible_centrality(net: InteractionNetwork):
     relative to the largest flow.
     """
     links = net.weights > 0
-    if not np.array_equal(links, links.T) or not _reaches_all(links):
+    if not np.array_equal(links, links.T):
         return None
-    pi = eigenvector_centrality(net)
+    try:
+        pi = eigenvector_centrality(net)
+    except Reducible:
+        return None
     flows = pi[:, None] * net.weights
     if np.max(np.abs(flows - flows.T)) > 1e-12 * np.max(flows):
         return None
@@ -355,8 +358,8 @@ def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
     gives B = eps * (I - A/k): the spectrum of the degree-normalized
     Laplacian scaled by eps, with the constant vector in the kernel.
 
-    A symmetric B is decomposed with ``eigh``.  So is a reversible W, one
-    in detailed balance with its stationary distribution pi (uniform
+    An exactly symmetric B is decomposed with ``eigh``.  So is a reversible
+    W, one in detailed balance with its stationary distribution pi (uniform
     coupling on any undirected graph, IO tables with symmetric flows):
     with D = diag(pi), S = D^(1/2) B D^(-1/2) is symmetric, the modes are
     the columns of D^(-1/2) U for S's eigenvectors U, and their inverse is
@@ -372,7 +375,7 @@ def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
     singular mode matrix raises :class:`IllConditioned`.
     """
     b = np.eye(net.n) - net.weights
-    symmetric = np.allclose(b, b.T, atol=1e-13)
+    symmetric = np.array_equal(b, b.T)
     pi = None if symmetric else _reversible_centrality(net)
     max_imag = 0.0
     if symmetric:

@@ -336,11 +336,6 @@ def mean_pairwise_correlation(series) -> float:
     return float(corr[iu].mean())
 
 
-def _relative_spread(omegas) -> float:
-    omegas = np.asarray(omegas, dtype=float)
-    return float((omegas.max() - omegas.min()) / omegas.mean())
-
-
 def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
                   q: QuarticCoefficients = DEFAULT_QUARTIC,
                   shocks: ShockConfig = None,
@@ -366,14 +361,12 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
         trajs = simulate_batch(nets, [params] * eps_grid.size, q, shocks, cfg)
     except NumericalBlowup as exc:
         raise exc.named(f"eps {eps_grid[exc.run]:g}") from exc
-    counts, cols, ends = _peak_table(trajs, peak_kwargs, f"eps {eps_grid[0]:g}")
-    omegas = _frequencies(counts, cols, ends)
+    counts, cols, ends, omegas = _peak_table(trajs, peak_kwargs, f"eps {eps_grid[0]:g}")
     for k, traj in enumerate(trajs):
-        _check_peak_counts(counts[k], traj.labels, f"eps {eps_grid[k]:g}")
+        spread[k] = _spread(counts[k], omegas[k], traj.labels, f"eps {eps_grid[k]:g}")
         coherence[k] = phase_coherence(np.column_stack(
             [_phase(traj.y.shape[0], cols[e - c:e]) for c, e in zip(counts[k], ends[k])]))
         mean_corr[k] = mean_pairwise_correlation(traj.y)
-        spread[k] = _relative_spread(omegas[k])
     entrained = spread < entrain_tol
     return EntrainmentResult(eps_grid=eps_grid, omegas=omegas,
                              coherence=coherence, mean_correlation=mean_corr,
@@ -383,9 +376,10 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
 def _peak_table(trajs, peak_kwargs, where) -> tuple:
     """Peaks of every node's y path in every run, ``_SERIES_PER_BLOCK`` paths at a time.
 
-    Returns ``(counts, cols, ends)``: each path's peak count as an (R, N)
-    array, all peak columns in (run, node) order, and where each path's
-    columns end in ``cols``.  Paths too short for the separation raise
+    Returns ``(counts, cols, ends, omegas)``: each path's peak count as an
+    (R, N) array, all peak columns in (run, node) order, where each path's
+    columns end in ``cols``, and each path's frequency as an (R, N) array,
+    NaN below three peaks.  Paths too short for the separation raise
     :class:`TooFewPeaks` naming ``where``, the first run, and its first node.
     """
     paths = [(traj.y, i) for traj in trajs for i in range(traj.y.shape[1])]
@@ -399,25 +393,26 @@ def _peak_table(trajs, peak_kwargs, where) -> tuple:
         counts.append(block_counts)
         cols.append(block_cols)
     counts = np.concatenate(counts).reshape(len(trajs), -1)
-    return counts, np.concatenate(cols), np.cumsum(counts).reshape(counts.shape)
-
-
-def _frequencies(counts, cols, ends) -> np.ndarray:
-    """Each path's frequency from a peak table; NaN where it has fewer than three peaks."""
-    out = np.full(counts.shape, np.nan)
+    cols = np.concatenate(cols)
+    ends = np.cumsum(counts).reshape(counts.shape)
+    omegas = np.full(counts.shape, np.nan)
     ok = counts >= 3
     count, end = counts[ok], ends[ok]
-    out[ok] = _frequency(cols[end - count], cols[end - 1], count)
-    return out
+    omegas[ok] = _frequency(cols[end - count], cols[end - 1], count)
+    return counts, cols, ends, omegas
 
 
-def _check_peak_counts(counts, labels, where):
-    """Raise :class:`TooFewPeaks` naming ``where`` and the first node of a run
-    with fewer than three peaks."""
+def _spread(counts, omegas, labels, where) -> float:
+    """Relative spread (max - min)/mean of one run's path frequencies.
+
+    Raises :class:`TooFewPeaks` naming ``where`` and the run's first node
+    with fewer than three peaks.
+    """
     short = np.flatnonzero(counts < 3)
     if short.size:
         i = short[0]
         raise TooFewPeaks(f"{where}, node {labels[i]}: found {counts[i]} peaks, need at least 3")
+    return float((omegas.max() - omegas.min()) / omegas.mean())
 
 
 def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int = 1000,
@@ -476,11 +471,9 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
                                    q, None, cfg)
         except NumericalBlowup as exc:
             raise exc.named(where(*block[exc.run][:2])) from exc
-        counts, cols, ends = _peak_table(trajs, peak_kwargs, where(*block[0][:2]))
-        for (key, d, _, _), traj, n_peaks, omegas in zip(block, trajs, counts,
-                                                         _frequencies(counts, cols, ends)):
-            _check_peak_counts(n_peaks, traj.labels, where(key, d))
-            spread = _relative_spread(omegas)
+        counts, _, _, block_omegas = _peak_table(trajs, peak_kwargs, where(*block[0][:2]))
+        for (key, d, _, _), traj, n_peaks, omegas in zip(block, trajs, counts, block_omegas):
+            spread = _spread(n_peaks, omegas, traj.labels, where(key, d))
             if spread >= entrain_tol:
                 raise EntrainmentFailure(f"{where(key, d)}: frequency spread {spread:.4f} "
                                          f"exceeds tolerance {entrain_tol}")

@@ -290,14 +290,14 @@ class TestOtherCommands:
         assert len(rows) == 2 * 10 * (1 + 29 * 136)
 
     def test_scenarios_smoke_preset(self, tmp_path):
-        code = run(["scenarios", "--preset", "scenarios-smoke",
-                    "--set", "scenarios.sigma_u_grid=0.1,0.3",
-                    "--set", "scenarios.dynamics=cycle,node"], tmp_path)
+        code = run(["scenarios", "--preset", "scenarios-smoke"], tmp_path)
         assert code == 0
         lines = (tmp_path / "scenario-results.csv").read_text().strip().splitlines()
         assert lines[0] == \
             "dynamics,shock_type,sigma_u,group,mean_corr,sd_corr,n_seeds"
-        assert len(lines) == 1 + 2 * 1 * 2 * 2
+        # 3 dynamics x 1 shock type x 3 sigma_u values, two groupings each
+        assert len(lines) == 1 + 3 * 1 * 3 * 2
+        assert json.loads((tmp_path / "metadata.json").read_text())["cells"] == 9
         assert (tmp_path / "figure-scenarios.csv").exists()
 
     def test_jobs_is_not_an_option(self, tmp_path, capsys):
@@ -456,6 +456,21 @@ class TestOtherCommands:
             argv += ["--set", setting]
         assert run(argv, tmp_path) == 2
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("settings, message", [
+        (["network.kind=complete"], "no cross-country entries for None"),
+        (["network.kind=demo_io", "scenarios.exclusions=AGR,MFG,SVC,CON"],
+         "no sector pairs for country 'AAA'"),
+    ], ids=["one-country", "all-sectors-excluded"])
+    def test_scenarios_reject_empty_groups_before_simulating(
+            self, settings, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(empirics, "simulate_batch", simulate_nothing)
+        argv = ["scenarios"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert run(argv, tmp_path) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("argv, message", [

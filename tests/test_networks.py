@@ -421,6 +421,16 @@ class TestSpectra:
         with pytest.raises(IllConditioned, match="singular"):
             generalized_laplacian(build_io_network(hub_flow_table()))
 
+    def test_near_symmetric_weights_get_exact_eigenpairs(self):
+        # a doubly stochastic W nudged off symmetry by 5e-7: eigh on B would
+        # read one triangle only and miss the eigenpairs by about 6e-7
+        w = np.array([[.5, .3, .2, 0], [.3, .4, .1, .2], [.2, .1, .3, .4], [0, .2, .4, .4]])
+        w[0, 1] += 5e-7
+        w[0, 2] -= 5e-7
+        spec = generalized_laplacian(InteractionNetwork(weights=w))
+        residual = spec.matrix @ spec.modes - spec.modes * spec.eigenvalues
+        assert np.max(np.abs(residual)) <= 1e-12
+
     def test_repeated_eigenvalues_keep_reversible_modes_conditioned(self):
         # random connected graphs with three to five twin leaves on one node:
         # the twins repeat the eigenvalue eps, where eig may return nearly

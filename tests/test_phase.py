@@ -653,6 +653,14 @@ class TestSyncCentrality:
                                                      r"0\.3208 exceeds tolerance 0\.05$"):
             sync_centrality(net, SimulationConfig(steps=2000), n_draws=100)
 
+    def test_errors_follow_run_order(self, monkeypatch):
+        # draw 0 of node 0 fails entrainment before draw 1's flat path is checked
+        net = uniform_coupling(build_topology("chain", 6), 0.5)
+        monkeypatch.setattr(phase, "simulate_batch", flattening(run=1, node=1))
+        with pytest.raises(EntrainmentFailure, match=r"^focus node 0, draw 0: frequency spread "
+                                                     r"0\.3208 exceeds tolerance 0\.05$"):
+            sync_centrality(net, SimulationConfig(steps=2000), n_draws=2)
+
     def test_csv_export(self, tmp_path):
         n = 4
         net = InteractionNetwork(weights=np.full((n, n), 1.0 / n))
