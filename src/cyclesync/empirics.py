@@ -359,8 +359,13 @@ def grouped_correlations(matrix, groups, grouping: str = "within_country_sectors
     excluded sectors and final demand.  ``across_country_aggregates``:
     ``groups`` gives a country per column (one aggregate series each); for
     each country, average its correlations with all other countries.
+    Raises :class:`ConfigError` unless ``matrix`` is square with one row per
+    entry of ``groups``.
     """
     matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (len(groups), len(groups)):
+        raise ConfigError(f"correlation matrix of shape {matrix.shape} does not match "
+                          f"{len(groups)} groups")
     result = {}
     if grouping == "within_country_sectors":
         skipped = {*exclusions, FINAL_DEMAND}

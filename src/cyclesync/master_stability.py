@@ -172,19 +172,27 @@ def _volume_rate(params: AgentParams, fprime: np.ndarray, k) -> np.ndarray:
     return np.log(np.abs(det))
 
 
-def _averaging_window(orbit: SynchronizedOrbit, burn_in: int, window) -> int:
-    """Check the averaging window (None: the rest of the orbit) and return it."""
-    if window is None:
-        window = orbit.steps - burn_in
-    if burn_in < 0:
-        raise ConfigError(f"burn_in must be non-negative, got {burn_in}")
-    if window < 1:
-        raise ConfigError(f"window must be at least 1 step, got {window}")
-    if burn_in + window > orbit.steps:
-        raise ConfigError(
-            f"orbit too short: {orbit.steps} < burn_in {burn_in} + window {window}"
-        )
-    return window
+def _check_window(orbit: SynchronizedOrbit, start: int, length: int,
+                  start_name: str, length_name: str) -> None:
+    """Raise :class:`ConfigError` unless ``start >= 0``, ``length >= 1`` and the
+    orbit holds steps ``start .. start + length - 1``; the messages use the names."""
+    if start < 0:
+        raise ConfigError(f"{start_name} must be non-negative, got {start}")
+    if length < 1:
+        raise ConfigError(f"{length_name} must be at least 1 step, got {length}")
+    if start + length > orbit.steps:
+        raise ConfigError(f"orbit too short: {orbit.steps} < {start_name} {start} + "
+                          f"{length_name} {length}")
+
+
+def _couplings(k) -> np.ndarray:
+    """``k`` as a float array; raises :class:`ConfigError` unless every
+    effective coupling is finite and non-negative."""
+    k = np.asarray(k, dtype=float)
+    bad = ~(np.isfinite(k) & (k >= 0))
+    if bad.any():
+        raise ConfigError(f"effective coupling must be finite and non-negative, got {k[bad][0]}")
+    return k
 
 
 def _jacobian_blocks(params: AgentParams, fprime: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -208,19 +216,31 @@ def _jacobian_blocks(params: AgentParams, fprime: np.ndarray, k: np.ndarray) -> 
     return m[:, 0]
 
 
-def _tangent_exponents(orbit: SynchronizedOrbit, k_grid, burn_in: int, window: int):
-    """Exponents (mu1, mu2) for every K of the grid in one tangent pass.
+def mode_lyapunov(orbit: SynchronizedOrbit, coupling: float,
+                  burn_in: int = 1000, window: int = None) -> MasterStabilityCurve:
+    """The master stability function at the one coupling K of an eigenmode."""
+    return master_stability_function(orbit, [coupling], burn_in, window)
 
-    One tangent vector per K, started at (1, 0), is pushed through the
-    block products of :func:`_jacobian_blocks` and renormalized after each
-    block; mu1 is its mean log growth over the window.  Since the tangent
-    map is 2x2, mu1 + mu2 is the mean log |det M_t|, which gives mu2.  Time
-    is cut into chunks of ``_CHUNK`` steps, so the temporaries stay at
-    about len(K) x _CHUNK x 32 bytes.
+
+def master_stability_function(orbit: SynchronizedOrbit, k_grid,
+                              burn_in: int = 1000,
+                              window: int = None) -> MasterStabilityCurve:
+    """Largest (and second) Lyapunov exponent over a grid of couplings.
+
+    One tangent pass for the whole grid: a tangent per K, started at (1, 0),
+    is pushed through the block products of :func:`_jacobian_blocks` and
+    renormalized after each block.  mu1 is its mean log growth over the
+    ``window`` steps after ``burn_in`` (None: the rest of the orbit), and
+    mu1 + mu2 the mean log |det M_t| of the 2x2 map.  Time is cut into chunks
+    of ``_CHUNK`` steps, so temporaries stay near len(K) x _CHUNK x 32 bytes.
+    Raises :class:`ConfigError` for a window outside the orbit or a K not
+    finite and non-negative, :class:`DegenerateTangent` when a tangent
+    vanishes, overflows or turns NaN.
     """
-    k = np.asarray(k_grid, dtype=float)
-    if np.any(k < 0):
-        raise ConfigError(f"effective coupling must be non-negative, got {k[k < 0][0]}")
+    if window is None:
+        window = orbit.steps - burn_in
+    _check_window(orbit, burn_in, window, "burn_in", "window")
+    k = _couplings(k_grid)
     p = orbit.params
     v = np.zeros((k.size, 2))
     v[:, 0] = 1.0
@@ -250,34 +270,12 @@ def _tangent_exponents(orbit: SynchronizedOrbit, k_grid, burn_in: int, window: i
                 growth += np.log(norms).sum(axis=0)
                 volume += _volume_rate(p, fp[:, None], k).sum(axis=0)
     mu1 = growth / window
-    return mu1, volume / window - mu1
-
-
-def mode_lyapunov(orbit: SynchronizedOrbit, coupling: float,
-                  burn_in: int = 1000, window: int = None) -> MasterStabilityCurve:
-    """The master stability function at the one coupling K of an eigenmode."""
-    return master_stability_function(orbit, [coupling], burn_in, window)
-
-
-def master_stability_function(orbit: SynchronizedOrbit, k_grid,
-                              burn_in: int = 1000,
-                              window: int = None) -> MasterStabilityCurve:
-    """Largest (and second) Lyapunov exponent over a grid of couplings.
-
-    The whole grid is propagated in one blocked tangent pass.  Raises
-    :class:`DegenerateTangent` when a tangent vanishes, overflows or turns NaN.
-    """
-    window = _averaging_window(orbit, burn_in, window)
-    k_grid = np.asarray(k_grid, dtype=float)
-    mu1, mu2 = _tangent_exponents(orbit, k_grid, burn_in, window)
-    return MasterStabilityCurve(k_grid=k_grid, mu1=mu1, mu2=mu2)
+    return MasterStabilityCurve(k_grid=k, mu1=mu1, mu2=volume / window - mu1)
 
 
 def time_resolved_volume_rate(orbit: SynchronizedOrbit, coupling: float) -> np.ndarray:
     """Per-step log |det M_t| aligned with the orbit (one value per step)."""
-    if coupling < 0:
-        raise ConfigError(f"effective coupling must be non-negative, got {coupling}")
-    return _volume_rate(orbit.params, orbit.fprime, coupling)
+    return _volume_rate(orbit.params, orbit.fprime, _couplings(coupling))
 
 
 def _change_basis(matrix, v, spec: SpectralDecomposition) -> np.ndarray:
@@ -330,8 +328,7 @@ def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
     if mat0.shape != (2 * n,):
         raise ConfigError(f"initial deviation must be a single {2 * n} vector, "
                           f"got shape {mat0.shape}")
-    if start + steps > orbit.steps:
-        raise ConfigError("orbit too short for the requested window")
+    _check_window(orbit, start, steps, "start", "steps")
     consistency_tol = 1e-4 if spec.max_imag > 1e-12 else 1e-6
     amplitude = float(orbit.y.max() - orbit.y.min())
     if np.max(np.abs(mat0)) > 0.2 * max(amplitude, 1.0):
@@ -418,6 +415,8 @@ def shock_response_compare(net: InteractionNetwork, params: AgentParams,
     shock = np.asarray(shock, dtype=float)
     if shock.shape != (n,):
         raise ConfigError(f"shock must provide one value per node ({n})")
+    if not np.all(np.isfinite(shock)):
+        raise ConfigError(f"shock must be finite, got {shock[~np.isfinite(shock)][0]}")
     if not 1 <= window_periods < horizon_periods:
         raise ConfigError(f"need 1 <= window_periods < horizon_periods, got window_periods "
                           f"{window_periods} and horizon_periods {horizon_periods}")

@@ -443,8 +443,11 @@ def fiedler_vector(spec: SpectralDecomposition, outputs=None) -> np.ndarray:
 
     With ``outputs`` given, the component of the highest-output node is made
     positive; otherwise the first nonzero component is made positive.  Warns
-    when the spectral gap above lambda_2 nearly vanishes.
+    when the spectral gap above lambda_2 nearly vanishes; raises
+    :class:`ConfigError` for a single node, which has no second eigenvector.
     """
+    if spec.n < 2:
+        raise ConfigError("a network of one node has no Fiedler vector")
     lam = spec.eigenvalues
     if spec.n >= 3 and lam[2] - lam[1] < 1e-8:
         warnings.warn("near-degenerate lambda_2: Fiedler vector is ill-determined",

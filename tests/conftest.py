@@ -129,7 +129,7 @@ def paper_io_network():
     return build_io_network(paper_flow_table(seed=0))
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,28 @@ class TestOtherCommands:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "msf.csv").exists()
+
+    @pytest.mark.parametrize("k_grid, value", [
+        ("nan,1", "nan"), ("inf", "inf"), ("0,-0.5", "-0.5"),
+    ])
+    def test_msf_rejects_non_finite_or_negative_coupling(self, k_grid, value, tmp_path, capsys):
+        # rejected before any Jacobian is formed: numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["msf", "--preset", "msf-default", "--set", f"msf.k_grid={k_grid}",
+                        "--set", "msf.window=2000"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: effective coupling must be finite "
+                                           f"and non-negative, got {value}\n")
+        assert not (tmp_path / "msf.csv").exists()
+
+    @pytest.mark.parametrize("shock", ["nan", "inf", "0.1,-inf"])
+    def test_shock_response_rejects_non_finite_shock(self, shock, tmp_path, capsys):
+        code = run(["shock-response", "--preset", "shock-two-agent",
+                    "--set", f"shock_response.shock={shock}"], tmp_path)
+        assert code == 2
+        assert "shock must be finite, got" in capsys.readouterr().err
+        assert not (tmp_path / "shock-response.csv").exists()
 
     @pytest.mark.parametrize("n_draws", ["0", "-3"])
     def test_sync_centrality_rejects_too_few_draws(self, n_draws, tmp_path, capsys):

@@ -695,6 +695,17 @@ class TestGroupedCorrelations:
                             exclusions=("MFG",) if seed % 3 == 0 else ())
         assert _grouped_means(net, [traj], spec) == [oracle_grouped_means(net, traj, spec)]
 
+    @pytest.mark.parametrize("shape, groups, grouping", [
+        ((2, 2), ["A", "B", "C"], "across_country_aggregates"),
+        ((4, 4), ["A", "B"], "across_country_aggregates"),
+        ((2, 3), ["A", "B"], "across_country_aggregates"),
+        ((4, 4), [("D", "US"), ("F", "US")], "within_country_sectors"),
+    ])
+    def test_matrix_must_match_the_groups(self, shape, groups, grouping):
+        message = f"correlation matrix of shape {shape} does not match {len(groups)} groups"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            grouped_correlations(np.full(shape, 0.5), groups, grouping)
+
     def test_empty_group_rejected(self):
         m = np.eye(2)
         with pytest.raises(EmptyGroup):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -252,6 +254,19 @@ class TestAveragingWindow:
         with pytest.raises(ConfigError, match="non-negative"):
             master_stability_function(cycle_orbit, [0.0, -0.2], window=2000)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_rejected(self, cycle_orbit, k):
+        message = f"effective coupling must be finite and non-negative, got {k}"
+        # rejected before any Jacobian is formed, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=message):
+                master_stability_function(cycle_orbit, [k, 1.0], window=2000)
+            with pytest.raises(ConfigError, match=message):
+                mode_lyapunov(cycle_orbit, k, window=2000)
+            with pytest.raises(ConfigError, match=message):
+                time_resolved_volume_rate(cycle_orbit, k)
+
 
 class TestModeLyapunov:
     def test_zero_coupling_neutral_direction(self, cycle_orbit):
@@ -396,6 +411,19 @@ class TestPropagateDeviations:
     def test_initial_deviation_must_be_one_vector(self, cycle_orbit, two_clique_spec, shape):
         with pytest.raises(ConfigError, match="single 12 vector"):
             propagate_deviations(cycle_orbit, two_clique_spec, np.zeros(shape), steps=10)
+
+    @pytest.mark.parametrize("start, steps, message", [
+        (-1, 10, "start must be non-negative, got -1"),
+        (-5, 10, "start must be non-negative, got -5"),
+        (0, -3, "steps must be at least 1 step, got -3"),
+        (0, 0, "steps must be at least 1 step, got 0"),
+        (29995, 10, "orbit too short: 30000 < start 29995 + steps 10"),
+    ])
+    def test_window_outside_the_orbit_rejected(self, cycle_orbit, two_clique_spec,
+                                               start, steps, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            propagate_deviations(cycle_orbit, two_clique_spec, np.zeros(12), steps,
+                                 start=start)
 
     def test_transverse_mode_decays_parallel_persists(self, cycle_orbit):
         pair = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 0.3))
@@ -549,6 +577,15 @@ class TestShockResponseCompare:
     def test_rejects_bad_window_or_tau(self, pair_net, params, options, key):
         with pytest.raises(ConfigError, match=key):
             shock_response_compare(pair_net, params, Q, shock=[0.1, 0.0], **options)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_shock(self, pair_net, params, value, monkeypatch):
+        def no_orbit(*args, **kwargs):
+            raise AssertionError("orbit iterated before the shock was checked")
+
+        monkeypatch.setattr(master_stability, "synchronized_orbit", no_orbit)
+        with pytest.raises(ConfigError, match=f"shock must be finite, got {value}"):
+            shock_response_compare(pair_net, params, Q, shock=[0.1, value])
 
     def test_shortest_window_gives_finite_shift(self, pair_net, params):
         # one period of comparison window and two of horizon: the lag search

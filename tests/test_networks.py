@@ -507,6 +507,11 @@ class TestFiedler:
         np.testing.assert_allclose(np.abs(v), [1 / np.sqrt(2)] * 2, atol=1e-12)
         assert v[0] * v[1] < 0
 
+    def test_one_node_has_none(self):
+        spec = generalized_laplacian(InteractionNetwork(weights=np.eye(1)))
+        with pytest.raises(ConfigError, match="one node has no Fiedler vector"):
+            fiedler_vector(spec)
+
     def test_output_sign_convention(self, demo_io_network):
         spec = generalized_laplacian(demo_io_network)
         v = fiedler_vector(spec, outputs=demo_io_network.outputs)
