@@ -15,6 +15,7 @@ and generates limit cycles once the fixed point loses stability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -40,6 +41,11 @@ class QuarticCoefficients:
     b3: float
     b4: float
 
+    def __post_init__(self):
+        for name, value in zip(("b0", "b1", "b2", "b3", "b4"), self.as_tuple()):
+            if not math.isfinite(value):
+                raise ConfigError(f"quartic coefficient {name} must be finite, got {value}")
+
     def as_tuple(self):
         return (self.b0, self.b1, self.b2, self.b3, self.b4)
 
@@ -53,7 +59,7 @@ DEFAULT_QUARTIC = QuarticCoefficients(-0.5, 0.1, 0.2, 0.5, -0.3)
 class AgentParams:
     """Behavioural parameters of one agent.
 
-    ``alpha1 < 0`` encodes dislike for accumulation, ``0 < alpha2 < 1``
+    Finite ``alpha1 < 0`` encodes dislike for accumulation, ``0 < alpha2 < 1``
     sluggish adjustment of the decision variable, ``delta`` in (0, 1] the
     depreciation rate of the stock.
     """
@@ -64,8 +70,8 @@ class AgentParams:
     delta: float
 
     def __post_init__(self):
-        if not self.alpha1 < 0:
-            raise ConfigError(f"alpha1 must be negative, got {self.alpha1}")
+        if not -math.inf < self.alpha1 < 0:
+            raise ConfigError(f"alpha1 must be finite and negative, got {self.alpha1}")
         if not 0 < self.alpha2 < 1:
             raise ConfigError(f"alpha2 must lie in (0, 1), got {self.alpha2}")
         if not 0 < self.delta <= 1:

@@ -308,21 +308,18 @@ def correlation_matrix(data, *, detrend: bool = False, min_overlap: int = 10) ->
     degenerate overlap (either column exactly constant on it, or of zero
     variance), are NaN.  With ``detrend`` the band-pass indicator of each
     column (default 2-25 period band) is correlated instead.
-
-    Data with no missing value take one centered product
-    (:func:`_complete_correlations`).  Data with gaps compute all pairs
-    i < j together, in blocks of at most ``_PAIR_BLOCK`` pair x time
-    elements: overlap counts, pairwise-complete means, centered cross and
-    auto sums, clipped to [-1, 1] as ``np.corrcoef`` does.
     """
     arr = np.array(data, dtype=float)
     if arr.ndim != 2:
         raise ConfigError("expected a (T, N) array")
-    if detrend:
-        arr = _detrend_columns(arr)
+    return _block_correlations(arr[None], detrend, min_overlap)[0]
+
+
+def _pairwise_correlations(arr, min_overlap: int) -> np.ndarray:
+    """Correlations of (T, N) columns over each pair's common observations, all
+    pairs i < j at once in blocks of at most ``_PAIR_BLOCK`` pair x time
+    elements, clipped to [-1, 1] as ``np.corrcoef`` does."""
     t, n = arr.shape
-    if t > 0 and np.isfinite(arr).all():
-        return _complete_correlations(arr, min_overlap)
     corr = np.full((n, n), np.nan)
     np.fill_diagonal(corr, 1.0)
     observed = np.isfinite(arr.T)               # (N, T), one row per column
@@ -366,26 +363,27 @@ def grouped_correlations(matrix, groups, grouping: str = "within_country_sectors
     if matrix.shape != (len(groups), len(groups)):
         raise ConfigError(f"correlation matrix of shape {matrix.shape} does not match "
                           f"{len(groups)} groups")
-    result = {}
     if grouping == "within_country_sectors":
         skipped = {*exclusions, FINAL_DEMAND}
+        empty = "no sector pairs for country {!r}"
+        index = []
         for country, members in _node_groups([c for _, c in groups]).items():
-            ids = [i for i in members if groups[i][0] not in skipped]
-            vals = [matrix[a, b] for k, a in enumerate(ids) for b in ids[k + 1:]
-                    if np.isfinite(matrix[a, b])]
-            if not vals:
-                raise EmptyGroup(f"no sector pairs for country {country!r}")
-            result[country] = float(np.mean(vals))
+            ids = np.array([i for i in members if groups[i][0] not in skipped], dtype=int)
+            first, second = np.triu_indices(ids.size, 1)
+            index.append((country, ids[first], ids[second]))
     elif grouping == "across_country_aggregates":
-        countries = list(groups)
-        for i, country in enumerate(countries):
-            vals = [matrix[i, j] for j in range(len(countries))
-                    if j != i and np.isfinite(matrix[i, j])]
-            if not vals:
-                raise EmptyGroup(f"no cross-country entries for {country!r}")
-            result[country] = float(np.mean(vals))
+        empty = "no cross-country entries for {!r}"
+        index = [(country, np.full(len(groups) - 1, i), np.delete(np.arange(len(groups)), i))
+                 for i, country in enumerate(groups)]
     else:
         raise ConfigError(f"unknown grouping {grouping!r}")
+    result = {}
+    for key, rows, cols in index:
+        vals = matrix[rows, cols]
+        vals = vals[np.isfinite(vals)]
+        if not vals.size:
+            raise EmptyGroup(empty.format(key))
+        result[key] = float(np.mean(vals))
     return result
 
 
@@ -395,7 +393,7 @@ class ScenarioSpec:
 
     dynamics: tuple = ("cycle", "node", "focus")
     shock_types: tuple = ("idiosyncratic", "country", "sector")
-    sigma_u_grid: tuple = (0.0, 0.1, 0.2, 0.3, 0.4)
+    sigma_u_grid: tuple = (0.1, 0.2, 0.3)
     n_seeds: int = 20
     steps: int = 600
     retain: int = 228
@@ -439,22 +437,23 @@ class ScenarioRow:
     n_seeds: int
 
 
-def _block_correlations(series, detrend: bool) -> np.ndarray:
+def _block_correlations(series, detrend: bool, min_overlap: int) -> np.ndarray:
     """(B, N, N) correlations of each run's (T, N) columns in a (B, T, N) block.
 
-    With ``detrend`` all B x N series are band-pass filtered together.  The
-    complete runs are correlated by one stacked centered product; a run with
-    a missing indicator (trend under the floor) takes the pairwise path alone.
+    With ``detrend`` all B x N series are band-pass filtered together.  Runs
+    with T > 0 and no missing value take one stacked centered product, any
+    other run the pairwise path alone: the one place that picks the path.
     """
     b, t, n = series.shape
     if detrend:
         series = _detrend_columns(series.transpose(1, 0, 2).reshape(t, b * n))
         series = series.reshape(t, b, n).transpose(1, 0, 2)
-    complete = np.isfinite(series).all(axis=(1, 2))
+    complete = np.isfinite(series).all(axis=(1, 2)) & (t > 0)
     corr = np.empty((b, n, n))
-    corr[complete] = _complete_correlations(series[complete], _SCENARIO_MIN_OVERLAP)
+    if complete.any():
+        corr[complete] = _complete_correlations(series[complete], min_overlap)
     for k in np.flatnonzero(~complete):
-        corr[k] = correlation_matrix(series[k], min_overlap=_SCENARIO_MIN_OVERLAP)
+        corr[k] = _pairwise_correlations(series[k], min_overlap)
     return corr
 
 
@@ -471,8 +470,8 @@ def _grouped_means(net: InteractionNetwork, trajs, spec):
         w = net.outputs[ids]
         agg[:, :, j] = annual[:, :, ids] @ w / w.sum()
     means = []
-    for corr, corr_c in zip(_block_correlations(annual, spec.detrend),
-                            _block_correlations(agg, spec.detrend)):
+    for corr, corr_c in zip(_block_correlations(annual, spec.detrend, _SCENARIO_MIN_OVERLAP),
+                            _block_correlations(agg, spec.detrend, _SCENARIO_MIN_OVERLAP)):
         within = grouped_correlations(corr, pairs, "within_country_sectors", spec.exclusions)
         across = grouped_correlations(corr_c, list(countries), "across_country_aggregates")
         means.append({

@@ -316,6 +316,7 @@ def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
     two series agree through Q at every step.  Returns (xi, zeta) series of
     shape (steps + 1, 2N) starting with the injected deviation; orbit
     indices ``start .. start + steps`` supply the time-varying coefficients.
+    ``xi0`` must be a finite 2N vector.
 
     The consistency tolerance is 1e-6, widened to 1e-4 for noticeably
     complex spectra (``spec.max_imag > 1e-12``, directed networks) because
@@ -328,6 +329,10 @@ def propagate_deviations(orbit: SynchronizedOrbit, spec: SpectralDecomposition,
     if mat0.shape != (2 * n,):
         raise ConfigError(f"initial deviation must be a single {2 * n} vector, "
                           f"got shape {mat0.shape}")
+    bad = np.flatnonzero(~np.isfinite(mat0))
+    if bad.size:
+        raise ConfigError(f"initial deviation must be finite, got {mat0[bad[0]]} "
+                          f"at index {bad[0]}")
     _check_window(orbit, start, steps, "start", "steps")
     consistency_tol = 1e-4 if spec.max_imag > 1e-12 else 1e-6
     amplitude = float(orbit.y.max() - orbit.y.min())

@@ -117,6 +117,12 @@ def _check_peak_options(length: int, min_separation: int = 5, min_prominence: fl
         raise ConfigError(f"smooth_window {smooth_window} exceeds the series length {length}")
 
 
+def _check_entrain_tol(entrain_tol: float):
+    """Reject a frequency spread tolerance that is not finite and positive."""
+    if not 0 < entrain_tol < math.inf:
+        raise ConfigError(f"entrain_tol must be finite and positive, got {entrain_tol}")
+
+
 def _keep_by_distance(maxima: np.ndarray, heights: np.ndarray, distance: int) -> np.ndarray:
     """Visit the maxima highest first and drop neighbours closer than ``distance``."""
     pos = maxima.tolist()
@@ -347,8 +353,9 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
     shocks, cfg)``: ``params`` is one :class:`AgentParams` or one per node,
     as :func:`simulate` takes it.  Entrained means the relative spread of
     measured per-node frequencies, (max - min)/mean, falls below
-    ``entrain_tol``.
+    ``entrain_tol``, which must be finite and positive.
     """
+    _check_entrain_tol(entrain_tol)
     peak_kwargs = dict(peak_kwargs or {})
     _check_peak_options(cfg.retain, **peak_kwargs)
     eps_grid = np.asarray(eps_grid, dtype=float)
@@ -415,7 +422,7 @@ def _spread(counts, omegas, labels, where) -> float:
     return float((omegas.max() - omegas.min()) / omegas.mean())
 
 
-def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int = 1000,
+def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int = 100,
                     mode: str = "L", *,
                     alpha2: float = 0.4, delta: float = 0.1,
                     q: QuarticCoefficients = DEFAULT_QUARTIC,
@@ -433,12 +440,15 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
     by |min| and normalized to sum to one.  Every run simulates with
     ``cfg``; draw d of focus node i (the benchmark counts as i = N)
     permutes with the stream seeded by (``cfg.seed``, i, d).  All (i, d)
-    runs form one list, simulated in blocks of ``_DRAWS_PER_BATCH``.
+    runs form one list, simulated in blocks of ``_DRAWS_PER_BATCH``.  A run
+    whose relative frequency spread reaches ``entrain_tol``, which must be
+    finite and positive, raises :class:`EntrainmentFailure`.
     """
     if mode not in ("L", "H"):
         raise ConfigError(f"mode must be 'L' or 'H', got {mode!r}")
     if n_draws < 1:
         raise ConfigError(f"n_draws must be at least 1, got {n_draws}")
+    _check_entrain_tol(entrain_tol)
     n = net.n
     if n < 2:
         raise ConfigError(f"sync_centrality needs at least 2 nodes, got {n}")

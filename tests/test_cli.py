@@ -1,6 +1,7 @@
 import configparser
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import cyclesync
-from cyclesync import cli, empirics, phase
+from cyclesync import cli, empirics, master_stability, phase
 from cyclesync.dynamics import DEFAULT_QUARTIC
 from cyclesync.cli import main
 from cyclesync.networks import build_topology, uniform_coupling
@@ -640,6 +641,58 @@ class TestResolvedConfig:
         assert cfg["dynamics"]["betas"] == "-0.5,0.1,0.2,0.5,-0.3"
         assert len(cfg["shocks"]) == 6
         assert dict(cfg["sweep"]) == {"entrain_tol": "0.02"}    # set, though unread
+
+
+#: a cheap command reading each config section
+_SIMULATE = ["simulate", "--set", "network.n=2", "--set", "run.steps=400"]
+_READER = {
+    "network": _SIMULATE, "dynamics": _SIMULATE, "shocks": _SIMULATE, "measure": _SIMULATE,
+    "sweep": ["sweep-epsilon", "--preset", "entrainment-complete", "--set", "sweep.eps_grid=0.5"],
+    "centrality": ["sync-centrality", "--set", "network.kind=star", "--set", "network.n=4",
+                   "--set", "network.eps=0.2", "--set", "centrality.n_draws=2",
+                   "--set", "run.steps=1500"],
+    "msf": ["msf", "--preset", "msf-default", "--set", "msf.window=2000"],
+    "shock_response": ["shock-response", "--preset", "shock-two-agent"],
+    "scenarios": ["scenarios", "--preset", "scenarios-smoke"],
+}
+
+#: the library callable each config section is passed to whole
+_LIBRARY = {
+    "run": SimulationConfig, "shocks": ShockConfig, "sweep": phase.epsilon_sweep,
+    "centrality": phase.sync_centrality, "msf": master_stability.master_stability_function,
+    "shock_response": master_stability.shock_response_compare,
+    "scenarios": empirics.ScenarioSpec,
+}
+
+
+class TestSchemaValues:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key, kind, default", [
+        pytest.param(section, key, kind, default, id=f"{section}.{key}")
+        for section, key, kind, default, _ in cli._SCHEMA if "float" in kind])
+    def test_non_finite_float_is_a_config_error(self, section, key, kind, default, value,
+                                                tmp_path, capsys):
+        argv = _READER[section]
+        reads = cli._COMMANDS[argv[0]][1]
+        assert section in reads or f"{section}.{key}" in reads
+        if kind == "5 floats":
+            value = ",".join([value, *default.split(",")[1:]])
+        assert run(argv + ["--set", f"{section}.{key}={value}"], tmp_path) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(tmp_path.glob("*.csv"))
+
+    # msf.window is left out: its library None means the rest of the orbit,
+    # and cmd_msf sizes the orbit to window + burn_in
+    @pytest.mark.parametrize("section, key, kind, default", [
+        pytest.param(section, key, kind, default, id=f"{section}.{key}")
+        for section, key, kind, default, _ in cli._SCHEMA
+        if section in _LIBRARY and f"{section}.{key}" != "msf.window"
+        and inspect.signature(_LIBRARY[section]).parameters[key].default
+        is not inspect.Parameter.empty])
+    def test_library_default_is_the_schema_default(self, section, key, kind, default):
+        library = inspect.signature(_LIBRARY[section]).parameters[key].default
+        parse = cli._TYPES[kind.rstrip("?")]
+        assert library == (None if kind.endswith("?") and not default else parse(default))
 
 
 class TestLibraryParity:

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,15 @@ class TestQuartic:
     def test_array_evaluation(self):
         ys = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(eval_f(Q, ys), [-0.5, 0.0, -0.3], atol=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(5))
+    def test_rejects_non_finite_coefficient(self, position, value):
+        betas = list(Q.as_tuple())
+        betas[position] = value
+        message = f"quartic coefficient b{position} must be finite, got {value}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            QuarticCoefficients(*betas)
 
 
 class TestSteadyState:
@@ -297,6 +309,11 @@ class TestAgentParams:
     def test_rejects_positive_alpha1(self):
         with pytest.raises(ConfigError):
             AgentParams(alpha0=1.0, alpha1=0.1, alpha2=0.4, delta=0.1)
+
+    @pytest.mark.parametrize("alpha1", [-math.inf, math.inf, math.nan])
+    def test_rejects_non_finite_alpha1(self, alpha1):
+        with pytest.raises(ConfigError, match=f"alpha1 must be finite and negative, got {alpha1}"):
+            params(alpha1, 0.4, 0.1)
 
     def test_rejects_alpha2_outside_unit_interval(self):
         with pytest.raises(ConfigError):

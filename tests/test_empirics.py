@@ -728,12 +728,13 @@ class TestScenarioBlocks:
         odd.y[:, 1] = 0.0
         spec = ScenarioSpec(stride=4, detrend=detrend)
         pairwise = []
+        pairwise_correlations = empirics._pairwise_correlations
 
-        def recording(data, **kwargs):
+        def recording(data, min_overlap):
             pairwise.append(np.shape(data))
-            return correlation_matrix(data, **kwargs)
+            return pairwise_correlations(data, min_overlap)
 
-        monkeypatch.setattr(empirics, "correlation_matrix", recording)
+        monkeypatch.setattr(empirics, "_pairwise_correlations", recording)
         got = _grouped_means(net, block, spec)
         assert pairwise == ([(12, net.n)] if detrend else [])
         monkeypatch.undo()

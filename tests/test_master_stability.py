@@ -412,6 +412,13 @@ class TestPropagateDeviations:
         with pytest.raises(ConfigError, match="single 12 vector"):
             propagate_deviations(cycle_orbit, two_clique_spec, np.zeros(shape), steps=10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deviation_rejected(self, cycle_orbit, bad):
+        pair = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 0.3))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"initial deviation must be finite, got {bad} at index 1")):
+            propagate_deviations(cycle_orbit, pair, [0.0, bad, 0.0, 0.0], steps=10)
+
     @pytest.mark.parametrize("start, steps, message", [
         (-1, 10, "start must be non-negative, got -1"),
         (-5, 10, "start must be non-negative, got -5"),

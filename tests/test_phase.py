@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -499,6 +500,20 @@ def test_drivers_reject_peak_options_before_simulating(driver, bad, monkeypatch)
             epsilon_sweep(adj, agents([-0.04] * 4), [0.5], cfg, peak_kwargs=bad)
         else:
             sync_centrality(uniform_coupling(adj, 0.5), cfg, n_draws=2, peak_kwargs=bad)
+
+
+@pytest.mark.parametrize("entrain_tol", [math.nan, math.inf, -math.inf, 0.0, -0.05])
+@pytest.mark.parametrize("driver", ["epsilon_sweep", "sync_centrality"])
+def test_drivers_reject_entrain_tol_before_simulating(driver, entrain_tol, monkeypatch):
+    monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+    adj = build_topology("star", 4)
+    cfg = SimulationConfig(steps=1500)
+    message = f"entrain_tol must be finite and positive, got {entrain_tol}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        if driver == "epsilon_sweep":
+            epsilon_sweep(adj, agents([-0.04] * 4), [0.5], cfg, entrain_tol=entrain_tol)
+        else:
+            sync_centrality(uniform_coupling(adj, 0.2), cfg, n_draws=2, entrain_tol=entrain_tol)
 
 
 class TestSyncCentrality:
