@@ -4,8 +4,9 @@ Every experiment reads a flat sectioned key-value config (INI syntax),
 optionally starting from a shipped preset, writes its module CSV outputs
 plus a plot-ready ``figure-<experiment>.csv`` (x, y, series columns) into
 the output directory, and echoes every config key it read, defaults filled
-in, next to them.  ``_SCHEMA`` is the one list of config keys.  Exit codes:
-0 success, 2 configuration error, 3 numerical error, 4 data or IO error.
+in, next to them.  ``_SCHEMA`` is the one list of config keys; a run takes
+only keys it reads.  Exit codes: 0 success, 2 configuration error, 3
+numerical error, 4 data or IO error.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ def _floats(text: str) -> tuple:
     return values
 
 
+#: The [network] keys each network kind reads, besides network.kind.
+_NETWORK_KEYS = {"single": (), "demo_io": (), "io": ("flows",), "complete": ("n", "eps"),
+                 "star": ("n", "eps"), "chain": ("n", "eps"),
+                 "two_clique": ("sizes", "bridge", "eps")}
+_KINDS = "|".join(_NETWORK_KEYS)
+
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 #: Config value types: name -> parser of the config text.  A trailing "?"
@@ -55,18 +62,18 @@ _TYPES = {
     "floats": _floats,
     "ints": lambda text: tuple(int(v) for v in text.split(",")),
     "names": lambda text: tuple(v.strip() for v in text.split(",") if v.strip()),
-    "presets": lambda text: tuple(v.strip() for v in text.split(",")),  # ScenarioSpec checks
     "bool": lambda text: _FLAGS[text.lower()],
     "5 floats": lambda text: QuarticCoefficients(*map(float, _floats(text))),
+    _KINDS: {kind: kind for kind in _NETWORK_KEYS}.__getitem__,
 }
 
 #: Every config key: (section, key, type, default, help).  A default is
 #: config text, parsed like user input, so the echoed config is exact.  A
 #: dict default differs by experiment; "*" covers the others.
 _SCHEMA = (
-    ("network", "kind", "str", "complete", "single|complete|star|chain|two_clique|io|demo_io"),
+    ("network", "kind", _KINDS, "complete", "network kind: it picks the [network] keys read"),
     ("network", "n", "int", "10", "node count of complete, star and chain"),
-    ("network", "eps", "float", "0.2", "uniform coupling strength in [0, 1]"),
+    ("network", "eps", "float", "0.2", "uniform coupling in [0, 1] of the four topologies"),
     ("network", "sizes", "ints?", "", "two_clique clique sizes (empty: 3,3)"),
     ("network", "bridge", "ints?", "", "two_clique bridge node pair (empty: the clique ends)"),
     ("network", "flows", "str", "", "flow-table CSV read by kind = io"),
@@ -100,8 +107,8 @@ _SCHEMA = (
     ("shock_response", "tau", "int?", "", "orbit index of the shock (empty: growth phase)"),
     ("shock_response", "window_periods", "int", "3", "periods in the RMSE / phase-shift window"),
     ("shock_response", "horizon_periods", "int", "10", "periods simulated after the shock"),
-    ("scenarios", "dynamics", "presets", "cycle,node,focus", "dynamics presets"),
-    ("scenarios", "shock_types", "presets", "idiosyncratic,country,sector", "shock presets"),
+    ("scenarios", "dynamics", "names", "cycle,node,focus", "dynamics presets"),
+    ("scenarios", "shock_types", "names", "idiosyncratic,country,sector", "shock presets"),
     ("scenarios", "sigma_u_grid", "floats", "0.1,0.2,0.3", "idiosyncratic shock s.d. values"),
     ("scenarios", "n_seeds", "int", "20", "seeds per cell"),
     ("scenarios", "steps", "int", "600", "simulated steps per seed"),
@@ -110,8 +117,6 @@ _SCHEMA = (
     ("scenarios", "detrend", "bool", "false", "detrend series before correlating"),
     ("scenarios", "exclusions", "names", "", "sectors left out of the within-country groups"),
 )
-
-_SECTION_KEYS = {section: [k for s, k, *_ in _SCHEMA if s == section] for section, *_ in _SCHEMA}
 
 
 def _read_config(preset: str = None, path: str = None, overrides=()) -> configparser.ConfigParser:
@@ -137,38 +142,40 @@ def _read_config(preset: str = None, path: str = None, overrides=()) -> configpa
         if not (eq and section and option):
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         cfg.read_dict({section: {option.strip(): value.strip()}})
-    for section in cfg.sections():
-        known = _SECTION_KEYS.get(section, ())
-        unknown = [f"{section}.{key}" for key in cfg[section] if key not in known]
-        if not known:
-            raise ConfigError(f"unknown config section [{section}], setting {unknown}")
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}; [{section}] takes {known}")
     return cfg
 
 
-def _resolve(cfg: configparser.ConfigParser, experiment: str):
-    """Parse the keys an experiment reads, defaults filled in.
-
-    Returns ``{section: {key: value}}`` for those keys, and the config to
-    echo, ``{section: {key: text}}``: those keys plus every key the user set.
-    """
+def _reads(experiment: str) -> list:
+    """The schema rows an experiment reads for any network kind, defaults set for it."""
     reads = _COMMANDS[experiment][1]
+    return [(section, key, kind, d.get(experiment, d["*"]) if isinstance(d, dict) else d, text)
+            for section, key, kind, d, text in _SCHEMA
+            if section in reads or f"{section}.{key}" in reads]
+
+
+def _resolve(cfg: configparser.ConfigParser, experiment: str):
+    """Parse the keys an experiment reads, defaults filled in, to ``{section: {key: value}}``
+    and the config to echo, ``{section: {key: text}}``.  A set key the run does not read,
+    for its command or its network kind (``_NETWORK_KEYS``), is a ConfigError."""
     values, echo = {}, {}
-    for section, key, kind, default, _ in _SCHEMA:
-        read = section in reads or f"{section}.{key}" in reads
-        if not (read or cfg.has_option(section, key)):
+    for section, key, kind, default, _ in _reads(experiment):
+        if section == "network" and key != "kind" \
+                and key not in _NETWORK_KEYS[values[section]["kind"]]:
             continue
-        if isinstance(default, dict):
-            default = default.get(experiment, default["*"])
         text = cfg.get(section, key, fallback=default)
         try:
             value = None if kind.endswith("?") and not text else _TYPES[kind.rstrip("?")](text)
         except (ValueError, TypeError, KeyError):
             raise ConfigError(f"{section}.{key} = {text!r}: expected {kind}") from None
-        if read:
-            values.setdefault(section, {})[key] = value
+        values.setdefault(section, {})[key] = value
         echo.setdefault(section, {})[key] = text
+    for section in cfg.sections():
+        unread = [f"{section}.{key}" for key in cfg[section] if key not in echo.get(section, ())]
+        if unread:
+            where = (f" with network.kind = {values[section]['kind']}"
+                     if section == "network" and section in values else "")
+            raise ConfigError(f"{experiment} does not read {', '.join(unread)}{where}; it reads "
+                              f"[{section}] keys: {', '.join(echo.get(section, ())) or 'none'}")
     return values, echo
 
 
@@ -182,8 +189,8 @@ def _network(network: dict):
         return build_io_network(FlowTable.from_csv(network["flows"])), None
     if kind == "demo_io":
         return build_io_network(fixtures.demo_flow_table()), None
-    adj = build_topology(kind, network["n"], sizes=network["sizes"], bridge=network["bridge"])
-    return uniform_coupling(adj, network["eps"]), adj
+    adj = build_topology(**{key: value for key, value in network.items() if key != "eps"})
+    return (uniform_coupling(adj, network["eps"]) if "eps" in network else None), adj
 
 
 def _agent_params(dynamics: dict, n: int) -> list:
@@ -309,11 +316,13 @@ def cmd_scenarios(cfg: dict, args) -> dict:
 #: the [run] keys of the experiments that pass only a run window and seed on
 _RUN_WINDOW = ("run.steps", "run.burn_in", "run.retain", "run.seed")
 
-#: Experiment name: (function, config read as whole sections or section.key).
+#: Experiment name: (function, config read as whole sections or section.key);
+#: sweep-epsilon reads every [network] key but eps, which its grid sets.
 _COMMANDS = {
     "simulate": (cmd_simulate, ("network", "dynamics", "shocks", "run", "measure")),
     "sweep-epsilon": (cmd_sweep_epsilon,
-                      ("network", "dynamics", "shocks", *_RUN_WINDOW, "measure", "sweep")),
+                      ("network.kind", "network.n", "network.sizes", "network.bridge",
+                       "network.flows", "dynamics", "shocks", *_RUN_WINDOW, "measure", "sweep")),
     "sync-centrality": (cmd_sync_centrality,
                         ("network", "dynamics.alpha2", "dynamics.delta", "dynamics.betas",
                          *_RUN_WINDOW, "measure", "centrality")),
@@ -324,10 +333,9 @@ _COMMANDS = {
 
 
 def _key_listing(experiment: str) -> str:
-    _, echo = _resolve(configparser.ConfigParser(), experiment)
     return "config keys read (section.key = default):\n" + "\n".join(
-        f"  {section}.{key} = {echo[section][key]}\n      {kind}: {text}"
-        for section, key, kind, _, text in _SCHEMA if key in echo.get(section, ()))
+        f"  {section}.{key} = {default}\n      {kind}: {text}"
+        for section, key, kind, default, text in _reads(experiment))
 
 
 def _build_parser() -> argparse.ArgumentParser:

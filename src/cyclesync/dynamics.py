@@ -61,7 +61,7 @@ class AgentParams:
 
     Finite ``alpha1 < 0`` encodes dislike for accumulation, ``0 < alpha2 < 1``
     sluggish adjustment of the decision variable, ``delta`` in (0, 1] the
-    depreciation rate of the stock.
+    depreciation rate of the stock; ``alpha0`` is a finite constant.
     """
 
     alpha0: float
@@ -76,6 +76,8 @@ class AgentParams:
             raise ConfigError(f"alpha2 must lie in (0, 1), got {self.alpha2}")
         if not 0 < self.delta <= 1:
             raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
+        if not math.isfinite(self.alpha0):
+            raise ConfigError(f"alpha0 must be finite, got {self.alpha0}")
 
     @classmethod
     def with_steady_state(cls, alpha1, alpha2, delta,

@@ -194,8 +194,11 @@ def cf_weight_matrix(n: int, p_low: float, p_high: float) -> np.ndarray:
 
     Row t weights x[s] by B_|t-s| inside the band and puts the endpoint
     weight -B0/2 - (B_1 + ... + B_m) on x[0] (m = t - 1 lags) and on x[n-1]
-    (m = n - 2 - t leads); the corners add B0 to theirs.
+    (m = n - 2 - t leads); the corners add B0 to theirs.  Raises
+    :class:`ConfigError` for n < 2.
     """
+    if n < 2:
+        raise ConfigError(f"band-pass weights need at least 2 observations, got {n}")
     a = 2.0 * np.pi / p_high
     b = 2.0 * np.pi / p_low
     j = np.arange(1, n)
@@ -402,6 +405,9 @@ class ScenarioSpec:
     exclusions: tuple = ()
 
     def __post_init__(self):
+        for grid in ("dynamics", "shock_types", "sigma_u_grid"):
+            if len(getattr(self, grid)) == 0:
+                raise ConfigError(f"{grid} must not be empty")
         for name in self.dynamics:
             if name not in DYNAMICS_PRESETS:
                 raise ConfigError(f"unknown dynamics preset {name!r}")

@@ -69,7 +69,7 @@ class TooFewPeaks(NumericalError):
 
 
 class DegenerateSeries(DataError):
-    """A series has zero variance; correlation is undefined."""
+    """A series has zero variance or a non-finite value."""
 
 
 class EntrainmentFailure(NumericalError):

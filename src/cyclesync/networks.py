@@ -441,10 +441,11 @@ def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
 def fiedler_vector(spec: SpectralDecomposition, outputs=None) -> np.ndarray:
     """Eigenvector of the second-smallest eigenvalue, sign-normalized.
 
-    With ``outputs`` given, the component of the highest-output node is made
-    positive; otherwise the first nonzero component is made positive.  Warns
-    when the spectral gap above lambda_2 nearly vanishes; raises
-    :class:`ConfigError` for a single node, which has no second eigenvector.
+    With ``outputs`` given, one per node, the component of the highest-output
+    node is made positive; otherwise the first nonzero component is made
+    positive.  Warns when the spectral gap above lambda_2 nearly vanishes;
+    raises :class:`ConfigError` for a single node, which has no second
+    eigenvector, and for ``outputs`` not of shape (N,).
     """
     if spec.n < 2:
         raise ConfigError("a network of one node has no Fiedler vector")
@@ -454,6 +455,8 @@ def fiedler_vector(spec: SpectralDecomposition, outputs=None) -> np.ndarray:
                       stacklevel=2)
     v = spec.modes[:, 1].copy()
     if outputs is not None:
+        if np.shape(outputs) != (spec.n,):
+            raise ConfigError(f"outputs must have shape ({spec.n},), got {np.shape(outputs)}")
         pivot = int(np.argmax(outputs))
     else:
         pivot = int(np.flatnonzero(np.abs(v) > 1e-12)[0])

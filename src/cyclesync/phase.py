@@ -262,11 +262,13 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
     prominence=min_prominence)`` (``scipy/signal/_peak_finding.py``):
     plateau midpoints, then the highest-first distance rule, then the
     prominence threshold.  Raises :class:`DegenerateSeries` for a
-    non-finite value, :class:`ConfigError` when ``smooth_window`` exceeds
-    the series length and :class:`TooFewPeaks` when fewer than three peaks
-    survive.
+    non-finite value, :class:`ConfigError` for a series that is not 1-D or
+    when ``smooth_window`` exceeds the series length, and
+    :class:`TooFewPeaks` when fewer than three peaks survive.
     """
     series = np.asarray(series, dtype=float)
+    if series.ndim != 1:
+        raise ConfigError(f"series must be 1-D, got shape {series.shape}")
     _check_peak_options(series.size, min_separation, min_prominence, smooth_window)
     finite = np.isfinite(series)
     if not finite.all():
@@ -335,6 +337,10 @@ def mean_pairwise_correlation(series) -> float:
         raise ConfigError("need at least 2 series")
     if arr.shape[0] < 3:
         raise ConfigError("need at least 3 observations")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        step, node = np.argwhere(~finite)[0]
+        raise DegenerateSeries(f"series {node} value at step {step} is not finite")
     if np.any(arr.std(axis=0) == 0):
         raise DegenerateSeries("a series has zero variance")
     corr = np.corrcoef(arr.T)

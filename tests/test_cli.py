@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,56 @@ class TestConfigHandling:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[mystery]\nx = 1\n")
         assert run(["simulate", "--config", str(cfg)], tmp_path) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--preset", "cycle-single", "--set", "network.eps=nan"],
+         "simulate does not read network.eps with network.kind = single; "
+         "it reads [network] keys: kind"),
+        (["scenarios", "--preset", "scenarios-smoke", "--set", "network.eps=inf"],
+         "scenarios does not read network.eps with network.kind = demo_io; "
+         "it reads [network] keys: kind"),
+        (["msf", "--preset", "msf-default", "--set", "sweep.entrain_tol=7"],
+         "msf does not read sweep.entrain_tol; it reads [sweep] keys: none"),
+        (["simulate", "--set", "sweep.entrain_tol=0.02"],
+         "simulate does not read sweep.entrain_tol; it reads [sweep] keys: none"),
+        (["simulate", "--set", "network.kind=io", "--set", "network.flows=f.csv",
+          "--set", "network.n=4"],
+         "simulate does not read network.n with network.kind = io; "
+         "it reads [network] keys: kind, flows"),
+        (["simulate", "--set", "network.flows=f.csv"],
+         "simulate does not read network.flows with network.kind = complete; "
+         "it reads [network] keys: kind, n, eps"),
+        (["shock-response", "--set", "network.kind=star", "--set", "network.sizes=3,3"],
+         "shock-response does not read network.sizes with network.kind = star; "
+         "it reads [network] keys: kind, n, eps"),
+        (["sweep-epsilon", "--preset", "entrainment-complete", "--set", "network.eps=0.9"],
+         "sweep-epsilon does not read network.eps with network.kind = complete; "
+         "it reads [network] keys: kind, n"),
+        (["sweep-epsilon", "--preset", "entrainment-complete", "--set", "network.eps=5"],
+         "sweep-epsilon does not read network.eps with network.kind = complete; "
+         "it reads [network] keys: kind, n"),
+        (["sync-centrality", "--set", "network.kind=two_clique", "--set", "network.bogus=1",
+          "--set", "network.n=6"],
+         "sync-centrality does not read network.bogus, network.n with network.kind = "
+         "two_clique; it reads [network] keys: kind, eps, sizes, bridge"),
+        (["simulate", "--set", "mystery.x=1"],
+         "simulate does not read mystery.x; it reads [mystery] keys: none"),
+    ], ids=["single-eps", "demo_io-eps", "msf-sweep", "simulate-sweep", "io-n",
+            "complete-flows", "star-sizes", "sweep-eps", "sweep-eps-out-of-range",
+            "two_clique-n-and-unknown", "unknown-section"])
+    def test_unread_key_rejected(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "simulate", simulate_nothing)
+        monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+        monkeypatch.setattr(empirics, "simulate_batch", simulate_nothing)
+        assert run(argv, tmp_path) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_network_kind_lists_the_kinds(self, tmp_path, capsys):
+        assert run(["simulate", "--set", "network.kind=ring", "--set", "network.n=4"],
+                   tmp_path) == 2
+        assert capsys.readouterr().err == ("config error: network.kind = 'ring': expected "
+                                           "single|demo_io|io|complete|star|chain|two_clique\n")
 
     def test_missing_config_file(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "nope.cfg")],
@@ -604,6 +655,12 @@ RERUN_CASES = {
 }
 
 
+#: shipped preset -> the command it is written for
+PRESET_COMMANDS = {"cycle-single": "simulate", "uncoupled-spread": "simulate",
+                   "entrainment-complete": "sweep-epsilon", "msf-default": "msf",
+                   "shock-two-agent": "shock-response", "scenarios-smoke": "scenarios"}
+
+
 class TestResolvedConfig:
     @pytest.mark.parametrize("case", sorted(RERUN_CASES))
     def test_rerun_from_resolved_config_alone(self, case, tmp_path):
@@ -631,16 +688,23 @@ class TestResolvedConfig:
 
     def test_resolved_config_fills_in_defaults(self, tmp_path):
         assert run(["simulate", "--preset", "cycle-single", "--set", "run.steps=600",
-                    "--set", "run.burn_in=100", "--set", "sweep.entrain_tol=0.02"],
-                   tmp_path) == 0
+                    "--set", "run.burn_in=100"], tmp_path) == 0
         cfg = configparser.ConfigParser()
         cfg.read(tmp_path / "resolved-config.cfg")
-        assert cfg.sections() == ["network", "dynamics", "shocks", "run", "measure",
-                                  "sweep"]
+        assert cfg.sections() == ["network", "dynamics", "shocks", "run", "measure"]
+        assert dict(cfg["network"]) == {"kind": "single"}
         assert cfg["run"]["initial_mode"] == "perturbed"
         assert cfg["dynamics"]["betas"] == "-0.5,0.1,0.2,0.5,-0.3"
         assert len(cfg["shocks"]) == 6
-        assert dict(cfg["sweep"]) == {"entrain_tol": "0.02"}    # set, though unread
+
+    # presets ship as package data: each must set only keys its command reads
+    @pytest.mark.parametrize("preset", sorted(PRESET_COMMANDS))
+    def test_preset_resolves_for_its_command(self, preset):
+        shipped = resources.files("cyclesync") / "presets"
+        assert sorted(p.name[:-4] for p in shipped.iterdir() if p.name.endswith(".cfg")) == \
+            sorted(PRESET_COMMANDS)
+        values, echo = cli._resolve(cli._read_config(preset), PRESET_COMMANDS[preset])
+        assert echo.keys() == values.keys()
 
 
 #: a cheap command reading each config section

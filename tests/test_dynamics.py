@@ -315,6 +315,11 @@ class TestAgentParams:
         with pytest.raises(ConfigError, match=f"alpha1 must be finite and negative, got {alpha1}"):
             params(alpha1, 0.4, 0.1)
 
+    @pytest.mark.parametrize("alpha0", [-math.inf, math.inf, math.nan])
+    def test_rejects_non_finite_alpha0(self, alpha0):
+        with pytest.raises(ConfigError, match=f"alpha0 must be finite, got {alpha0}"):
+            AgentParams(alpha0=alpha0, alpha1=-0.04, alpha2=0.4, delta=0.1)
+
     def test_rejects_alpha2_outside_unit_interval(self):
         with pytest.raises(ConfigError):
             AgentParams(alpha0=1.0, alpha1=-0.1, alpha2=1.2, delta=0.1)

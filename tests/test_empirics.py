@@ -339,6 +339,11 @@ class TestCfBandpass:
         w = cf_weight_matrix(57, 2.0, 25.0)
         np.testing.assert_allclose(w.sum(axis=1), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_weight_matrix_needs_two_observations(self, n):
+        with pytest.raises(ConfigError, match=f"at least 2 observations, got {n}"):
+            cf_weight_matrix(n, 2.0, 25.0)
+
     @pytest.mark.parametrize("band", [(2.0, 25.0), (1.5, 8.0), (6.0, 32.0)])
     def test_weight_matrix_matches_row_loop_bit_for_bit(self, band):
         for n in [*range(2, 40), 57, 80, 121, 160, 299]:
@@ -824,6 +829,11 @@ class TestScenarioRun:
     def test_rejects_bad_sigma_u_grid(self, grid):
         with pytest.raises(ConfigError, match="sigma_u_grid values must be finite and non-neg"):
             ScenarioSpec(sigma_u_grid=grid)
+
+    @pytest.mark.parametrize("grid", ["dynamics", "shock_types", "sigma_u_grid"])
+    def test_rejects_empty_grid(self, grid):
+        with pytest.raises(ConfigError, match=f"^{grid} must not be empty$"):
+            ScenarioSpec(**{grid: ()})
 
     @pytest.mark.parametrize("stride", [0, 5])
     def test_rejects_stride_not_dividing_retain(self, stride):

@@ -517,6 +517,12 @@ class TestFiedler:
         v = fiedler_vector(spec, outputs=demo_io_network.outputs)
         assert v[int(np.argmax(demo_io_network.outputs))] > 0
 
+    @pytest.mark.parametrize("shape", [(3,), (20,), (18, 1)])
+    def test_outputs_must_give_one_value_per_node(self, demo_io_network, shape):
+        spec = generalized_laplacian(demo_io_network)
+        with pytest.raises(ConfigError, match=re.escape(f"shape (18,), got {shape}")):
+            fiedler_vector(spec, outputs=np.ones(shape))
+
     def test_country_blocks_split_in_demo_network(self, demo_io_network):
         spec = generalized_laplacian(demo_io_network)
         v = fiedler_vector(spec, outputs=demo_io_network.outputs)

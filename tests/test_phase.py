@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,13 @@ class TestDetectPeaks:
         series[20] = np.nan
         with pytest.raises(DegenerateSeries, match="index 7 is not finite"):
             detect_peaks(series, min_prominence=min_prominence)
+
+    @pytest.mark.parametrize("shape", [(400, 1), (20, 10), ()])
+    @pytest.mark.parametrize("func", [detect_peaks, measured_frequency, phase_series])
+    def test_series_must_be_one_dimensional(self, func, shape):
+        series = np.resize(sinusoid(12, 400), shape)
+        with pytest.raises(ConfigError, match=re.escape(f"1-D, got shape {shape}")):
+            func(series)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 2000),
            unit=st.sampled_from([0.0, 1.0, 0.1, 1e-3]))
@@ -369,6 +377,15 @@ class TestMeanPairwiseCorrelation:
         data = np.column_stack([np.ones(50), np.arange(50.0)])
         with pytest.raises(DegenerateSeries):
             mean_pairwise_correlation(data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, rng, bad):
+        data = rng.normal(0, 1, (50, 3))
+        data[7, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateSeries, match="series 2 value at step 7 is not finite"):
+                mean_pairwise_correlation(data)
 
 
 class TestFrequencyEstimators:
