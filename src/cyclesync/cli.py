@@ -1,12 +1,12 @@
 """Command-line entry point for the experiment suite.
 
 Every experiment reads a flat sectioned key-value config (INI syntax),
-optionally starting from a shipped preset, writes its module CSV outputs
-plus a plot-ready ``figure-<experiment>.csv`` (x, y, series columns) into
-the output directory, and echoes every config key it read, defaults filled
-in, next to them.  ``_SCHEMA`` is the one list of config keys; a run takes
-only keys it reads.  Exit codes: 0 success, 2 configuration error, 3
-numerical error, 4 data or IO error.
+optionally starting from a shipped preset.  Its ``cmd_*`` computes from the
+resolved config alone; ``main`` writes the plot-ready ``figure-<experiment>.csv``
+(x, y, series columns), the module table, every config key read (defaults
+filled in) and ``metadata.json``.  ``_SCHEMA`` is the one list of config keys;
+a run takes only keys it reads.  Exit codes: 0 success, 2 configuration error,
+3 numerical error, 4 data or IO error.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import asdict
+import time
+from contextlib import suppress
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import empirics, fixtures, master_stability, phase
+from . import __version__, empirics, fixtures, master_stability, phase
 from ._format import fmt, write_table
 from .dynamics import DEFAULT_QUARTIC, AgentParams, QuarticCoefficients
 from .errors import ConfigError, DataError, NumericalError
@@ -179,18 +180,21 @@ def _resolve(cfg: configparser.ConfigParser, experiment: str):
     return values, echo
 
 
-def _network(network: dict):
+def _topology(network: dict):
+    return build_topology(**{key: value for key, value in network.items() if key != "eps"})
+
+
+def _network(network: dict) -> InteractionNetwork:
     kind = network["kind"]
     if kind == "single":
-        return InteractionNetwork(weights=np.eye(1)), None
+        return InteractionNetwork(weights=np.eye(1))
     if kind == "io":
         if not network["flows"]:
             raise ConfigError("network.kind = io requires network.flows")
-        return build_io_network(FlowTable.from_csv(network["flows"])), None
+        return build_io_network(FlowTable.from_csv(network["flows"]))
     if kind == "demo_io":
-        return build_io_network(fixtures.demo_flow_table()), None
-    adj = build_topology(**{key: value for key, value in network.items() if key != "eps"})
-    return (uniform_coupling(adj, network["eps"]) if "eps" in network else None), adj
+        return build_io_network(fixtures.demo_flow_table())
+    return uniform_coupling(_topology(network), network["eps"])
 
 
 def _agent_params(dynamics: dict, n: int) -> list:
@@ -201,18 +205,18 @@ def _agent_params(dynamics: dict, n: int) -> list:
                                           dynamics["betas"]) for a1 in alpha1]
 
 
-#: header of the plot-ready long-format figure-<experiment>.csv tables
+#: header of the figure tables; a cmd_* returns (summary, table writer, figure columns)
 _FIGURE = ("x", "y", "series")
 
 
-def cmd_simulate(cfg: dict, args) -> dict:
+def cmd_simulate(cfg: dict):
     """Simulate the coupled map and measure each node's cycle period."""
-    net, _ = _network(cfg["network"])
+    net = _network(cfg["network"])
     dynamics = cfg["dynamics"]
     run = SimulationConfig(**cfg["run"])
     phase._check_peak_options(run.retain, **cfg["measure"])
-    shocks = ShockConfig(**cfg["shocks"])
-    traj = simulate(net, _agent_params(dynamics, net.n), dynamics["betas"], shocks, run)
+    traj = simulate(net, _agent_params(dynamics, net.n), dynamics["betas"],
+                    ShockConfig(**cfg["shocks"]), run)
     periods, failures = {}, {}
     for i, label in enumerate(traj.labels):
         try:
@@ -220,48 +224,40 @@ def cmd_simulate(cfg: dict, args) -> dict:
             periods[label] = 2.0 * np.pi / omega
         except NumericalError as exc:
             periods[label], failures[label] = None, str(exc)
-    traj.to_csv(args.outdir / "trajectory.csv")
-    write_table(args.outdir / "figure-simulate.csv", _FIGURE,
-                np.tile(np.arange(traj.steps, dtype=float), traj.n), traj.y.T.ravel(),
-                np.repeat(np.array(traj.labels, dtype=object), traj.steps))
-    return {"measured_periods": periods, "period_failures": failures,
-            "config_echo": {**run.echo(), "shocks": asdict(shocks)}}
+    return ({"measured_periods": periods, "period_failures": failures}, traj.to_csv,
+            (np.tile(np.arange(traj.steps, dtype=float), traj.n), traj.y.T.ravel(),
+             np.repeat(np.array(traj.labels, dtype=object), traj.steps)))
 
 
-def cmd_sweep_epsilon(cfg: dict, args) -> dict:
+def cmd_sweep_epsilon(cfg: dict):
     """Sweep the coupling strength and flag where node frequencies entrain."""
-    _, adj = _network(cfg["network"])
-    if adj is None:
-        raise ConfigError("sweep-epsilon needs an abstract topology")
-    dynamics = cfg["dynamics"]
+    if "eps" not in _NETWORK_KEYS[cfg["network"]["kind"]]:
+        raise ConfigError("sweep-epsilon needs an abstract topology: "
+                          "network.kind = complete, star, chain or two_clique")
+    adj, dynamics = _topology(cfg["network"]), cfg["dynamics"]
     result = phase.epsilon_sweep(
         adj, _agent_params(dynamics, adj.n), **cfg["sweep"],
         cfg=SimulationConfig(**cfg["run"]), q=dynamics["betas"],
         shocks=ShockConfig(**cfg["shocks"]), peak_kwargs=cfg["measure"])
-    result.to_csv(args.outdir / "entrainment.csv")
     series = [f"omega_node_{i}" for i in range(adj.n)] + ["coherence", "mean_correlation"]
-    write_table(args.outdir / "figure-sweep-epsilon.csv", _FIGURE,
-                np.repeat(result.eps_grid, len(series)),
-                np.column_stack([result.omegas, result.coherence, result.mean_correlation]).ravel(),
-                np.tile(series, result.eps_grid.size))
-    return {"transition_epsilon": result.transition_epsilon()}
+    return ({"transition_epsilon": result.transition_epsilon()}, result.to_csv,
+            (np.repeat(result.eps_grid, len(series)),
+             np.column_stack([result.omegas, result.coherence, result.mean_correlation]).ravel(),
+             np.tile(series, result.eps_grid.size)))
 
 
-def cmd_sync_centrality(cfg: dict, args) -> dict:
+def cmd_sync_centrality(cfg: dict):
     """Score each node's pull on the common frequency by Monte Carlo."""
-    net, _ = _network(cfg["network"])
     dynamics = cfg["dynamics"]
     result = phase.sync_centrality(
-        net, SimulationConfig(**cfg["run"]), **cfg["centrality"], q=dynamics["betas"],
-        alpha2=dynamics["alpha2"], delta=dynamics["delta"], peak_kwargs=cfg["measure"])
-    result.to_csv(args.outdir / "sync-centrality.csv")
-    write_table(args.outdir / "figure-sync-centrality.csv", _FIGURE,
-                np.arange(result.scores.size, dtype=float), result.scores, result.labels)
-    return {"benchmark_frequency": result.benchmark_frequency,
-            "mode": cfg["centrality"]["mode"], "n_draws": cfg["centrality"]["n_draws"]}
+        _network(cfg["network"]), SimulationConfig(**cfg["run"]), **cfg["centrality"],
+        q=dynamics["betas"], alpha2=dynamics["alpha2"], delta=dynamics["delta"],
+        peak_kwargs=cfg["measure"])
+    return ({"benchmark_frequency": result.benchmark_frequency}, result.to_csv,
+            (np.arange(result.scores.size, dtype=float), result.scores, result.labels))
 
 
-def cmd_msf(cfg: dict, args) -> dict:
+def cmd_msf(cfg: dict):
     """Compute the master stability function over effective couplings K."""
     dynamics, msf = cfg["dynamics"], cfg["msf"]
     steps = msf["window"] + msf["burn_in"]
@@ -271,16 +267,14 @@ def cmd_msf(cfg: dict, args) -> dict:
     except ConfigError as exc:
         raise ConfigError(f"msf.window + msf.burn_in = {steps}: {exc}") from None
     curve = master_stability.master_stability_function(orbit, **msf)
-    curve.to_csv(args.outdir / "msf.csv")
-    write_table(args.outdir / "figure-msf.csv", _FIGURE, np.tile(curve.k_grid, 2),
-                np.concatenate([curve.mu1, curve.mu2]),
-                np.repeat(["mu1", "mu2"], curve.k_grid.size))
-    return {"orbit_period": orbit.period, "mu1_at_zero": float(curve.mu1[0])}
+    return ({"orbit_period": orbit.period, "mu1_at_zero": float(curve.mu1[0])}, curve.to_csv,
+            (np.tile(curve.k_grid, 2), np.concatenate([curve.mu1, curve.mu2]),
+             np.repeat(["mu1", "mu2"], curve.k_grid.size)))
 
 
-def cmd_shock_response(cfg: dict, args) -> dict:
+def cmd_shock_response(cfg: dict):
     """Compare linearized and nonlinear propagation of a one-off shock."""
-    net, _ = _network(cfg["network"])
+    net = _network(cfg["network"])
     dynamics, options = cfg["dynamics"], cfg["shock_response"]
     params = _agent_params(dynamics, net.n)
     if len(set(params)) > 1:
@@ -290,45 +284,45 @@ def cmd_shock_response(cfg: dict, args) -> dict:
         options["shock"] = np.concatenate([options["shock"], np.zeros(net.n - 1)])
     response = master_stability.shock_response_compare(net, params[0], dynamics["betas"],
                                                        **options)
-    response.to_csv(args.outdir / "shock-response.csv")
     steps = response.nonlinear_y.shape[0]
     series = [f"{path}_node_{i}" for path in ("nonlinear", "linear") for i in range(net.n)]
-    write_table(args.outdir / "figure-shock-response.csv", _FIGURE,
-                np.tile(np.arange(steps, dtype=float), len(series)),
-                np.concatenate([response.nonlinear_y.T.ravel(), response.linear_y.T.ravel()]),
-                np.repeat(np.array(series, dtype=object), steps))
-    return {"rmse": response.rmse, "phase_shift": response.phase_shift}
+    return ({"rmse": response.rmse, "phase_shift": response.phase_shift}, response.to_csv,
+            (np.tile(np.arange(steps, dtype=float), len(series)),
+             np.concatenate([response.nonlinear_y.T.ravel(), response.linear_y.T.ravel()]),
+             np.repeat(np.array(series, dtype=object), steps)))
 
 
-def cmd_scenarios(cfg: dict, args) -> dict:
+def cmd_scenarios(cfg: dict):
     """Compare grouped comovement across dynamics and shock scenarios."""
-    net, _ = _network(cfg["network"])
-    spec = empirics.ScenarioSpec(**cfg["scenarios"])
-    rows = empirics.scenario_run(net, spec, q=cfg["dynamics"]["betas"])
-    empirics.write_scenario_csv(rows, args.outdir / "scenario-results.csv")
-    write_table(args.outdir / "figure-scenarios.csv", _FIGURE, [r.sigma_u for r in rows],
-                [r.mean_corr for r in rows],
-                [f"{r.dynamics}/{r.shock_type}/{r.group}" for r in rows])
+    rows = empirics.scenario_run(_network(cfg["network"]),
+                                 empirics.ScenarioSpec(**cfg["scenarios"]),
+                                 q=cfg["dynamics"]["betas"])
     # two rows per cell, one per grouping
-    return {"cells": len(rows) // 2, "n_seeds": spec.n_seeds}
+    return ({"cells": len(rows) // 2}, lambda path: empirics.write_scenario_csv(rows, path),
+            ([r.sigma_u for r in rows], [r.mean_corr for r in rows],
+             [f"{r.dynamics}/{r.shock_type}/{r.group}" for r in rows]))
 
 
 #: the [run] keys of the experiments that pass only a run window and seed on
 _RUN_WINDOW = ("run.steps", "run.burn_in", "run.retain", "run.seed")
 
-#: Experiment name: (function, config read as whole sections or section.key);
-#: sweep-epsilon reads every [network] key but eps, which its grid sets.
+#: Experiment name: (function, config read as whole sections or section.key,
+#: module table); sweep-epsilon reads the topology keys but eps, which its grid sets.
 _COMMANDS = {
-    "simulate": (cmd_simulate, ("network", "dynamics", "shocks", "run", "measure")),
+    "simulate": (cmd_simulate, ("network", "dynamics", "shocks", "run", "measure"),
+                 "trajectory.csv"),
     "sweep-epsilon": (cmd_sweep_epsilon,
                       ("network.kind", "network.n", "network.sizes", "network.bridge",
-                       "network.flows", "dynamics", "shocks", *_RUN_WINDOW, "measure", "sweep")),
+                       "dynamics", "shocks", *_RUN_WINDOW, "measure", "sweep"),
+                      "entrainment.csv"),
     "sync-centrality": (cmd_sync_centrality,
                         ("network", "dynamics.alpha2", "dynamics.delta", "dynamics.betas",
-                         *_RUN_WINDOW, "measure", "centrality")),
-    "msf": (cmd_msf, ("dynamics", "msf")),
-    "shock-response": (cmd_shock_response, ("network", "dynamics", "shock_response")),
-    "scenarios": (cmd_scenarios, ("network", "dynamics.betas", "scenarios")),
+                         *_RUN_WINDOW, "measure", "centrality"), "sync-centrality.csv"),
+    "msf": (cmd_msf, ("dynamics", "msf"), "msf.csv"),
+    "shock-response": (cmd_shock_response, ("network", "dynamics", "shock_response"),
+                       "shock-response.csv"),
+    "scenarios": (cmd_scenarios, ("network", "dynamics.betas", "scenarios"),
+                  "scenario-results.csv"),
 }
 
 
@@ -345,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "oscillators: simulation, entrainment sweeps, centrality, "
                     "master stability, shock responses and scenario comparisons.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (func, reads) in _COMMANDS.items():
+    for name, (func, reads, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=func.__doc__, description=func.__doc__,
                              epilog=_key_listing(name),
                              formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -359,42 +353,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_metadata(path, mapping: dict):
-    """Write a JSON metadata sidecar."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mapping, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one experiment; the only writer of its output directory."""
+    marks, args = [time.perf_counter()], _build_parser().parse_args(argv)
+    outdir, made, code = None, [], 0
+    record = {"experiment": args.experiment,
+              "versions": {"cyclesync": __version__, "numpy": np.__version__}}
     try:
         overrides = list(args.set)
         if getattr(args, "seed", None) is not None:
             overrides.append(f"run.seed={args.seed}")
-        cfg, resolved = _resolve(_read_config(args.preset, args.config, overrides),
-                                 args.experiment)
-        args.outdir = Path(args.outdir or os.environ.get(ENV_OUTDIR, "."))
-        args.outdir.mkdir(parents=True, exist_ok=True)
-        summary = _COMMANDS[args.experiment][0](cfg, args)
-        echo = configparser.ConfigParser(interpolation=None)
-        echo.read_dict(resolved)
-        with open(args.outdir / "resolved-config.cfg", "w", encoding="utf-8") as fh:
+        cfg, echo = _resolve(_read_config(args.preset, args.config, overrides), args.experiment)
+        record["config"] = echo
+        marks.append(time.perf_counter())
+        outdir = Path(args.outdir or os.environ.get(ENV_OUTDIR, "."))
+        made = [p for p in (outdir, *outdir.parents) if not p.exists()]
+        outdir.mkdir(parents=True, exist_ok=True)
+        summary, write, figure = _COMMANDS[args.experiment][0](cfg)
+        marks.append(time.perf_counter())
+        write_table(outdir / f"figure-{args.experiment}.csv", _FIGURE, *figure)
+        del figure  # frees the figure columns before the module table is built
+        write(outdir / _COMMANDS[args.experiment][2])
+        resolved = configparser.ConfigParser(interpolation=None)
+        resolved.read_dict(echo)
+        with open(outdir / "resolved-config.cfg", "w", encoding="utf-8") as fh:
             fh.write(f"# cyclesync {args.experiment}: every key read, defaults filled in\n")
-            echo.write(fh)
-        _write_metadata(args.outdir / "metadata.json", {
-            "experiment": args.experiment,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(), **summary})
+            resolved.write(fh)
+        marks.append(time.perf_counter())
+        record.update(summary, timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
     except ConfigError as exc:
+        for directory in made:  # deepest first; rmdir leaves a directory that is not empty
+            with suppress(OSError):
+                directory.rmdir()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 4
-    return 0
+    except (NumericalError, DataError, OSError) as exc:
+        code, kind = (3, "numerical") if isinstance(exc, NumericalError) else (4, "data")
+        record["error"] = message = str(exc)
+    if outdir is not None and os.path.isdir(outdir):  # the config resolved
+        record["stages"] = dict(zip(("config_s", "compute_s", "write_s"), np.diff(marks).tolist()))
+        try:
+            (outdir / "metadata.json").write_text(
+                json.dumps(record, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8")
+        except OSError as exc:
+            message = f"{message}; metadata.json not written: {exc}" if code else str(exc)
+            code, kind = 4, "data"
+    if code:
+        print(f"{kind} error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ another layer's draws and runs are reproducible from the seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ _LAYER_SECTOR = 1
 _LAYER_COUNTRY = 2
 _LAYER_INIT = 3
 
-#: how normal variates are produced, echoed into run metadata
-_NORMAL_METHOD = "numpy-pcg64-ziggurat"
 #: half-width of the relative uniform perturbation of a "perturbed" start
 _INITIAL_SPREAD = 0.1
 #: |y| beyond which a run counts as blown up
@@ -134,10 +132,6 @@ class SimulationConfig:
         if self.initial_mode not in ("perturbed", "fixed_point"):
             raise ConfigError(f"unknown initial mode {self.initial_mode!r}")
         _check_seed(self.seed, "seed")
-
-    def echo(self) -> dict:
-        return {**asdict(self), "initial_spread": _INITIAL_SPREAD,
-                "blowup_bound": _BLOWUP_BOUND, "normal_method": _NORMAL_METHOD}
 
 
 @dataclass

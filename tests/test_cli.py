@@ -1,6 +1,5 @@
 import configparser
 import csv
-import dataclasses
 import inspect
 import json
 import os
@@ -102,6 +101,23 @@ class TestConfigHandling:
         assert capsys.readouterr().err == ("config error: network.kind = 'ring': expected "
                                            "single|demo_io|io|complete|star|chain|two_clique\n")
 
+    @pytest.mark.parametrize("setting, message", [
+        (["network.kind=io", "network.flows=/nonexistent/f.csv"],
+         "sweep-epsilon does not read network.flows with network.kind = io; "
+         "it reads [network] keys: kind"),
+        *((["network.kind=" + kind], "sweep-epsilon needs an abstract topology: "
+           "network.kind = complete, star, chain or two_clique")
+          for kind in ("io", "demo_io", "single")),
+    ], ids=["io-flows", "io", "demo_io", "single"])
+    def test_sweep_epsilon_rejects_a_kind_before_building_it(self, setting, message, tmp_path,
+                                                             capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_io_network", simulate_nothing)
+        monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+        argv = ["sweep-epsilon", *(arg for item in setting for arg in ("--set", item))]
+        assert run(argv, tmp_path) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_missing_config_file(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "nope.cfg")],
                    tmp_path) == 2
@@ -187,24 +203,15 @@ class TestSimulateCommand:
         period = meta["measured_periods"]["0"]
         assert period == pytest.approx(36, abs=2)
 
-    def test_metadata_sidecar(self, tmp_path):
-        meta_path = tmp_path / "meta.json"
-        cli._write_metadata(meta_path, SimulationConfig(steps=50, seed=0).echo())
-        loaded = json.loads(meta_path.read_text())
-        assert loaded["seed"] == 0
-        assert "normal_method" in loaded
-        # the fixed values are echoed next to the configured ones
-        assert loaded["initial_spread"] == 0.1
-        assert loaded["blowup_bound"] == 1e3
-
     def test_config_echo_is_the_run_and_shock_config(self, tmp_path):
         assert run(["simulate", "--preset", "cycle-single", "--set", "run.steps=600",
                     "--set", "run.burn_in=100", "--set", "shocks.sigma_u=0.02",
                     "--seed", "5"], tmp_path) == 0
-        echo = json.loads((tmp_path / "metadata.json").read_text())["config_echo"]
-        want = SimulationConfig(steps=600, burn_in=100, seed=5).echo()
-        assert echo == {**want, "shocks": dataclasses.asdict(ShockConfig(sigma_u=0.02))}
-        assert {"initial_spread", "blowup_bound", "normal_method"} <= set(echo)
+        config = json.loads((tmp_path / "metadata.json").read_text())["config"]
+        assert config["run"] == {"steps": "600", "burn_in": "100", "retain": "", "seed": "5",
+                                 "initial_mode": "perturbed"}
+        assert config["shocks"] == {"rho_u": "0.0", "sigma_u": "0.02", "rho_v": "0.0",
+                                    "sigma_v": "0.0", "rho_z": "0.0", "sigma_z": "0.0"}
 
     def test_uncoupled_spread_preset(self, tmp_path):
         assert run(["simulate", "--preset", "uncoupled-spread"], tmp_path) == 0
@@ -331,7 +338,8 @@ class TestOtherCommands:
         assert lines[0] == "node,score,stderr"
         assert len(lines) == 5
         meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert (meta["mode"], meta["n_draws"]) == ("L", 4)
+        assert meta["config"]["centrality"] == {"n_draws": "4", "mode": "L", "entrain_tol": "0.05"}
+        assert "mode" not in meta and "n_draws" not in meta
 
     def test_shock_response_horizon_beyond_the_first_orbit(self, tmp_path):
         # a 136-step cycle: 29 periods outrun the 4000-step orbit first iterated
@@ -676,8 +684,11 @@ class TestResolvedConfig:
         assert (second / "resolved-config.cfg").read_text() == resolved.read_text()
         metas = [json.loads((out / "metadata.json").read_text()) for out in (first, second)]
         for meta in metas:
-            del meta["timestamp"]
+            del meta["timestamp"], meta["stages"]
         assert metas[0] == metas[1]
+        cfg = configparser.ConfigParser(interpolation=None)
+        cfg.read(resolved)
+        assert metas[0]["config"] == {section: dict(cfg[section]) for section in cfg.sections()}
 
     @pytest.mark.parametrize("experiment", ["sweep-epsilon", "sync-centrality"])
     def test_monte_carlo_commands_echo_only_the_run_window(self, experiment, tmp_path):
@@ -705,6 +716,74 @@ class TestResolvedConfig:
             sorted(PRESET_COMMANDS)
         values, echo = cli._resolve(cli._read_config(preset), PRESET_COMMANDS[preset])
         assert echo.keys() == values.keys()
+
+    # what a run leaves in its output directory: main alone writes there
+    @pytest.mark.parametrize("case", sorted(RERUN_CASES))
+    def test_command_only_computes(self, case, tmp_path, monkeypatch):
+        args = cli._build_parser().parse_args(RERUN_CASES[case])
+        cfg, _ = cli._resolve(cli._read_config(args.preset, None, args.set), args.experiment)
+        command = cli._COMMANDS[args.experiment][0]
+        assert list(inspect.signature(command).parameters) == ["cfg"]
+        monkeypatch.chdir(tmp_path)
+        summary, write, figure = command(cfg)
+        assert not list(tmp_path.iterdir())
+        assert isinstance(summary, dict) and callable(write)
+        assert len(figure) == 3 and len({len(column) for column in figure}) == 1
+
+    # a directory that was there, or holds a file, stays as it was
+    @pytest.mark.parametrize("before, left", [
+        ("nothing", []), ("outdir", ["new", "new/out"]),
+        ("a file beside it", ["new", "new/notes.txt"]),
+    ], ids=["nothing", "outdir", "file-beside-it"])
+    def test_config_error_leaves_no_directory_it_made(self, before, left, tmp_path, capsys):
+        outdir = tmp_path / "new" / "out"
+        if before == "outdir":
+            outdir.mkdir(parents=True)
+        elif before == "a file beside it":
+            outdir.parent.mkdir()
+            (outdir.parent / "notes.txt").write_text("kept")
+        assert main(["scenarios", "--set", "scenarios.dynamics=", "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == "config error: dynamics must not be empty\n"
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == left
+
+    @pytest.mark.parametrize("argv, code, kind, error", [
+        (["sync-centrality", "--set", "network.kind=chain", "--set", "network.n=6",
+          "--set", "network.eps=0.5"], 3, "numerical",
+         "focus node 0, draw 0: frequency spread 0.3208 exceeds tolerance 0.05"),
+        (["simulate", "--set", "network.kind=io", "--set", "network.flows=missing/f.csv"], 4,
+         "data", "[Errno 2] No such file or directory: 'missing/f.csv'"),
+    ], ids=["numerical", "data"])
+    def test_failed_run_records_its_error(self, argv, code, kind, error, tmp_path, capsys):
+        assert run(argv, tmp_path) == code
+        assert capsys.readouterr().err == f"{kind} error: {error}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metadata.json"]
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta.pop("config") == cli._resolve(cli._read_config(overrides=argv[2::2]),
+                                                  argv[0])[1]
+        assert meta.pop("stages").keys() == {"config_s"}
+        assert meta == {"experiment": argv[0], "error": error, "versions": {
+            "cyclesync": cyclesync.__version__, "numpy": np.__version__}}
+
+    def test_unwritable_record_is_one_data_error(self, tmp_path, capsys):
+        for name in ("figure-msf.csv", "metadata.json"):
+            (tmp_path / name).mkdir()
+        assert run(["msf", "--preset", "msf-default", "--set", "msf.k_grid=0,1",
+                    "--set", "msf.window=2000"], tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "figure-msf.csv" in err and "metadata.json not written" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["figure-msf.csv", "metadata.json"]
+        assert all(not list(p.iterdir()) for p in tmp_path.iterdir())
+
+    def test_outdir_that_cannot_be_created_exits_before_simulating(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*RERUN_CASES["sync-centrality"], "--outdir", str(blocker / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"] and blocker.read_text() == ""
 
 
 #: a cheap command reading each config section
