@@ -60,7 +60,8 @@ def read_table(path, header, error):
             if first is None or tuple(h.strip() for h in first) != tuple(header):
                 raise error(f"{path}: expected header {','.join(header)}")
             for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
+                # a row is blank exactly when its cells joined are whitespace
+                if not "".join(row).strip():
                     continue
                 if len(row) != len(header):
                     raise error(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")

@@ -350,6 +350,40 @@ def _pairwise_correlations(arr, min_overlap: int) -> np.ndarray:
     return corr
 
 
+def _group_index(groups, grouping: str, exclusions=()) -> tuple:
+    """The groups :func:`grouped_correlations` forms, as (keys, rows, cols, ends, empty
+    message): group k's entries, row-major, are (rows, cols)[ends[k - 1]:ends[k]]."""
+    if grouping == "within_country_sectors":
+        keys = list(_node_groups([c for _, c in groups]))
+        owner = np.array([keys.index(c) for _, c in groups], dtype=int)
+        skipped = {*exclusions, FINAL_DEMAND}
+        kept = np.array([s not in skipped for s, _ in groups], dtype=bool)
+        mask = np.triu((owner[:, None] == owner) & kept[:, None] & kept, 1)
+        empty = "no sector pairs for country {!r}"
+    elif grouping == "across_country_aggregates":
+        keys, owner = list(groups), np.arange(len(groups))
+        mask = ~np.eye(len(groups), dtype=bool)
+        empty = "no cross-country entries for {!r}"
+    else:
+        raise ConfigError(f"unknown grouping {grouping!r}")
+    rows, cols = np.nonzero(mask)
+    order = np.argsort(owner[rows], kind="stable")
+    ends = np.cumsum(np.bincount(owner[rows], minlength=len(keys))).tolist()
+    return keys, rows[order], cols[order], ends, empty
+
+
+def _finite_means(vals, index) -> dict:
+    """Each group's mean finite entry of ``vals``, a matrix at ``index``'s (rows, cols)."""
+    keys, _, _, ends, empty = index
+    result = {}
+    for key, lo, hi in zip(keys, [0] + ends, ends):
+        group = vals[lo:hi][np.isfinite(vals[lo:hi])]
+        if not group.size:
+            raise EmptyGroup(empty.format(key))
+        result[key] = float(np.mean(group))
+    return result
+
+
 def grouped_correlations(matrix, groups, grouping: str = "within_country_sectors",
                          exclusions=()) -> dict:
     """Average correlations by country, keyed in first-seen column order.
@@ -366,28 +400,8 @@ def grouped_correlations(matrix, groups, grouping: str = "within_country_sectors
     if matrix.shape != (len(groups), len(groups)):
         raise ConfigError(f"correlation matrix of shape {matrix.shape} does not match "
                           f"{len(groups)} groups")
-    if grouping == "within_country_sectors":
-        skipped = {*exclusions, FINAL_DEMAND}
-        empty = "no sector pairs for country {!r}"
-        index = []
-        for country, members in _node_groups([c for _, c in groups]).items():
-            ids = np.array([i for i in members if groups[i][0] not in skipped], dtype=int)
-            first, second = np.triu_indices(ids.size, 1)
-            index.append((country, ids[first], ids[second]))
-    elif grouping == "across_country_aggregates":
-        empty = "no cross-country entries for {!r}"
-        index = [(country, np.full(len(groups) - 1, i), np.delete(np.arange(len(groups)), i))
-                 for i, country in enumerate(groups)]
-    else:
-        raise ConfigError(f"unknown grouping {grouping!r}")
-    result = {}
-    for key, rows, cols in index:
-        vals = matrix[rows, cols]
-        vals = vals[np.isfinite(vals)]
-        if not vals.size:
-            raise EmptyGroup(empty.format(key))
-        result[key] = float(np.mean(vals))
-    return result
+    index = _group_index(groups, grouping, exclusions)
+    return _finite_means(matrix[index[1], index[2]], index)
 
 
 @dataclass(frozen=True)
@@ -466,24 +480,25 @@ def _block_correlations(series, detrend: bool, min_overlap: int) -> np.ndarray:
 def _grouped_means(net: InteractionNetwork, trajs, spec):
     """Grouped correlation means of each run of one block simulated on ``net``.
 
-    Each run's means have the bits it gets alone.
+    Each group's entries are gathered once for the whole block; each run
+    averages its own, so its means have the bits it gets alone.
     """
     annual = np.stack([aggregate_series(traj.y, spec.stride) for traj in trajs])
-    pairs = list(zip(net.sectors, net.countries))
     countries = _node_groups(net.countries)
     agg = np.empty(annual.shape[:2] + (len(countries),))
     for j, ids in enumerate(countries.values()):
         w = net.outputs[ids]
         agg[:, :, j] = annual[:, :, ids] @ w / w.sum()
+    within = _group_index(list(zip(net.sectors, net.countries)), "within_country_sectors",
+                          spec.exclusions)
+    across = _group_index(list(countries), "across_country_aggregates")
+    corr = _block_correlations(annual, spec.detrend, _SCENARIO_MIN_OVERLAP)
+    corr_c = _block_correlations(agg, spec.detrend, _SCENARIO_MIN_OVERLAP)
     means = []
-    for corr, corr_c in zip(_block_correlations(annual, spec.detrend, _SCENARIO_MIN_OVERLAP),
-                            _block_correlations(agg, spec.detrend, _SCENARIO_MIN_OVERLAP)):
-        within = grouped_correlations(corr, pairs, "within_country_sectors", spec.exclusions)
-        across = grouped_correlations(corr_c, list(countries), "across_country_aggregates")
-        means.append({
-            "within_country_sectors": float(np.mean(list(within.values()))),
-            "across_country_aggregates": float(np.mean(list(across.values()))),
-        })
+    for vals, vals_c in zip(corr[:, within[1], within[2]], corr_c[:, across[1], across[2]]):
+        by_country, by_aggregate = _finite_means(vals, within), _finite_means(vals_c, across)
+        means.append({"within_country_sectors": float(np.mean(list(by_country.values()))),
+                      "across_country_aggregates": float(np.mean(list(by_aggregate.values())))})
     return means
 
 
@@ -492,11 +507,13 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
 
     Returns :class:`ScenarioRow` records, one per (dynamics, shock type,
     sigma_u, grouping), with the mean and standard deviation over seeds.
-    Every (cell, seed) run of the grid is simulated in grid order, in
-    blocks of ``_RUNS_PER_BATCH`` runs.  A run that blows up raises
-    :class:`NumericalError` naming its cell and seed.  A network whose
-    groups hold no sector pair or no other country raises
-    :class:`ConfigError` before anything is simulated.
+    The (cell, seed) runs are simulated seed-major (every cell at seed 0,
+    then at seed 1, ...) in blocks of ``_RUNS_PER_BATCH``, whose runs share
+    their shock streams.  A run that blows up raises :class:`NumericalError`
+    naming its cell and seed: when several do, the first failing run of the
+    first failing block in that order.  A network whose groups hold no
+    sector pair or no other country raises :class:`ConfigError` before
+    anything is simulated.
     """
     countries = list(_node_groups(net.countries))
     try:
@@ -507,7 +524,7 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
     except EmptyGroup as exc:
         raise ConfigError(str(exc)) from None
     cells = list(itertools.product(spec.dynamics, spec.shock_types, map(float, spec.sigma_u_grid)))
-    runs = [(*cell, seed) for cell in cells for seed in range(spec.n_seeds)]
+    runs = [(*cell, seed) for seed in range(spec.n_seeds) for cell in cells]
     cfg = SimulationConfig(steps=spec.steps, retain=spec.retain)
     means = []
     for first in range(0, len(runs), _RUNS_PER_BATCH):
@@ -528,7 +545,7 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
     rows = []
     for c, cell in enumerate(cells):
         for group in ("within_country_sectors", "across_country_aggregates"):
-            vals = np.array([m[group] for m in means[c * spec.n_seeds:(c + 1) * spec.n_seeds]])
+            vals = np.array([m[group] for m in means[c::len(cells)]])
             rows.append(ScenarioRow(*cell, group, float(vals.mean()),
                                     float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
                                     spec.n_seeds))

@@ -318,15 +318,18 @@ def _layer_entities(net: InteractionNetwork) -> list:
 def _shock_paths(nets, shocks, steps: int, seeds, total) -> None:
     """Add every run's active AR(1) shock layers into the (B, steps, N) sum ``total``.
 
-    Every node of a layer's entity receives that entity's path.  Each path
-    draws its innovations from its own (seed, layer, entity) stream, and
-    all paths of the batch then step through one recursion.  Each (run,
-    layer) is added with one gather, idiosyncratic, then sector, then
-    country, so every node's sum is ((0 + u) + v) + z.  Shocks run from
-    the first step, burn-in included.
+    Every node of a layer's entity receives that entity's path.  Each path's
+    innovations come from its own (seed, layer, entity) stream, drawn once
+    per batch as standard normals z and scaled per run: 0.0 + sigma * z is
+    what ``Generator.normal(0.0, sigma)`` computes, so a path keeps its bits
+    in any batch.  All paths step through one recursion.  Each (run, layer)
+    is added with one gather, idiosyncratic, then sector, then country, so
+    every node's sum is ((0 + u) + v) + z.  Shocks run from the first step,
+    burn-in included.
     """
     entities = {}                     # id(net) -> _layer_entities(net)
-    adds, keys, sigmas, rhos = [], [], [], []     # adds: (run, nodes, path of each node)
+    streams = {}                      # (seed, layer, entity) -> its column of z
+    adds, rows, sigmas, rhos = [], [], [], []     # adds: (run, nodes, path of each node)
     for r, (net, shock, seed) in enumerate(zip(nets, shocks, seeds)):
         if id(net) not in entities:
             entities[id(net)] = _layer_entities(net)
@@ -336,27 +339,35 @@ def _shock_paths(nets, shocks, steps: int, seeds, total) -> None:
                 (shock.sigma_u, shock.sigma_v, shock.sigma_z), entities[id(net)]):
             if sigma == 0:
                 continue
-            adds.append((r, nodes, len(keys) + entity))
-            keys.extend((seed, layer, j) for j in range(count))
+            adds.append((r, nodes, len(rows) + entity))
+            rows.extend(streams.setdefault((seed, layer, j), len(streams)) for j in range(count))
             sigmas.extend([sigma] * count)
             rhos.extend([rho] * count)
-    paths = np.zeros((steps, len(keys)))
-    for k, (sigma, gen) in enumerate(zip(sigmas, _streams(keys))):
-        paths[1:, k] = gen.normal(0.0, sigma, steps - 1)
+    z = np.empty((steps - 1, len(streams)))
+    for col, gen in zip(z.T, _streams(list(streams))):
+        col[:] = gen.standard_normal(steps - 1)
+    paths = np.zeros((steps, len(rows)))
+    # "clip" gathers straight into paths, where "raise" buffers a full-size copy
+    np.take(z, rows, axis=1, out=paths[1:], mode="clip")
+    paths[1:] *= np.array(sigmas)
+    paths[1:] += 0.0
     _ar1_recursion(paths, np.array(rhos))
     for r, nodes, cols in adds:
         total[r][:, nodes] += paths[:, cols]
 
 
 def _initial_states(de: np.ndarray, cfg: SimulationConfig, seeds) -> tuple:
-    """(B, N) starts at the unit fixed point, optionally perturbed from each run's seed."""
+    """(B, N) starts at the unit fixed point, optionally perturbed from each
+    run's seed; each distinct seed's stream is drawn once."""
     x = 1.0 / de
     y = np.ones(de.shape)
     if cfg.initial_mode == "perturbed":
-        n = de.shape[1]
-        for r, rng in enumerate(_streams([(seed, _LAYER_INIT, 0) for seed in seeds])):
-            x[r] *= 1.0 + rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, n)
-            y[r] *= 1.0 + rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, n)
+        streams = {}                  # seed -> its row of draws
+        rows = [streams.setdefault(seed, len(streams)) for seed in seeds]
+        factors = 1.0 + np.array([rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, (2, de.shape[1]))
+                                  for rng in _streams([(s, _LAYER_INIT, 0) for s in streams])])
+        x *= factors[rows, 0]
+        y *= factors[rows, 1]
     return x, y
 
 
@@ -389,7 +400,8 @@ def _iterate(w, a0, a1, a2, de, x, y, q: QuarticCoefficients, steps: int,
     ybar3 = np.empty((b, n, 1))
     ybar, f, tmp = ybar3[:, :, 0], np.empty((b, n)), np.empty((b, n))
     one_minus_de = 1.0 - de
-    b0, b1, b2, b3, b4 = q.as_tuple()
+    # 0-d arrays: a Python float operand costs a scalar conversion per ufunc call
+    b0, b1, b2, b3, b4 = map(np.array, q.as_tuple())
     x_start = None
     # a run that blows up keeps iterating to the end of the lap
     with np.errstate(over="ignore", invalid="ignore"):

@@ -720,18 +720,21 @@ class TestGroupedCorrelations:
 
 
 class TestScenarioBlocks:
-    @pytest.mark.parametrize("detrend", [False, True])
-    @pytest.mark.parametrize("runs", [1, 7, 32])
-    def test_block_matches_one_run_calls(self, demo_io_network, monkeypatch, runs, detrend):
+    @pytest.mark.parametrize("runs, detrend, exclusions", [
+        pytest.param(runs, detrend, exclusions,
+                     id=f"{runs}-{detrend}" + ("-excluded" if exclusions else ""))
+        for runs in (1, 7, 32) for detrend in (False, True)
+        for exclusions in ((), ("AGR", "TRD"))])
+    def test_block_matches_one_run_calls(self, demo_io_network, monkeypatch, runs, detrend,
+                                         exclusions):
         net = demo_io_network
         rng = np.random.default_rng(runs)
         block = [SimpleNamespace(y=1.0 + 0.1 * rng.standard_normal((48, net.n)).cumsum(axis=0))
                  for _ in range(runs)]
         # a zero series has its trend under the floor, so this run's detrended
         # indicator is missing and the run takes the pairwise path alone
-        odd = block[runs // 2]
-        odd.y[:, 1] = 0.0
-        spec = ScenarioSpec(stride=4, detrend=detrend)
+        block[runs // 2].y[:, 1] = 0.0
+        spec = ScenarioSpec(stride=4, detrend=detrend, exclusions=exclusions)
         pairwise = []
         pairwise_correlations = empirics._pairwise_correlations
 
@@ -744,7 +747,8 @@ class TestScenarioBlocks:
         assert pairwise == ([(12, net.n)] if detrend else [])
         monkeypatch.undo()
         assert got == [_grouped_means(net, [traj], spec)[0] for traj in block]
-        assert got[runs // 2] == oracle_grouped_means(net, odd, spec)
+        # the block's one gather per group against the per-run loop oracle
+        assert got == [oracle_grouped_means(net, traj, spec) for traj in block]
 
 
 @pytest.fixture(scope="module")
@@ -785,6 +789,20 @@ class TestScenarioRun:
             assert part in message
         assert not isinstance(err.value, NumericalBlowup)
         assert isinstance(err.value.__cause__, NumericalBlowup)
+
+    def test_blowup_in_two_blocks_names_the_first_in_seed_major_order(self, demo_io_network):
+        # 17 cells x 2 seeds, seed-major: the last cell (sigma_u 3.0) is run 16
+        # of the first block at seed 0 and run 1 of the second at seed 1.  Both
+        # blow up, seed 1 at an earlier step (4 against 5), so the first
+        # failing block, not the earliest step, decides which run is named
+        spec = ScenarioSpec(dynamics=("cycle",), shock_types=("idiosyncratic",),
+                            sigma_u_grid=(*np.linspace(0.01, 0.16, 16), 3.0), n_seeds=2)
+        with pytest.raises(NumericalError) as err:
+            scenario_run(demo_io_network, spec)
+        message = str(err.value)
+        for part in ("sigma_u 3.0", "seed 0", "at step 5"):
+            assert part in message
+        assert err.value.__cause__.run == 16
 
     def test_detrended_rows_match_per_run_oracle(self, demo_io_network):
         spec = ScenarioSpec(dynamics=("cycle", "node"), shock_types=("idiosyncratic", "country"),

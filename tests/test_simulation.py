@@ -519,6 +519,30 @@ class TestBatchParity:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                               err_msg=name)
 
+    @pytest.mark.parametrize("per_run_weights", [False, True])
+    @pytest.mark.parametrize("initial_mode", ["perturbed", "fixed_point"])
+    def test_shared_seeds_match_separate_simulate_calls(self, per_run_weights, initial_mode):
+        # the seed-3 runs share their initial stream and every stream of the
+        # layers they have in common; each run scales the shared draws by its
+        # own sigma, and the seed-4 runs share theirs the same way
+        shocks = [ALL_LAYERS, dataclasses.replace(ALL_LAYERS, sigma_u=0.07), SECTOR_ONLY,
+                  SECTOR_ONLY, ShockConfig(rho_u=0.2, sigma_u=0.05), ShockConfig(),
+                  dataclasses.replace(SECTOR_ONLY, sigma_v=0.01)]
+        seeds = [3, 3, 4, 3, 3, 3, 4]
+        runs = [hetero_params(5), cycle_params(), hetero_params(5, shift=0.005),
+                cycle_params(-0.03), hetero_params(5), cycle_params(), cycle_params(-0.05)]
+        nets = ([dataclasses.replace(ROUTED, weights=uniform_coupling(
+                    build_topology("complete", 5), eps).weights)
+                 for eps in np.linspace(0.0, 0.4, len(runs))]
+                if per_run_weights else [ROUTED] * len(runs))
+        cfg = SimulationConfig(steps=300, retain=120, seed=0, initial_mode=initial_mode)
+        batch = simulate_batch(nets, runs, Q, shocks, cfg, seeds=seeds)
+        for got, net, params, shock, seed in zip(batch, nets, runs, shocks, seeds):
+            want = simulate(net, params, Q, shock, dataclasses.replace(cfg, seed=seed))
+            for name in ("x", "y"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                              err_msg=name)
+
     def test_rejects_wrong_number_of_shock_configs(self):
         cfg = SimulationConfig(steps=10)
         with pytest.raises(ConfigError, match="1 shocks"):
@@ -540,6 +564,22 @@ class TestBatchParity:
         with pytest.raises(ConfigError):
             simulate_batch(single_net(), [cycle_params()] * 2, Q, None, cfg,
                            seeds=[1])
+
+
+@pytest.mark.parametrize("key", [(0,), (3, 0, 0), (3, 1, 2), (11, 2, 16), (2 ** 40, 0, 7)])
+def test_normal_draws_are_scaled_standard_normals(key):
+    """``Generator.normal(0.0, sigma, n)`` equals ``0.0 + sigma * standard_normal(n)`` bit for bit.
+
+    A batch draws each shared shock stream once as standard normals and
+    scales it by each run's sigma.  That every run's outputs stay byte-
+    identical, alone or in any batch, rests on this identity: numpy's normal
+    sampler computes loc + scale * z with no fused multiply-add.
+    """
+    for sigma in (1e-300, 1e-8, 0.03, 0.2, 1.0, 3.0):
+        want = np.random.default_rng(key).normal(0.0, sigma, 1000)
+        got = 0.0 + sigma * np.random.default_rng(key).standard_normal(1000)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                      err_msg=f"sigma {sigma}")
 
 
 def oracle_iterate(w, a0, a1, a2, de, x, y, q, steps, retain, bound, shock_sum=None):
@@ -680,7 +720,8 @@ class TestBatchedCallersParity:
             assert got.sd_corr == pytest.approx(want.sd_corr, rel=0, abs=TOL)
 
     def test_scenario_rows_summarize_their_own_cell(self, demo_io_network):
-        # 12 cells x 3 seeds: the 32-run block boundary splits the 11th cell
+        # 12 cells x 3 seeds, seed-major: the 32-run block boundary falls in
+        # seed 2, so the last 4 cells take their third seed from another block
         spec = empirics.ScenarioSpec(dynamics=("cycle", "focus"),
                                      shock_types=("idiosyncratic", "country", "sector"),
                                      sigma_u_grid=(0.0, 0.1), n_seeds=3)
