@@ -49,12 +49,13 @@ def write_table(path, header, *columns):
 def read_table(path, header, error):
     """Yield ``(lineno, cells)`` for each non-blank row of a UTF-8 table under ``header``.
 
-    Raises ``error`` naming the file for a missing or wrong header, bytes
-    that are not UTF-8 (decoded a block at a time, so no line is known), and,
-    with its line, a row without one cell per header name.
+    A leading UTF-8 byte-order mark is skipped.  Raises ``error`` naming the
+    file for a missing or wrong header, bytes that are not UTF-8 (decoded a
+    block at a time, so no line is known), and, with its line, a row without
+    one cell per header name.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first is None or tuple(h.strip() for h in first) != tuple(header):

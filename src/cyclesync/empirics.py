@@ -149,9 +149,9 @@ def load_panel_csv(path) -> PanelSeries:
     """Load ``country,sector,variable,year,value`` rows with validation.
 
     Duplicated (country, sector, variable, year) keys, unparseable or
-    non-finite values, rows with an all-empty series key and other
-    unparseable rows raise with their line numbers; year gaps are recorded
-    per series.
+    non-finite values, years outside 1-9999, rows with an all-empty series
+    key and other unparseable rows raise with their line numbers; year gaps
+    are recorded per series.
     """
     header = ("country", "sector", "variable", "year", "value")
     records = []
@@ -164,6 +164,8 @@ def load_panel_csv(path) -> PanelSeries:
             raise MalformedRow(f"{path}:{lineno}: {exc}") from None
         if not math.isfinite(value):
             raise MalformedRow(f"{path}:{lineno}: non-finite value {row[4]!r}")
+        if not 1 <= year <= 9999:
+            raise MalformedRow(f"{path}:{lineno}: year {year} outside 1-9999")
         key = (row[0].strip(), row[1].strip(), row[2].strip(), year)
         if not any(key[:3]):
             raise MalformedRow(f"{path}:{lineno}: empty country, sector and variable")

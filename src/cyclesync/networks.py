@@ -92,6 +92,19 @@ class Adjacency:
         return self.matrix.sum(axis=1)
 
 
+def _check_outputs(outputs, n: int) -> np.ndarray:
+    """``outputs`` as a float array; ConfigError unless it is (n,), finite and non-negative."""
+    outputs = np.asarray(outputs, dtype=float)
+    if outputs.shape != (n,):
+        raise ConfigError(f"outputs must have shape ({n},), got {outputs.shape}")
+    # comparisons are false for NaN, so the range is stated positively
+    bad = np.flatnonzero(~((outputs >= 0) & (outputs < np.inf)))
+    if bad.size:
+        raise ConfigError(f"outputs must be finite and non-negative, "
+                          f"got {outputs[bad[0]]} at node {bad[0]}")
+    return outputs
+
+
 @dataclass
 class InteractionNetwork:
     """Row-stochastic interaction matrix with node metadata.
@@ -123,14 +136,9 @@ class InteractionNetwork:
             self.sectors = [None] * n
         if not self.countries:
             self.countries = [None] * n
-        if self.outputs is None:
-            self.outputs = np.ones(n)
-        else:
-            self.outputs = np.asarray(self.outputs, dtype=float)
         if len(self.labels) != n or len(self.sectors) != n or len(self.countries) != n:
             raise ConfigError("metadata length must match the node count")
-        if self.outputs.shape != (n,) or not np.all(self.outputs >= 0):
-            raise ConfigError("outputs must be a non-negative length-N vector")
+        self.outputs = np.ones(n) if self.outputs is None else _check_outputs(self.outputs, n)
 
     @property
     def n(self) -> int:
@@ -445,7 +453,8 @@ def fiedler_vector(spec: SpectralDecomposition, outputs=None) -> np.ndarray:
     node is made positive; otherwise the first nonzero component is made
     positive.  Warns when the spectral gap above lambda_2 nearly vanishes;
     raises :class:`ConfigError` for a single node, which has no second
-    eigenvector, and for ``outputs`` not of shape (N,).
+    eigenvector, and for ``outputs`` not of shape (N,), finite and
+    non-negative.
     """
     if spec.n < 2:
         raise ConfigError("a network of one node has no Fiedler vector")
@@ -455,9 +464,7 @@ def fiedler_vector(spec: SpectralDecomposition, outputs=None) -> np.ndarray:
                       stacklevel=2)
     v = spec.modes[:, 1].copy()
     if outputs is not None:
-        if np.shape(outputs) != (spec.n,):
-            raise ConfigError(f"outputs must have shape ({spec.n},), got {np.shape(outputs)}")
-        pivot = int(np.argmax(outputs))
+        pivot = int(np.argmax(_check_outputs(outputs, spec.n)))
     else:
         pivot = int(np.flatnonzero(np.abs(v) > 1e-12)[0])
     if v[pivot] < 0:

@@ -26,7 +26,7 @@ from .errors import (
     TooFewPeaks,
 )
 from .networks import Adjacency, InteractionNetwork, uniform_coupling
-from .simulation import ShockConfig, SimulationConfig, _streams, simulate_batch
+from .simulation import ShockConfig, SimulationConfig, simulate_batch
 
 __all__ = [
     "PhaseSeries",
@@ -466,14 +466,15 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
 
     agent = {a1: AgentParams.with_steady_state(a1, alpha2, delta, q) for a1 in alpha1_grid}
     uniform = InteractionNetwork(weights=np.full((n, n), 1.0 / n), labels=list(net.labels))
-    draws = [(key, d) for key in range(n + 1) for d in range(n_draws)]
     runs = []       # (key, draw, network, per-node params); key n is the benchmark
-    for (key, d), rng in zip(draws, _streams([(cfg.seed, key, d) for key, d in draws])):
+    for key in range(n + 1):
         focus = key if key < n else 0
-        assignment = np.empty(n)
-        assignment[focus] = focus_value
-        assignment[np.arange(n) != focus] = rng.permutation(rest)
-        runs.append((key, d, net if key < n else uniform, [agent[a1] for a1 in assignment]))
+        for d in range(n_draws):
+            assignment = np.empty(n)
+            assignment[focus] = focus_value
+            rng = np.random.default_rng((cfg.seed, key, d))
+            assignment[np.arange(n) != focus] = rng.permutation(rest)
+            runs.append((key, d, net if key < n else uniform, [agent[a1] for a1 in assignment]))
 
     def where(key, d):
         name = f"focus node {net.labels[key]}" if key < n else "uniform benchmark"

@@ -46,17 +46,6 @@ _BLOWUP_BOUND = 1e3
 #: steps of the step loop between two blow-up checks
 _CHECK_EVERY = 64
 
-# numpy's SeedSequence hashing and PCG64 seeding, from which _streams states
-# each generator exactly as np.random.default_rng(key) does
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
-
 
 @dataclass(frozen=True)
 class ShockConfig:
@@ -177,87 +166,6 @@ class TrajectorySet:
                     np.tile(np.arange(self.steps), self.n), self.x.T.ravel(), self.y.T.ravel())
 
 
-def _key_words(key) -> tuple:
-    """A key's little-endian uint32 entropy words, as ``np.random.SeedSequence`` coerces it."""
-    words = []
-    for value in key:
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(value & _MASK32)
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-    return tuple(words)
-
-
-def _pcg64_seeds(entropy: np.ndarray) -> list:
-    """``SeedSequence(key).generate_state(4, uint64)`` for every row of (K, L) words.
-
-    The uint32 arithmetic runs on uint64 arrays masked to 32 bits; the hash
-    constant depends only on the number of calls, so it is one scalar for
-    all K keys.  Returns four lists of K Python ints: PCG64's seed (high,
-    low) and stream (high, low) words.
-    """
-    k, length = entropy.shape
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> _XSHIFT
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> _XSHIFT
-
-    pool = [hashmix(entropy[:, i] if i < length else np.zeros(k, np.uint64))
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    hash_const = _INIT_B
-    state = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        state.append(value ^ value >> _XSHIFT)
-    return [(state[2 * i] | state[2 * i + 1] << 32).tolist() for i in range(_POOL_SIZE)]
-
-
-def _streams(keys):
-    """Yield, in key order, a generator that draws what ``np.random.default_rng(key)`` draws.
-
-    Every key's seed is hashed in one numpy pass per word count, and one
-    reused PCG64 is re-stated for each key in turn, so a yielded generator
-    must be drawn from before the next is taken.
-    """
-    words = [_key_words(key) for key in keys]
-    by_length = {}
-    for i, w in enumerate(words):
-        by_length.setdefault(len(w), []).append(i)
-    states = [None] * len(words)
-    for rows in by_length.values():
-        seed_hi, seed_lo, seq_hi, seq_lo = _pcg64_seeds(
-            np.array([words[i] for i in rows], dtype=np.uint64))
-        for j, i in enumerate(rows):
-            inc = ((seq_hi[j] << 64 | seq_lo[j]) << 1 | 1) & _MASK128
-            seed = seed_hi[j] << 64 | seed_lo[j]
-            states[i] = {"state": ((inc + seed) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
-    bit_generator = np.random.PCG64(0)
-    gen = np.random.Generator(bit_generator)
-    for state in states:
-        bit_generator.state = {"bit_generator": "PCG64", "state": state,
-                               "has_uint32": 0, "uinteger": 0}
-        yield gen
-
-
 def _ar1_recursion(paths: np.ndarray, rho) -> np.ndarray:
     """Turn the innovations in rows 1.. of (steps, P) ``paths`` into AR(1) paths in place.
 
@@ -344,8 +252,8 @@ def _shock_paths(nets, shocks, steps: int, seeds, total) -> None:
             sigmas.extend([sigma] * count)
             rhos.extend([rho] * count)
     z = np.empty((steps - 1, len(streams)))
-    for col, gen in zip(z.T, _streams(list(streams))):
-        col[:] = gen.standard_normal(steps - 1)
+    for col, key in zip(z.T, streams):
+        col[:] = np.random.default_rng(key).standard_normal(steps - 1)
     paths = np.zeros((steps, len(rows)))
     # "clip" gathers straight into paths, where "raise" buffers a full-size copy
     np.take(z, rows, axis=1, out=paths[1:], mode="clip")
@@ -364,8 +272,8 @@ def _initial_states(de: np.ndarray, cfg: SimulationConfig, seeds) -> tuple:
     if cfg.initial_mode == "perturbed":
         streams = {}                  # seed -> its row of draws
         rows = [streams.setdefault(seed, len(streams)) for seed in seeds]
-        factors = 1.0 + np.array([rng.uniform(-_INITIAL_SPREAD, _INITIAL_SPREAD, (2, de.shape[1]))
-                                  for rng in _streams([(s, _LAYER_INIT, 0) for s in streams])])
+        factors = 1.0 + np.array([np.random.default_rng((s, _LAYER_INIT, 0)).uniform(
+            -_INITIAL_SPREAD, _INITIAL_SPREAD, (2, de.shape[1])) for s in streams])
         x *= factors[rows, 0]
         y *= factors[rows, 1]
     return x, y

@@ -251,6 +251,17 @@ class TestLoadPanel:
         with pytest.raises(MalformedRow, match=r"panel\.csv: not UTF-8 text \(byte 0xff"):
             load_panel_csv(path)
 
+    @pytest.mark.parametrize("year", [0, -1990, 10000, 20010, 3000000])
+    def test_year_outside_four_digits_reports_line(self, tmp_path, year):
+        # a typo such as 20010 would otherwise flag thousands of missing years
+        path = write_panel(tmp_path, [
+            ("US", "D", "emp", 1, 100.0),
+            ("US", "D", "emp", 9999, 100.0),
+            ("US", "D", "emp", year, 100.0),
+        ])
+        with pytest.raises(MalformedRow, match=rf"panel\.csv:4: year {year} outside 1-9999$"):
+            load_panel_csv(path)
+
     def test_year_gap_flagged(self, tmp_path):
         path = write_panel(tmp_path, [
             ("US", "D", "emp", 1980, 1.0),

@@ -7,6 +7,7 @@ table must come out byte-identical, except that ``FlowTable.to_csv`` now
 ends its lines with LF where ``csv.writer`` wrote CRLF.
 """
 
+import codecs
 import csv
 import io
 
@@ -15,7 +16,8 @@ import pytest
 
 from cyclesync import _format, cli
 from cyclesync._format import fmt, write_table
-from cyclesync.empirics import ScenarioRow, write_scenario_csv
+from cyclesync.empirics import ScenarioRow, load_panel_csv, write_scenario_csv
+from cyclesync.fixtures import demo_flow_table
 from cyclesync.master_stability import MasterStabilityCurve, ShockResponse
 from cyclesync.networks import FlowRecord, FlowTable
 from cyclesync.phase import EntrainmentResult, SyncCentralityResult
@@ -394,3 +396,25 @@ class TestReadTable:
         path.write_bytes(b"\xffa,b\n1,2\n")
         with pytest.raises(self.Bad, match=r"t\.csv: not UTF-8 text \(byte 0xff"):
             self.read(path)
+
+    def test_undecodable_bytes_after_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"a,b\n1,2\n\xe9t\xe9,3\n")
+        with pytest.raises(self.Bad, match=r"t\.csv: not UTF-8 text "
+                                           r"\(byte 0xe9: invalid continuation byte\)$"):
+            self.read(path)
+
+    @pytest.mark.parametrize("loader", ["flow table", "panel"])
+    def test_loaders_skip_a_byte_order_mark(self, loader, tmp_path):
+        # spreadsheet programs save UTF-8 CSV with a leading EF BB BF
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        if loader == "flow table":
+            demo_flow_table().to_csv(plain)
+            load = FlowTable.from_csv
+        else:
+            plain.write_text("country,sector,variable,year,value\n"
+                             "US,D,emp,1990,1.5\nUS,D,emp,1992,2.5\nDE,F,va,2001,-0.25\n")
+            load = load_panel_csv
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert load(marked).records == load(plain).records
+        assert len(load(plain).records) >= 3

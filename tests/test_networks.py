@@ -352,8 +352,10 @@ class TestInteractionNetwork:
             InteractionNetwork(np.array(weights))
 
     def test_nan_output_rejected(self):
-        with pytest.raises(ConfigError, match="outputs"):
-            InteractionNetwork(np.eye(2), outputs=np.array([1.0, np.nan]))
+        for bad in (np.nan, np.inf, -np.inf, -1.0):
+            with pytest.raises(ConfigError, match=rf"outputs must be finite and non-negative, "
+                                                  rf"got {bad} at node 1$"):
+                InteractionNetwork(np.eye(2), outputs=np.array([1.0, bad]))
 
 
 class TestSpectra:
@@ -522,6 +524,15 @@ class TestFiedler:
         spec = generalized_laplacian(demo_io_network)
         with pytest.raises(ConfigError, match=re.escape(f"shape (18,), got {shape}")):
             fiedler_vector(spec, outputs=np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_outputs_must_be_finite_and_non_negative(self, demo_io_network, bad):
+        # a NaN would otherwise be the argmax pivot of the sign
+        spec = generalized_laplacian(demo_io_network)
+        outputs = np.ones(18)
+        outputs[4] = bad
+        with pytest.raises(ConfigError, match=rf"finite and non-negative, got {bad} at node 4$"):
+            fiedler_vector(spec, outputs=outputs)
 
     def test_country_blocks_split_in_demo_network(self, demo_io_network):
         spec = generalized_laplacian(demo_io_network)

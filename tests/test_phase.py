@@ -584,6 +584,36 @@ class TestSyncCentrality:
         for alpha1 in seen:
             assert alpha1 == list(np.linspace(-0.1, -0.02, net.n))
 
+    @pytest.mark.parametrize("mode", ["L", "H"])
+    @pytest.mark.parametrize("seed", [7, 2**32 + 7])
+    def test_draw_permutes_with_its_own_stream_key(self, mode, seed, monkeypatch):
+        # draw d of focus node i (the uniform benchmark is i = N, focus 0)
+        # permutes the rest of the grid with default_rng((seed, i, d))
+        net = uniform_coupling(build_topology("star", 4), 0.5)
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def record(nets, draws, *args, **kwargs):
+            seen.extend(zip(nets, ([p.alpha1 for p in params] for params in draws)))
+            raise Stop
+
+        monkeypatch.setattr(phase, "simulate_batch", record)
+        with pytest.raises(Stop):
+            sync_centrality(net, SimulationConfig(steps=1500, burn_in=400, seed=seed),
+                            n_draws=3, mode=mode)
+        grid = np.linspace(-0.1, -0.02, net.n)
+        focus_value, rest = (grid[-1], grid[:-1]) if mode == "L" else (grid[0], grid[1:])
+        assert len(seen) == 3 * (net.n + 1)
+        for r, (target, alpha1) in enumerate(seen):
+            i, d = divmod(r, 3)
+            focus = i if i < net.n else 0
+            want = list(np.random.default_rng((seed, i, d)).permutation(rest))
+            want.insert(focus, focus_value)
+            assert alpha1 == want, (i, d)
+            assert (target is net) == (i < net.n)
+
     @pytest.mark.parametrize("n_draws", [0, -3])
     def test_rejects_fewer_than_one_draw(self, n_draws):
         net = InteractionNetwork(weights=np.full((3, 3), 1.0 / 3))

@@ -4,8 +4,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cyclesync import empirics, phase
 from cyclesync.dynamics import DEFAULT_QUARTIC, AgentParams, eval_f, single_agent_step
@@ -24,7 +22,6 @@ from cyclesync.simulation import (
     _iterate,
     _per_node_params,
     _shock_paths,
-    _streams,
 )
 
 Q = DEFAULT_QUARTIC
@@ -141,39 +138,6 @@ class TestAr1AgainstLfilter:
                             want[r, :, i] += path
         np.testing.assert_array_equal(total, want)
         assert not total[1].any() and not total[3].any()
-
-
-#: stream keys as the package builds them: a seed, then two small parts
-stream_keys = st.lists(st.tuples(
-    st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80 - 1)),
-    st.integers(0, 2**33), st.integers(0, 2**33)), max_size=12)
-
-
-class TestStreams:
-    @given(keys=stream_keys, size=st.integers(0, 40))
-    @settings(max_examples=300, deadline=None)
-    def test_each_stream_draws_what_default_rng_draws(self, keys, size):
-        # every key gets its generator in key order, with numpy's own seeding
-        got = []
-        for gen in _streams(keys):
-            got.append((gen.normal(0.0, 0.3, size), gen.uniform(-0.1, 0.1, size),
-                        gen.permutation(size)))
-        assert len(got) == len(keys)
-        for key, (normal, uniform, permutation) in zip(keys, got):
-            ref = np.random.default_rng(key)
-            np.testing.assert_array_equal(normal, ref.normal(0.0, 0.3, size))
-            np.testing.assert_array_equal(uniform, ref.uniform(-0.1, 0.1, size))
-            np.testing.assert_array_equal(permutation, ref.permutation(size))
-
-    def test_no_keys_give_no_streams(self):
-        assert list(_streams([])) == []
-
-    def test_keys_of_mixed_word_counts_keep_their_order(self):
-        # 0 is one word, 2**32 two, 2**64 three: three hashing groups, one order
-        keys = [(2**64, 0, 0), (0, 0, 0), (2**32, 5, 1), (7, 2**33, 0), (0, 0, 0)]
-        draws = [gen.standard_normal(3) for gen in _streams(keys)]
-        for key, draw in zip(keys, draws):
-            np.testing.assert_array_equal(draw, np.random.default_rng(key).standard_normal(3))
 
 
 def single_net():
@@ -504,6 +468,21 @@ class TestBatchParity:
         want = oracle_simulate(ROUTED, hetero_params(5), Q, ALL_LAYERS, cfg)
         for name in ("x", "y"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("initial_mode", ["perturbed", "fixed_point"])
+    def test_two_word_seeds_match_serial_oracle(self, initial_mode):
+        # seeds of 2**32 and above key their streams with two uint32 words;
+        # 2**32 + 3 shares its low word with the seed 3 of the last run
+        cfg = SimulationConfig(steps=300, retain=120, seed=0, initial_mode=initial_mode)
+        runs = [hetero_params(5), cycle_params(), hetero_params(5, shift=0.005), cycle_params()]
+        seeds = [2**32, 2**32 + 3, 2**64 - 1, 3]
+        batch = simulate_batch(ROUTED, runs, Q, ALL_LAYERS, cfg, seeds=seeds)
+        serial = oracle_batch(ROUTED, runs, Q, ALL_LAYERS, cfg, seeds=seeds)
+        for got, want in zip(batch, serial):
+            for name in ("x", "y"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                              err_msg=name)
+        assert not np.array_equal(batch[1].y, batch[3].y)
 
     def test_mixed_shocks_match_separate_simulate_calls(self):
         # silent runs sit between active ones with different layers switched on
