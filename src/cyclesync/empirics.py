@@ -112,7 +112,8 @@ class PanelSeries:
     the whole panel.  ``gaps`` is derived from the records in the same
     order: the missing years inside each series' span, for series with any.
     Two records for one (country, sector, variable, year) raise
-    :class:`DuplicateKey`.
+    :class:`DuplicateKey`; a year that is not an integer in 1-9999 or a
+    non-finite value raises :class:`MalformedRow` naming the series.
     """
 
     records: list
@@ -125,6 +126,11 @@ class PanelSeries:
             self._index.setdefault((r.country, r.sector, r.variable), []).append(r)
         self.gaps = {}
         for key, series in self._index.items():
+            for r in series:
+                if not (isinstance(r.year, (int, np.integer)) and 1 <= r.year <= 9999):
+                    raise MalformedRow(f"series {key}: year {r.year!r} is not an integer in 1-9999")
+                if not math.isfinite(r.value):
+                    raise MalformedRow(f"series {key}, year {r.year}: non-finite value {r.value!r}")
             years = {r.year for r in series}
             if len(years) < len(series):
                 year = next(y for y, c in Counter(r.year for r in series).items() if c > 1)

@@ -157,7 +157,7 @@ def synchronized_orbit(params: AgentParams, q: QuarticCoefficients = DEFAULT_QUA
         )
     try:
         peaks = detect_peaks(ys[:_PERIOD_STEPS])
-    except TooFewPeaks as exc:
+    except (TooFewPeaks, ConfigError) as exc:
         if steps >= _PERIOD_STEPS:
             raise
         raise ConfigError(f"orbit of {steps} steps too short for three peaks ({exc})") from None

@@ -404,18 +404,9 @@ def generalized_laplacian(net: InteractionNetwork) -> SpectralDecomposition:
                 f"{_MAX_IMAGINARY}; the real-part approximation is unsafe"
             )
         lam_real = lam.real.copy()
-        q_real = np.empty((net.n, net.n))
-        col = 0
-        while col < net.n:
-            if abs(lam.imag[col]) <= 1e-12:
-                q_real[:, col] = q[:, col].real
-                col += 1
-                continue
-            if col + 1 >= net.n or abs(lam[col + 1] - np.conj(lam[col])) > 1e-9:
-                raise NumericalError("unpaired complex eigenvalue")
-            q_real[:, col] = q[:, col].real
-            q_real[:, col + 1] = q[:, col].imag
-            col += 2
+        # eig gives each pair as adjacent exact conjugates, +imag first (the stable
+        # sort keeps them so): columns (Re v, Im v), in C order for the norms below
+        q_real = np.ascontiguousarray(np.where(lam.imag < -1e-12, -q.imag, q.real))
 
     norms = np.linalg.norm(q_real, axis=0)
     if np.any(norms < 1e-12):

@@ -97,8 +97,6 @@ class SyncCentralityResult:
 
 
 def _smooth(series: np.ndarray, window: int) -> np.ndarray:
-    if window <= 1:
-        return series
     kernel = np.ones(window) / window
     return np.convolve(series, kernel, mode="same")
 
@@ -106,9 +104,12 @@ def _smooth(series: np.ndarray, window: int) -> np.ndarray:
 def _check_peak_options(length: int, min_separation: int = 5, min_prominence: float = None,
                         smooth_window: int = 1):
     """Reject peak-detection options out of range for series of ``length``
-    steps, so drivers fail before simulating."""
+    steps, so drivers fail before simulating; a series of at most
+    2 * ``min_separation`` steps cannot hold three peaks."""
     if min_separation < 1:
         raise ConfigError(f"min_separation must be at least 1, got {min_separation}")
+    if length <= 2 * min_separation:
+        raise ConfigError(f"series of length {length} too short for separation {min_separation}")
     if min_prominence is not None and not 0 <= min_prominence < math.inf:
         raise ConfigError(f"min_prominence must be finite and non-negative, got {min_prominence}")
     if smooth_window < 1:
@@ -236,13 +237,9 @@ def _series_peaks(block: np.ndarray, min_separation: int = 5, min_prominence: fl
                   smooth_window: int = 1) -> tuple:
     """:func:`detect_peaks`' selection on every row of an (S, T) block of finite series.
 
-    Returns :func:`_block_peaks`' ``(counts, cols)``.  Raises
-    :class:`TooFewPeaks` when the rows are too short for ``min_separation``.
+    Returns :func:`_block_peaks`' ``(counts, cols)``.  The options are those
+    :func:`_check_peak_options` accepted for the rows' length.
     """
-    if block.shape[1] <= 2 * min_separation:
-        raise TooFewPeaks(
-            f"series of length {block.shape[1]} too short for separation {min_separation}"
-        )
     if smooth_window > 1:
         block = np.array([_smooth(row, smooth_window) for row in block])
     if min_prominence is None:
@@ -262,9 +259,9 @@ def detect_peaks(series, min_separation: int = 5, min_prominence: float = None,
     prominence=min_prominence)`` (``scipy/signal/_peak_finding.py``):
     plateau midpoints, then the highest-first distance rule, then the
     prominence threshold.  Raises :class:`DegenerateSeries` for a
-    non-finite value, :class:`ConfigError` for a series that is not 1-D or
-    when ``smooth_window`` exceeds the series length, and
-    :class:`TooFewPeaks` when fewer than three peaks survive.
+    non-finite value, :class:`ConfigError` for a series that is not 1-D,
+    shorter than ``smooth_window`` or at most 2 * ``min_separation`` steps
+    long, and :class:`TooFewPeaks` when fewer than three peaks survive.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
@@ -374,7 +371,7 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
         trajs = simulate_batch(nets, [params] * eps_grid.size, q, shocks, cfg)
     except NumericalBlowup as exc:
         raise exc.named(f"eps {eps_grid[exc.run]:g}") from exc
-    counts, cols, ends, omegas = _peak_table(trajs, peak_kwargs, f"eps {eps_grid[0]:g}")
+    counts, cols, ends, omegas = _peak_table(trajs, peak_kwargs)
     for k, traj in enumerate(trajs):
         spread[k] = _spread(counts[k], omegas[k], traj.labels, f"eps {eps_grid[k]:g}")
         coherence[k] = phase_coherence(np.column_stack(
@@ -386,23 +383,19 @@ def epsilon_sweep(adj: Adjacency, params, eps_grid, cfg: SimulationConfig, *,
                              entrained=entrained, spread=spread)
 
 
-def _peak_table(trajs, peak_kwargs, where) -> tuple:
+def _peak_table(trajs, peak_kwargs) -> tuple:
     """Peaks of every node's y path in every run, ``_SERIES_PER_BLOCK`` paths at a time.
 
     Returns ``(counts, cols, ends, omegas)``: each path's peak count as an
     (R, N) array, all peak columns in (run, node) order, where each path's
     columns end in ``cols``, and each path's frequency as an (R, N) array,
-    NaN below three peaks.  Paths too short for the separation raise
-    :class:`TooFewPeaks` naming ``where``, the first run, and its first node.
+    NaN below three peaks.
     """
     paths = [(traj.y, i) for traj in trajs for i in range(traj.y.shape[1])]
     counts, cols = [], []
     for lo in range(0, len(paths), _SERIES_PER_BLOCK):
         block = np.stack([y[:, i] for y, i in paths[lo:lo + _SERIES_PER_BLOCK]])
-        try:
-            block_counts, block_cols = _series_peaks(block, **peak_kwargs)
-        except TooFewPeaks as exc:
-            raise TooFewPeaks(f"{where}, node {trajs[0].labels[0]}: {exc}") from None
+        block_counts, block_cols = _series_peaks(block, **peak_kwargs)
         counts.append(block_counts)
         cols.append(block_cols)
     counts = np.concatenate(counts).reshape(len(trajs), -1)
@@ -488,7 +481,7 @@ def sync_centrality(net: InteractionNetwork, cfg: SimulationConfig, n_draws: int
                                    q, None, cfg)
         except NumericalBlowup as exc:
             raise exc.named(where(*block[exc.run][:2])) from exc
-        counts, _, _, block_omegas = _peak_table(trajs, peak_kwargs, where(*block[0][:2]))
+        counts, _, _, block_omegas = _peak_table(trajs, peak_kwargs)
         for (key, d, _, _), traj, n_peaks, omegas in zip(block, trajs, counts, block_omegas):
             spread = _spread(n_peaks, omegas, traj.labels, where(key, d))
             if spread >= entrain_tol:

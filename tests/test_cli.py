@@ -527,6 +527,26 @@ class TestOtherCommands:
                 in capsys.readouterr().err)
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--set", "run.steps=100", "--set", "run.retain=10"],
+         "series of length 10 too short for separation 5"),
+        (["sweep-epsilon", "--preset", "entrainment-complete",
+          "--set", "measure.min_separation=1000"],
+         "series of length 2000 too short for separation 1000"),
+        (["sync-centrality", "--set", "network.kind=star", "--set", "network.n=4",
+          "--set", "network.eps=0.5", "--set", "centrality.n_draws=2", "--set", "run.retain=10"],
+         "series of length 10 too short for separation 5"),
+    ], ids=["simulate", "sweep-epsilon", "sync-centrality"])
+    def test_retain_too_short_for_three_peaks_rejected_before_simulating(
+            self, argv, message, tmp_path, capsys, monkeypatch):
+        # a retained window of at most 2 * min_separation steps cannot hold
+        # three peaks, so no node's period could be measured
+        monkeypatch.setattr(phase, "simulate_batch", simulate_nothing)
+        monkeypatch.setattr(cli, "simulate", simulate_nothing)
+        assert run(argv, tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("settings, message", [
         (["scenarios.retain=28", "scenarios.detrend=true"], "retain 28 // stride 4 = 7"),
         (["scenarios.retain=8"], "retain 8 // stride 4 = 2"),

@@ -289,6 +289,31 @@ class TestLoadPanel:
         with pytest.raises(DuplicateKey, match=r"\('US', 'D', 'emp', 2000\)"):
             PanelSeries(records)
 
+    @pytest.mark.parametrize("year", [200001, 0, -5, 10000, 2.5, 1991.0, "1991"])
+    def test_panel_built_from_records_rejects_a_bad_year(self, year):
+        # 200001 used to build a 199,999-entry gaps list, and 2.5 failed
+        # with a bare TypeError from range
+        records = [PanelRecord("JP", "D", "emp", 1990, 0.4),
+                   PanelRecord("US", "D", "emp", 1, 1.0),
+                   PanelRecord("US", "D", "emp", year, 2.0)]
+        with pytest.raises(MalformedRow, match=re.escape(
+                f"series ('US', 'D', 'emp'): year {year!r} is not an integer in 1-9999")):
+            PanelSeries(records)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_panel_built_from_records_rejects_a_non_finite_value(self, value):
+        records = [PanelRecord("US", "D", "emp", 1990, 1.0),
+                   PanelRecord("US", "D", "emp", 1991, value)]
+        with pytest.raises(MalformedRow, match=re.escape(
+                f"series ('US', 'D', 'emp'), year 1991: non-finite value {value!r}")):
+            PanelSeries(records)
+
+    def test_panel_built_from_records_takes_numpy_integer_years(self):
+        records = [PanelRecord("US", "D", "emp", np.int64(1), 1.0),
+                   PanelRecord("US", "D", "emp", np.int32(4), 2.0),
+                   PanelRecord("US", "D", "emp", 9999, 3.0)]
+        assert PanelSeries(records).gaps[("US", "D", "emp")][:3] == [2, 3, 5]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_reports_line(self, tmp_path, value):
         path = write_panel(tmp_path, [

@@ -432,6 +432,17 @@ class TestPropagateDeviations:
             propagate_deviations(cycle_orbit, two_clique_spec, np.zeros(12), steps,
                                  start=start)
 
+    def test_large_deviation_warns(self, cycle_orbit):
+        # the linear map is only a guide for deviations small beside the orbit
+        pair = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 0.3))
+        amplitude = float(cycle_orbit.y.max() - cycle_orbit.y.min())
+        xi0 = [0.0, 0.25 * max(amplitude, 1.0), 0.0, 0.0]
+        with pytest.warns(UserWarning, match="deviation is large relative to the orbit"):
+            propagate_deviations(cycle_orbit, pair, xi0, steps=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            propagate_deviations(cycle_orbit, pair, [0.0, 0.15, 0.0, 0.0], steps=10)
+
     def test_transverse_mode_decays_parallel_persists(self, cycle_orbit):
         pair = generalized_laplacian(uniform_coupling(build_topology("complete", 2), 0.3))
         xi0 = np.zeros(4)
@@ -532,6 +543,20 @@ def pair_net():
 @pytest.fixture(scope="module")
 def params():
     return AgentParams.with_steady_state(-0.04, 0.4, 0.1, Q)
+
+
+class TestCrossCorrelationLag:
+    def test_best_lag_at_the_window_edge_is_not_refined(self):
+        # the perturbed path leads by 10 steps but only lags up to 3 are
+        # tried: the correlation still rises at lag 3, which has no right
+        # neighbour for the parabola, so the lag stays an integer
+        t = np.arange(400)
+        reference = np.sin(2 * np.pi * t / 36)
+        perturbed = np.sin(2 * np.pi * (t + 10) / 36)
+        lag = master_stability._cross_correlation_lag(perturbed, reference, 50, 300, 3)
+        assert lag == 3.0 and type(lag) is float
+        lead = master_stability._cross_correlation_lag(reference, perturbed, 50, 300, 3)
+        assert lead == -3.0
 
 
 class TestShockResponseCompare:

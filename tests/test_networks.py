@@ -10,12 +10,14 @@ from cyclesync.errors import (
     Disconnected,
     IllConditioned,
     MissingFinalDemand,
+    NumericalError,
     Reducible,
     ZeroOutput,
 )
 from cyclesync.fixtures import demo_flow_table
 from cyclesync.networks import (
     FINAL_DEMAND,
+    Adjacency,
     FlowRecord,
     FlowTable,
     InteractionNetwork,
@@ -26,6 +28,7 @@ from cyclesync.networks import (
     generalized_laplacian,
     uniform_coupling,
 )
+from cyclesync.networks import _reversible_centrality
 
 from conftest import hub_flow_table
 
@@ -169,6 +172,15 @@ class TestUniformCoupling:
         with pytest.raises(ConfigError):
             uniform_coupling(adj, 1.5)
 
+    def test_isolated_node_keeps_full_self_weight(self):
+        # node 3 has no neighbour to spread eps over
+        m = np.zeros((4, 4))
+        m[0, 1] = m[1, 0] = m[1, 2] = m[2, 1] = 1
+        w = uniform_coupling(Adjacency(m), 0.4).weights
+        np.testing.assert_array_equal(w[3], [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(w[:3], [[0.6, 0.4, 0, 0], [0.2, 0.6, 0.2, 0],
+                                           [0, 0.4, 0.6, 0]], rtol=0, atol=1e-15)
+
     def test_rows_stochastic_on_random_graphs(self, rng):
         for _ in range(100):
             n = int(rng.integers(3, 12))
@@ -272,6 +284,19 @@ class TestIoNetwork:
         with pytest.raises(DataError, match=r"flows\.csv:3: non-finite flow"):
             FlowTable.from_csv(path)
 
+    @pytest.mark.parametrize("value, message", [
+        ("ten", r"bad value 'ten'"),
+        ("", r"bad value ''"),
+        ("-1.5", r"negative flow -1\.5"),
+    ], ids=["word", "empty", "negative"])
+    def test_bad_or_negative_flow_reports_line(self, tmp_path, value, message):
+        path = tmp_path / "flows.csv"
+        path.write_text(",".join(FlowTable.HEADER) + "\n"
+                        "A,X,FinD,X,1.0\n"
+                        f"B,X,FinD,X,{value}\n")
+        with pytest.raises(DataError, match=rf"flows\.csv:3: {message}$"):
+            FlowTable.from_csv(path)
+
     @pytest.mark.parametrize("field", range(4))
     def test_empty_name_rejected(self, tmp_path, field):
         # an empty source sector used to build a node labelled "|X"
@@ -356,6 +381,112 @@ class TestInteractionNetwork:
             with pytest.raises(ConfigError, match=rf"outputs must be finite and non-negative, "
                                                   rf"got {bad} at node 1$"):
                 InteractionNetwork(np.eye(2), outputs=np.array([1.0, bad]))
+
+
+def ring_flow_table(reverse=2.0):
+    """One country, sectors A -> B -> C -> A with ``reverse`` flowing back.
+
+    Every link runs both ways and final demand breaks detailed balance, so W
+    is not reversible; at ``reverse`` 2.0 B has a complex pair with
+    imaginary part 0.187, and the pair grows as ``reverse`` falls.
+    """
+    records = []
+    for s, t in zip("ABC", "BCA"):
+        records += [FlowRecord(s, "X", t, "X", 10.0), FlowRecord(t, "X", s, "X", reverse),
+                    FlowRecord(s, "X", s, "X", 5.0), FlowRecord(s, "X", FINAL_DEMAND, "X", 20.0)]
+    return FlowTable(records)
+
+
+def oracle_eig_modes(b):
+    """The column loop that built the eig branch's real basis, kept as
+    reference, followed by generalized_laplacian's normalization and signs."""
+    n = b.shape[0]
+    lam, q = np.linalg.eig(b)
+    order = np.argsort(lam.real, kind="stable")
+    lam, q = lam[order], q[:, order]
+    q_real = np.empty((n, n))
+    col = 0
+    while col < n:
+        if abs(lam.imag[col]) <= 1e-12:
+            q_real[:, col] = q[:, col].real
+            col += 1
+            continue
+        assert col + 1 < n and abs(lam[col + 1] - np.conj(lam[col])) <= 1e-9, "unpaired"
+        q_real[:, col] = q[:, col].real
+        q_real[:, col + 1] = q[:, col].imag
+        col += 2
+    q_real = q_real / np.linalg.norm(q_real, axis=0)
+    pivots = np.argmax(np.abs(q_real), axis=0)
+    return q_real * np.where(q_real[pivots, np.arange(n)] < 0, -1.0, 1.0), lam
+
+
+class TestComplexPairBasis:
+    """The eig branch's one-expression real basis against the column loop."""
+
+    def test_ring_table_modes_equal_the_column_loop(self):
+        net = build_io_network(ring_flow_table())
+        spec = generalized_laplacian(net)
+        want, lam = oracle_eig_modes(spec.matrix)
+        assert spec.max_imag == pytest.approx(0.187, abs=1e-3)
+        assert np.count_nonzero(np.abs(lam.imag) > 1e-12) == 2
+        np.testing.assert_array_equal(spec.modes.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(spec.eigenvalues, lam.real)
+
+    def test_ring_table_modes_block_diagonalize_b(self):
+        # a pair's columns (Re v, Im v) span its invariant plane: B maps the
+        # plane to itself with the real part on the diagonal and
+        # determinant |lambda|^2
+        spec = generalized_laplacian(build_io_network(ring_flow_table()))
+        _, lam = oracle_eig_modes(spec.matrix)
+        blocks = spec.modes_inv @ spec.matrix @ spec.modes
+        np.testing.assert_allclose(np.diag(blocks), spec.eigenvalues, rtol=0, atol=1e-12)
+        k = int(np.flatnonzero(lam.imag > 1e-12)[0])
+        pair = blocks[k:k + 2, k:k + 2]
+        assert np.linalg.det(pair) == pytest.approx(abs(lam[k]) ** 2, abs=1e-12)
+        outside = blocks.copy()
+        outside[k:k + 2, k:k + 2] = 0.0
+        np.fill_diagonal(outside, 0.0)
+        assert np.max(np.abs(outside)) <= 1e-12
+
+    def test_ring_table_is_not_reversible(self):
+        # the support is symmetric, but the flows break detailed balance
+        net = build_io_network(ring_flow_table())
+        links = net.weights > 0
+        assert np.array_equal(links, links.T)
+        assert _reversible_centrality(net) is None
+
+    def test_imaginary_part_beyond_limit_rejected(self):
+        with pytest.raises(NumericalError, match=r"imaginary part 0\.217 exceeds 0\.2"):
+            generalized_laplacian(build_io_network(ring_flow_table(reverse=1.0)))
+
+    def test_random_directed_networks_equal_the_column_loop(self):
+        rng = np.random.default_rng(2024)
+        complex_seen = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 9))
+            w = rng.random((n, n)) * (rng.random((n, n)) < 0.7) + np.eye(n)
+            net = InteractionNetwork(weights=w / w.sum(axis=1, keepdims=True))
+            if _reversible_centrality(net) is not None:
+                continue        # a tree support, say: the eigh branch
+            try:
+                spec = generalized_laplacian(net)
+            except (NumericalError, Disconnected):
+                continue
+            want, lam = oracle_eig_modes(spec.matrix)
+            complex_seen += spec.max_imag > 1e-12
+            np.testing.assert_array_equal(spec.modes.view(np.uint64), want.view(np.uint64))
+        assert complex_seen >= 100
+
+    def test_reducible_symmetric_support_is_disconnected(self):
+        # two closed blocks: the support is symmetric but the chain is
+        # reducible, so there is no reversible basis and eig finds 0 twice
+        net = InteractionNetwork(weights=np.array([[.6, .4, 0, 0], [.2, .8, 0, 0],
+                                                   [0, 0, .7, .3], [0, 0, .1, .9]]))
+        with pytest.raises(Reducible):
+            eigenvector_centrality(net)
+        assert _reversible_centrality(net) is None
+        with pytest.raises(Disconnected, match="second eigenvalue 0 vanishes"):
+            generalized_laplacian(net)
 
 
 class TestSpectra:
@@ -508,6 +639,13 @@ class TestFiedler:
         v = fiedler_vector(spec)
         np.testing.assert_allclose(np.abs(v), [1 / np.sqrt(2)] * 2, atol=1e-12)
         assert v[0] * v[1] < 0
+
+    def test_repeated_lambda_2_warns(self):
+        # the complete graph repeats its nonzero eigenvalue: any vector of
+        # that eigenspace would do
+        spec = generalized_laplacian(uniform_coupling(build_topology("complete", 4), 0.5))
+        with pytest.warns(UserWarning, match="near-degenerate lambda_2"):
+            fiedler_vector(spec)
 
     def test_one_node_has_none(self):
         spec = generalized_laplacian(InteractionNetwork(weights=np.eye(1)))

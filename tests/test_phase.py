@@ -56,7 +56,9 @@ class TestDetectPeaks:
         assert detect_peaks(noisy).size == detect_peaks(clean).size
 
     def test_short_series_rejected(self):
-        with pytest.raises(TooFewPeaks):
+        # at most 2 * min_separation steps cannot hold three peaks: an option
+        # error, raised before any peak is looked for
+        with pytest.raises(ConfigError, match="series of length 8 too short for separation 5"):
             detect_peaks(np.ones(8), min_separation=5)
 
     @pytest.mark.parametrize("min_separation", [0, -2])
@@ -613,6 +615,22 @@ class TestSyncCentrality:
             want.insert(focus, focus_value)
             assert alpha1 == want, (i, d)
             assert (target is net) == (i < net.n)
+
+    def test_one_draw_has_zero_stderr(self):
+        # one draw per node leaves no spread to estimate, and each node's
+        # mean frequency is that draw's mean over the nodes
+        net = uniform_coupling(build_topology("star", 4), 0.5)
+        cfg = SimulationConfig(steps=1500, burn_in=400, seed=5)
+        result = sync_centrality(net, cfg, n_draws=1, mode="L")
+        np.testing.assert_array_equal(result.stderr, np.zeros(net.n))
+        assert result.scores.sum() == pytest.approx(1.0, abs=1e-12)
+        grid = np.linspace(-0.1, -0.02, net.n)
+        for i in range(net.n):
+            alpha1 = list(np.random.default_rng((5, i, 0)).permutation(grid[:-1]))
+            alpha1.insert(i, grid[-1])
+            traj = simulate(net, agents(alpha1), cfg=cfg)
+            want = np.mean([measured_frequency(y) for y in traj.y.T])
+            assert result.mean_frequencies[i] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n_draws", [0, -3])
     def test_rejects_fewer_than_one_draw(self, n_draws):
