@@ -68,11 +68,18 @@ SHOCK_PRESETS = {
     "sector": {"rho_u": 0.0, "rho_v": 0.3, "sigma_v": 0.05, "rho_z": 0.3, "sigma_z": 0.0},
 }
 
-#: runs per simulate_batch call of the scenario grid.  A block's (runs,
-#: steps, N) shock sum and retained paths are alive at once: on the 27-cell
-#: x 4-seed grid of the 18-node demo IO network, one batch of all 108 runs
-#: raised peak RSS by 19%, blocks of 32 by about 4%, at the same speed.
-_RUNS_PER_BATCH = 32
+#: bytes of retained paths (8 x retain x N a run) that size a scenario block
+#: above its floor of ``_MIN_RUNS_PER_BATCH`` runs.  Shocks stream one lap
+#: at a time, so the retained paths are what grows with a block.  On small
+#: networks the step loop is bound by per-step dispatch, which a longer
+#: block spreads over more runs: on the 18-node demo IO network, shock laps
+#: included, a run costs about 0.35 ms in a 63-run block against 0.46 ms in a
+#: 32-run one, while one block of all 108 runs of the 27-cell x 4-seed grid
+#: raised peak RSS by about 10% over 63-run blocks.  At the paper's 476
+#: nodes a block's (runs, N, N) correlations dominate its memory, and the
+#: floor keeps 32 runs.
+_BLOCK_BYTES = 2 ** 21
+_MIN_RUNS_PER_BATCH = 32
 
 #: |trend| below this fraction of the series scale masks the cycle/trend indicator
 _TREND_FLOOR = 1e-6
@@ -485,13 +492,24 @@ def _block_correlations(series, detrend: bool, min_overlap: int) -> np.ndarray:
     return corr
 
 
-def _grouped_means(net: InteractionNetwork, trajs, spec):
+def _runs_per_batch(n: int, retain: int) -> int:
+    """Runs per scenario block: ``_BLOCK_BYTES`` of retained paths, at least
+    ``_MIN_RUNS_PER_BATCH``."""
+    return max(_MIN_RUNS_PER_BATCH, _BLOCK_BYTES // (8 * retain * n))
+
+
+def _annual_means(trajs, stride: int) -> np.ndarray:
+    """(B, retain // stride, N) block means of each run's retained outputs."""
+    return np.stack([aggregate_series(traj.y, stride) for traj in trajs])
+
+
+def _grouped_means(net: InteractionNetwork, annual, spec):
     """Grouped correlation means of each run of one block simulated on ``net``.
 
-    Each group's entries are gathered once for the whole block; each run
-    averages its own, so its means have the bits it gets alone.
+    ``annual`` is the block's (B, T, N) :func:`_annual_means`.  Each group's
+    entries are gathered once for the whole block; each run averages its
+    own, so its means have the bits it gets alone.
     """
-    annual = np.stack([aggregate_series(traj.y, spec.stride) for traj in trajs])
     countries = _node_groups(net.countries)
     agg = np.empty(annual.shape[:2] + (len(countries),))
     for j, ids in enumerate(countries.values()):
@@ -516,8 +534,10 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
     Returns :class:`ScenarioRow` records, one per (dynamics, shock type,
     sigma_u, grouping), with the mean and standard deviation over seeds.
     The (cell, seed) runs are simulated seed-major (every cell at seed 0,
-    then at seed 1, ...) in blocks of ``_RUNS_PER_BATCH``, whose runs share
-    their shock streams.  A run that blows up raises :class:`NumericalError`
+    then at seed 1, ...) in blocks of :func:`_runs_per_batch` runs, whose
+    runs share their shock streams.  Each block's trajectories are reduced
+    to their annual means and dropped before its band-pass and correlation
+    stage runs.  A run that blows up raises :class:`NumericalError`
     naming its cell and seed: when several do, the first failing run of the
     first failing block in that order.  A network whose groups hold no
     sector pair or no other country raises :class:`ConfigError` before
@@ -535,8 +555,9 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
     runs = [(*cell, seed) for seed in range(spec.n_seeds) for cell in cells]
     cfg = SimulationConfig(steps=spec.steps, retain=spec.retain)
     means = []
-    for first in range(0, len(runs), _RUNS_PER_BATCH):
-        block = runs[first:first + _RUNS_PER_BATCH]
+    per_batch = _runs_per_batch(net.n, spec.retain)
+    for first in range(0, len(runs), per_batch):
+        block = runs[first:first + per_batch]
         dyns, shocks, sigmas, seeds = zip(*block)
         try:
             trajs = simulate_batch(
@@ -547,8 +568,9 @@ def scenario_run(net: InteractionNetwork, spec: ScenarioSpec, q=DEFAULT_QUARTIC)
             dyn, shock, su, seed = block[exc.run]
             raise exc.named(f"dynamics {dyn!r}, shock type {shock!r}, sigma_u {su}, "
                             f"seed {seed}") from exc
-        means.extend(_grouped_means(net, trajs, spec))
-        del trajs  # free the block before the next one is simulated
+        annual = _annual_means(trajs, spec.stride)
+        del trajs  # free the block's paths before its correlations are computed
+        means.extend(_grouped_means(net, annual, spec))
 
     rows = []
     for c, cell in enumerate(cells):

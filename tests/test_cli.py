@@ -676,9 +676,9 @@ RERUN_CASES = {
     "shock-response": ["shock-response", "--preset", "shock-two-agent"],
     "scenarios": ["scenarios", "--preset", "scenarios-smoke",
                   "--set", "scenarios.sigma_u_grid=0.1", "--set", "scenarios.dynamics=cycle"],
-    # 3 cells x 12 seeds = 36 runs: one full simulate_batch block and a partial one
+    # 3 cells x 24 seeds = 72 runs: one full 63-run simulate_batch block and a partial one
     "scenarios-detrended": ["scenarios", "--preset", "scenarios-smoke",
-                            "--set", "scenarios.sigma_u_grid=0.1", "--set", "scenarios.n_seeds=12",
+                            "--set", "scenarios.sigma_u_grid=0.1", "--set", "scenarios.n_seeds=24",
                             "--set", "scenarios.detrend=true"],
 }
 

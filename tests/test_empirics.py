@@ -14,8 +14,10 @@ from cyclesync.empirics import (
     DEFAULT_SECTOR_EXCLUSIONS,
     DYNAMICS_PRESETS,
     SHOCK_PRESETS,
+    _annual_means,
     _detrend_columns,
     _grouped_means,
+    _runs_per_batch,
     PanelRecord,
     PanelSeries,
     ScenarioSpec,
@@ -734,7 +736,8 @@ class TestGroupedCorrelations:
             y=1.0 + 0.1 * rng.standard_normal((48, demo_io_network.n)).cumsum(axis=0))
         spec = ScenarioSpec(stride=4, detrend=bool(seed % 2),
                             exclusions=("MFG",) if seed % 3 == 0 else ())
-        assert _grouped_means(net, [traj], spec) == [oracle_grouped_means(net, traj, spec)]
+        assert _grouped_means(net, _annual_means([traj], spec.stride), spec) == \
+            [oracle_grouped_means(net, traj, spec)]
 
     @pytest.mark.parametrize("shape, groups, grouping", [
         ((2, 2), ["A", "B", "C"], "across_country_aggregates"),
@@ -779,10 +782,11 @@ class TestScenarioBlocks:
             return pairwise_correlations(data, min_overlap)
 
         monkeypatch.setattr(empirics, "_pairwise_correlations", recording)
-        got = _grouped_means(net, block, spec)
+        got = _grouped_means(net, _annual_means(block, spec.stride), spec)
         assert pairwise == ([(12, net.n)] if detrend else [])
         monkeypatch.undo()
-        assert got == [_grouped_means(net, [traj], spec)[0] for traj in block]
+        assert got == [_grouped_means(net, _annual_means([traj], spec.stride), spec)[0]
+                       for traj in block]
         # the block's one gather per group against the per-run loop oracle
         assert got == [oracle_grouped_means(net, traj, spec) for traj in block]
 
@@ -827,18 +831,27 @@ class TestScenarioRun:
         assert isinstance(err.value.__cause__, NumericalBlowup)
 
     def test_blowup_in_two_blocks_names_the_first_in_seed_major_order(self, demo_io_network):
-        # 17 cells x 2 seeds, seed-major: the last cell (sigma_u 3.0) is run 16
-        # of the first block at seed 0 and run 1 of the second at seed 1.  Both
-        # blow up, seed 1 at an earlier step (4 against 5), so the first
-        # failing block, not the earliest step, decides which run is named
+        # 32 cells x 2 seeds in 63-run blocks, seed-major: the last cell
+        # (sigma_u 3.0) is run 31 of the first block at seed 0 and run 0 of the
+        # second at seed 1.  Both blow up, seed 1 at an earlier step (4 against
+        # 5), so the first failing block, not the earliest step, decides which
+        # run is named
         spec = ScenarioSpec(dynamics=("cycle",), shock_types=("idiosyncratic",),
-                            sigma_u_grid=(*np.linspace(0.01, 0.16, 16), 3.0), n_seeds=2)
+                            sigma_u_grid=(*np.linspace(0.01, 0.16, 31), 3.0), n_seeds=2)
+        assert _runs_per_batch(demo_io_network.n, spec.retain) == 63
         with pytest.raises(NumericalError) as err:
             scenario_run(demo_io_network, spec)
         message = str(err.value)
         for part in ("sigma_u 3.0", "seed 0", "at step 5"):
             assert part in message
-        assert err.value.__cause__.run == 16
+        assert err.value.__cause__.run == 31
+
+    def test_block_size_follows_the_retained_bytes(self):
+        # 2 MiB of retained paths per block, at least 32 runs: 63 runs on the
+        # 18-node demo network, the floor at the paper's 476 nodes
+        assert _runs_per_batch(18, 228) == 63
+        assert _runs_per_batch(476, 228) == 32
+        assert _runs_per_batch(1, 228) == 1149
 
     def test_detrended_rows_match_per_run_oracle(self, demo_io_network):
         spec = ScenarioSpec(dynamics=("cycle", "node"), shock_types=("idiosyncratic", "country"),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -91,6 +92,41 @@ def lfilter_path(lfilter, rho, innovations):
     return np.concatenate(([0.0], lfilter([1.0], [1.0, -rho], innovations)))
 
 
+def oracle_shock_sum(nets, shocks, steps, seeds, path):
+    """(B, steps, N) shock sums added path by path, layer by layer.
+
+    ``path(rho, sigma, key)`` gives the AR(1) path of the (seed, layer,
+    entity) stream ``key``; every node of the entity receives it.
+    """
+    want = np.zeros((len(nets), steps, nets[0].n))
+    for r, (net, shock, seed) in enumerate(zip(nets, shocks, seeds)):
+        for layer, rho, sigma, groups in (
+                (0, shock.rho_u, shock.sigma_u, list(range(net.n))),
+                (1, shock.rho_v, shock.sigma_v, net.sectors),
+                (2, shock.rho_z, shock.sigma_z, net.countries)):
+            if sigma == 0:
+                continue
+            for j, group in enumerate(sorted({g for g in groups if g is not None})):
+                entity_path = path(rho, sigma, (seed, layer, j))
+                for i in range(net.n):
+                    if groups[i] == group:
+                        want[r, :, i] += entity_path
+    return want
+
+
+def joined_laps(nets, shocks, steps, seeds):
+    """The (B, steps, N) shock sum of ``_shock_paths``' laps joined end to end."""
+    return np.concatenate(list(_shock_paths(nets, shocks, steps, seeds))).swapaxes(0, 1)
+
+
+def as_laps(shock_sum):
+    """A (B, steps, N) shock sum cut into the (hi - lo, B, N) laps ``_iterate`` takes."""
+    if shock_sum is None:
+        return None
+    return [shock_sum[:, lo:lo + _CHECK_EVERY].swapaxes(0, 1)
+            for lo in range(0, shock_sum.shape[1], _CHECK_EVERY)]
+
+
 class TestAr1AgainstLfilter:
     """The owned recursion reproduces ``lfilter([1], [1, -rho])`` bit for bit."""
 
@@ -119,23 +155,9 @@ class TestAr1AgainstLfilter:
                   ShockConfig(rho_u=0.8, sigma_u=0.05, rho_z=0.1, sigma_z=0.01)]
         seeds = [3, 4, 5, 6, 7]
         steps = 700
-        total = np.zeros((5, steps, ROUTED.n))
-        _shock_paths(nets, shocks, steps, seeds, total)
-
-        want = np.zeros_like(total)
-        for r, (shock, seed) in enumerate(zip(shocks, seeds)):
-            for layer, rho, sigma, groups in (
-                    (0, shock.rho_u, shock.sigma_u, list(range(ROUTED.n))),
-                    (1, shock.rho_v, shock.sigma_v, ROUTED.sectors),
-                    (2, shock.rho_z, shock.sigma_z, ROUTED.countries)):
-                if sigma == 0:
-                    continue
-                for j, group in enumerate(sorted({g for g in groups if g is not None})):
-                    rng = np.random.default_rng((seed, layer, j))
-                    path = lfilter_path(lfilter, rho, rng.normal(0.0, sigma, steps - 1))
-                    for i in range(ROUTED.n):
-                        if groups[i] == group:
-                            want[r, :, i] += path
+        total = joined_laps(nets, shocks, steps, seeds)
+        want = oracle_shock_sum(nets, shocks, steps, seeds, lambda rho, sigma, key: lfilter_path(
+            lfilter, rho, np.random.default_rng(key).normal(0.0, sigma, steps - 1)))
         np.testing.assert_array_equal(total, want)
         assert not total[1].any() and not total[3].any()
 
@@ -196,9 +218,7 @@ class TestSimulate:
         steps, seed = 200, 11
 
         def shock_sum(**layers):
-            total = np.zeros((1, steps, ROUTED.n))
-            _shock_paths([ROUTED], [ShockConfig(**layers)], steps, [seed], total)
-            return total[0]
+            return joined_laps([ROUTED], [ShockConfig(**layers)], steps, [seed])[0]
 
         only_u = shock_sum(rho_u=0.4, sigma_u=0.05)
         only_z = shock_sum(rho_z=0.4, sigma_z=0.05)
@@ -293,6 +313,54 @@ class TestSimulate:
             simulate_batch(single_net(), [cycle_params()] * 3, cfg=SimulationConfig(steps=10),
                            seeds=[0, 4, -1])
         assert str(err.value) == "seed of run 2 must be a non-negative integer, got -1"
+
+    @pytest.mark.parametrize("window", [dict(steps=600.5), dict(steps=True), dict(steps=600.0),
+                                        dict(steps="600"), dict(steps=600, burn_in=100.5),
+                                        dict(steps=600, retain=False),
+                                        dict(steps=600, burn_in=372, retain=228.0)],
+                             ids=lambda w: repr(w))
+    def test_rejects_run_size_that_is_not_an_integer(self, window):
+        name, value = next((k, v) for k, v in window.items() if type(v) is not int)
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig(**window)
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_numpy_integer_run_sizes_are_accepted(self):
+        cfg = SimulationConfig(steps=np.int64(80), retain=np.int32(30), seed=4)
+        got = simulate(single_net(), cycle_params(), Q, None, cfg)
+        want = simulate(single_net(), cycle_params(), Q, None,
+                        SimulationConfig(steps=80, retain=30, seed=4))
+        np.testing.assert_array_equal(got.y, want.y)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_steps_below_one(self, steps):
+        with pytest.raises(ConfigError, match="^steps must be positive$"):
+            SimulationConfig(steps=steps)
+
+    def test_rejects_unknown_initial_mode(self):
+        with pytest.raises(ConfigError, match="^unknown initial mode 'random'$"):
+            SimulationConfig(steps=10, initial_mode="random")
+
+    def test_rejects_wrong_number_of_parameter_sets(self):
+        with pytest.raises(ConfigError, match="^expected 5 parameter sets, got 4$"):
+            simulate(ROUTED, [cycle_params()] * 4, Q, None, SimulationConfig(steps=10))
+
+    def test_batch_rejects_no_runs(self):
+        with pytest.raises(ConfigError, match="^need at least one run$"):
+            simulate_batch(single_net(), [], Q, None, SimulationConfig(steps=10))
+
+    def test_batch_rejects_networks_of_different_sizes(self):
+        with pytest.raises(ConfigError, match="^all networks of a batch need the same number "
+                                              "of nodes$"):
+            simulate_batch([single_net(), ROUTED], [cycle_params()] * 2, Q, None,
+                           SimulationConfig(steps=10))
+
+    def test_batch_default_config_is_600_steps_at_seed_0(self):
+        got = simulate_batch(ROUTED, [cycle_params()], Q, ALL_LAYERS)[0]
+        want = simulate(ROUTED, cycle_params(), Q, ALL_LAYERS, SimulationConfig(steps=600))
+        assert got.y.shape == (600, ROUTED.n)
+        np.testing.assert_array_equal(got.y, want.y)
+        np.testing.assert_array_equal(got.x, want.x)
 
     def test_large_and_numpy_integer_seeds_are_accepted(self):
         cfg = SimulationConfig(steps=50, seed=2**40)
@@ -609,7 +677,7 @@ class TestStepKernel:
         starts = [a.copy() for a in args[-2:]]
         shocks = np.random.default_rng(1).normal(0.0, 0.02, (b, steps, n))
         for shock_sum in (None, shocks):
-            got = _iterate(*args, Q, steps, retain, 1e3, shock_sum)
+            got = _iterate(*args, Q, steps, retain, 1e3, as_laps(shock_sum))
             want = oracle_iterate(*args, Q, steps, retain, 1e3, shock_sum)
             for name, g, w in zip(("x_start", "ys"), got, want):
                 np.testing.assert_array_equal(g, w, strict=True, err_msg=name)
@@ -637,11 +705,64 @@ class TestStepKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalBlowup) as got:
-                _iterate(*args, Q, steps, retain, 1e3, shocks)
+                _iterate(*args, Q, steps, retain, 1e3, as_laps(shocks))
         assert got.value.step == want.value.step == step
         assert got.value.run == want.value.run
         assert got.value.value == want.value.value
         assert str(got.value) == str(want.value)
+
+
+class TestShockLaps:
+    """The shock sum streamed one ``_CHECK_EVERY``-step lap at a time."""
+
+    # silent runs sit between active ones; runs 0 and 3 share every
+    # (stream, sigma, rho) path, runs 2 and 5 their sector paths, and run 4
+    # shares run 0's idiosyncratic streams at another sigma
+    NETS = [ROUTED] * 6
+    SHOCKS = [ALL_LAYERS, ShockConfig(), SECTOR_ONLY, ALL_LAYERS,
+              dataclasses.replace(ALL_LAYERS, sigma_u=0.07),
+              dataclasses.replace(SECTOR_ONLY, rho_u=0.6, sigma_u=0.01)]
+    SEEDS = [3, 3, 4, 3, 3, 4]
+    # 600 and 1025 steps cross one and two draws of _DRAW_LAPS laps
+    STEPS = [1, 2, 63, 64, 65, 129, 600, 1025]
+
+    def laps(self, steps):
+        laps = list(_shock_paths(self.NETS, self.SHOCKS, steps, self.SEEDS))
+        assert [lap.shape for lap in laps] == [(min(_CHECK_EVERY, steps - lo), 6, ROUTED.n)
+                                              for lo in range(0, steps, _CHECK_EVERY)]
+        total = np.concatenate(laps).swapaxes(0, 1)
+        assert not total[1].any()
+        np.testing.assert_array_equal(total[0], total[3])
+        return total
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_joined_laps_match_lfilter_oracle(self, lfilter, steps):
+        want = oracle_shock_sum(self.NETS, self.SHOCKS, steps, self.SEEDS,
+                                lambda rho, sigma, key: lfilter_path(
+                                    lfilter, rho,
+                                    np.random.default_rng(key).normal(0.0, sigma, steps - 1)))
+        np.testing.assert_array_equal(self.laps(steps), want)
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_joined_laps_match_one_shot_paths(self, steps):
+        # each path drawn whole by Generator.normal: no scipy needed
+        want = oracle_shock_sum(self.NETS, self.SHOCKS, steps, self.SEEDS,
+                                lambda rho, sigma, key: ar1_path(
+                                    rho, sigma, steps, np.random.default_rng(key)))
+        np.testing.assert_array_equal(self.laps(steps), want)
+
+    def test_batch_holds_no_full_shock_sum(self):
+        b, n, steps = 4, 18, 20000
+        net = uniform_coupling(build_topology("complete", n), 0.2)
+        cfg = SimulationConfig(steps=steps, retain=_CHECK_EVERY)
+        tracemalloc.start()
+        try:
+            simulate_batch(net, [cycle_params()] * b, Q, ShockConfig(rho_u=0.3, sigma_u=0.01),
+                           cfg, seeds=range(b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * steps * n * 8, f"peak {peak} bytes holds a (B, steps, N) array"
 
 
 class TestBatchedCallersParity:
@@ -674,13 +795,13 @@ class TestBatchedCallersParity:
                                        rtol=0, atol=TOL, err_msg=name)
 
     def test_scenario_run(self, monkeypatch, demo_io_network):
-        # 2 x 3 x 2 cells x 3 seeds = 36 runs: more than one block, and the
+        # 2 x 3 x 2 cells x 6 seeds = 72 runs: more than one block, and the
         # idiosyncratic cells at sigma_u = 0 are silent runs among active ones
         spec = empirics.ScenarioSpec(dynamics=("cycle", "focus"),
                                      shock_types=("idiosyncratic", "country", "sector"),
-                                     sigma_u_grid=(0.0, 0.1), n_seeds=3)
+                                     sigma_u_grid=(0.0, 0.1), n_seeds=6)
         n_runs = 2 * 3 * 2 * spec.n_seeds
-        assert n_runs > empirics._RUNS_PER_BATCH
+        assert n_runs > empirics._runs_per_batch(demo_io_network.n, spec.retain)
         blocks = []
 
         def recording_batch(*args, **kwargs):
@@ -699,11 +820,12 @@ class TestBatchedCallersParity:
             assert got.sd_corr == pytest.approx(want.sd_corr, rel=0, abs=TOL)
 
     def test_scenario_rows_summarize_their_own_cell(self, demo_io_network):
-        # 12 cells x 3 seeds, seed-major: the 32-run block boundary falls in
-        # seed 2, so the last 4 cells take their third seed from another block
+        # 12 cells x 6 seeds, seed-major: the 63-run block boundary falls in
+        # seed 5, so the last 9 cells take their sixth seed from another block
         spec = empirics.ScenarioSpec(dynamics=("cycle", "focus"),
                                      shock_types=("idiosyncratic", "country", "sector"),
-                                     sigma_u_grid=(0.0, 0.1), n_seeds=3)
+                                     sigma_u_grid=(0.0, 0.1), n_seeds=6)
+        assert empirics._runs_per_batch(demo_io_network.n, spec.retain) == 5 * 12 + 3
         rows = empirics.scenario_run(demo_io_network, spec)
         cfg = SimulationConfig(steps=spec.steps, retain=spec.retain)
         for k in range(0, len(rows), 2):
@@ -711,9 +833,9 @@ class TestBatchedCallersParity:
             params = AgentParams.with_steady_state(*empirics.DYNAMICS_PRESETS[cell.dynamics], Q)
             shocks = ShockConfig(sigma_u=cell.sigma_u, **empirics.SHOCK_PRESETS[cell.shock_type])
             # one batch per cell, all its seeds and one shared shock config
-            means = empirics._grouped_means(demo_io_network, simulate_batch(
-                demo_io_network, [params] * spec.n_seeds, Q, shocks, cfg,
-                seeds=range(spec.n_seeds)), spec)
+            means = empirics._grouped_means(demo_io_network, empirics._annual_means(
+                simulate_batch(demo_io_network, [params] * spec.n_seeds, Q, shocks, cfg,
+                               seeds=range(spec.n_seeds)), spec.stride), spec)
             for row in rows[k:k + 2]:
                 vals = [m[row.group] for m in means]
                 assert row.mean_corr == np.mean(vals)
